@@ -4,7 +4,6 @@ from .attention import (
     AttentionConfig,
     ConfigError,
     ICMAttention,
-    MemoryState,
     MultiHeadSelfAttention,
     accumulate_memory,
     dot_attention,
@@ -19,7 +18,7 @@ from .training import MetricReport, TrainConfig, gradcheck, mae, mse, train_supe
 
 __all__ = [
     "AttentionConfig", "ChannelBias", "ConfigError", "DimensionError",
-    "EncoderConfig", "ForecastEncoder", "ICMAttention", "MemoryState",
+    "EncoderConfig", "ForecastEncoder", "ICMAttention",
     "MetricReport", "MixerKind", "MultiHeadSelfAttention", "Parameter",
     "StaticChannelEmbedding", "Tensor", "TrainConfig", "accumulate_memory",
     "dot_attention", "gate_combine", "gradcheck", "load_checkpoint", "mae",

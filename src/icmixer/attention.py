@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionError, Parameter, Tensor
+from .tensor import DimensionError, Parameter, Tensor, concat
 
 
 class ConfigError(ValueError):
@@ -39,50 +39,43 @@ class AttentionConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
-class MemoryState:
-    """Per-head memory matrix M [h, d_k, d_k] and normalizer z [h, d_k, 1]."""
-
-    M: Tensor
-    z: Tensor
-
-    @classmethod
-    def zeros(cls, n_heads: int, d_k: int, dtype=np.float64) -> "MemoryState":
-        return cls(
-            M=Tensor(np.zeros((n_heads, d_k, d_k), dtype=dtype)),
-            z=Tensor(np.zeros((n_heads, d_k, 1), dtype=dtype)),
-        )
-
-
 def sigma(x: Tensor) -> Tensor:
     """Strictly positive feature map: ELU(x) + 1."""
     return x.elu() + 1.0
 
 
-def accumulate_memory(state: MemoryState, k: Tensor, v: Tensor) -> MemoryState:
-    """Fold one channel's keys/values [h, n, d_k] into the memory state."""
-    if k.shape != v.shape or k.shape[0] != state.M.shape[0] or k.shape[-1] != state.M.shape[-1]:
+def accumulate_memory(k: Tensor, v: Tensor):
+    """Fold keys/values [..., m, h, n, d_k] of all m channels into one memory.
+
+    Returns ``(M, z)``: M [..., 1, h, d_k, d_k] is sigma(K)^T V summed over
+    channels, z [..., 1, h, d_k, 1] the key sums over channels and tokens.
+    The channel axis is kept so both broadcast against per-channel queries.
+    """
+    if k.shape != v.shape or k.ndim < 4:
         raise DimensionError(
-            f"memory accumulation shape mismatch: K {k.shape}, V {v.shape}, M {state.M.shape}")
+            f"memory accumulation needs equal [..., m, h, n, d_k] K and V, got {k.shape}, {v.shape}")
     sk = sigma(k)
-    m_new = state.M + sk.swapaxes(-1, -2) @ v
-    z_new = state.z + sk.sum(axis=-2).reshape(k.shape[0], k.shape[-1], 1)
-    return MemoryState(M=m_new, z=z_new)
+    mem = (sk.swapaxes(-1, -2) @ v).sum(axis=-4, keepdims=True)
+    z = sk.sum(axis=(-4, -2), keepdims=True).reshape(*mem.shape[:-1], 1)
+    return mem, z
 
 
-def retrieve_memory(q: Tensor, state: MemoryState, epsilon: float) -> Tensor:
+def retrieve_memory(q: Tensor, mem: Tensor, z: Tensor, epsilon: float) -> Tensor:
     """Query the accumulated memory: sigma(Q) M / (sigma(Q) z + epsilon)."""
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     sq = sigma(q)
-    return (sq @ state.M) / (sq @ state.z + epsilon)
+    return (sq @ mem) / (sq @ z + epsilon)
+
+
+def attention_scores(q: Tensor, k: Tensor) -> Tensor:
+    """Scaled dot-product scores Q K^T / sqrt(d_k), [..., n_q, n_k]."""
+    return (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
 
 
 def dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Bidirectional scaled dot-product attention, softmax over keys."""
-    d_k = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
-    return scores.softmax(axis=-1) @ v
+    return attention_scores(q, k).softmax(axis=-1) @ v
 
 
 def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
@@ -158,18 +151,9 @@ class ICMAttention(MultiHeadSelfAttention):
         if x.shape[1] == 0:
             raise DimensionError("at least one channel is required")
         q, k, v = self.project_qkv(x)  # [b, m, h, n, d_k]
-        b, m, h, n, d_k = q.shape
-
-        sk = sigma(k)
-        mem = (sk.swapaxes(-1, -2) @ v).sum(axis=1)            # [b, h, d_k, d_k]
-        z = sk.sum(axis=(1, 3)).reshape(b, 1, h, d_k, 1)       # keys summed over channels+tokens
-
-        a_dot = dot_attention(q, k, v)
-        sq = sigma(q)
-        a_mem = (sq @ mem.reshape(b, 1, h, d_k, d_k)) / (sq @ z + self.config.epsilon)
-
-        g = self.beta.sigmoid().reshape(1, 1, h, 1, 1)
-        return merge_heads(g * a_mem + (1.0 - g) * a_dot) @ self.wo
+        mem, z = accumulate_memory(k, v)
+        a_mem = retrieve_memory(q, mem, z, self.config.epsilon)
+        return merge_heads(gate_combine(a_mem, dot_attention(q, k, v), self.beta)) @ self.wo
 
 
 def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
@@ -178,16 +162,14 @@ def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
     Slow path used as an independent check of the vectorized layer:
     x is [m, n, d_model]; returns [m, n, d_model].
     """
-    cfg = layer.config
     q, k, v = layer.project_qkv(x)  # [m, h, n, d_k]
-    m = x.shape[0]
-    state = MemoryState.zeros(cfg.n_heads, cfg.d_k, dtype=x.dtype)
-    for i in range(m):
-        state = accumulate_memory(state, k[i], v[i])
+    mem, z = accumulate_memory(k[0:1], v[0:1])
+    for i in range(1, x.shape[0]):
+        mem_i, z_i = accumulate_memory(k[i:i + 1], v[i:i + 1])
+        mem, z = mem + mem_i, z + z_i
     outs = []
-    for i in range(m):
-        a_mem = retrieve_memory(q[i], state, cfg.epsilon)
-        a_dot = dot_attention(q[i], k[i], v[i])
+    for i in range(x.shape[0]):
+        a_mem = retrieve_memory(q[i:i + 1], mem, z, layer.config.epsilon)
+        a_dot = dot_attention(q[i:i + 1], k[i:i + 1], v[i:i + 1])
         outs.append(merge_heads(gate_combine(a_mem, a_dot, layer.beta)))
-    from .tensor import stack
-    return stack(outs, axis=0) @ layer.wo
+    return concat(outs, axis=0) @ layer.wo

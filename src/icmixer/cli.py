@@ -20,6 +20,7 @@ from .data import (
     ParseError,
     generate_lagged_copy,
     load_csv,
+    make_windows,
     save_csv,
     standardized,
 )
@@ -34,7 +35,6 @@ from .training import (
     shrunken_config,
     train_supervised,
 )
-from .data import make_windows
 
 MIXER_CHOICES = [k.value for k in MixerKind]
 

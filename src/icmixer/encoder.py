@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class EncoderConfig:
     horizons: tuple = (96, 192, 384)
     max_channels: int = 8
     epsilon: float = 1e-6
-    dropout: float = 0.0  # reserved; deterministic by default
 
     def __post_init__(self):
         self.mixer = MixerKind(self.mixer)
@@ -64,22 +63,32 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
         return cls(**d)
 
 
-def instance_normalize(x: Tensor | np.ndarray):
+def instance_stats(x: np.ndarray):
+    """Per-series (mean, std) over the last axis, each of shape [..., 1]."""
+    return x.mean(axis=-1, keepdims=True), x.std(axis=-1, keepdims=True)
+
+
+def instance_normalize(x: Tensor | np.ndarray, stats=None):
     """Standardize each series over its last axis; returns (x_norm, (mean, std)).
 
-    Statistics are plain arrays (shape [..., 1]); forecasts are mapped back
-    with the exact inverse affine map. A near-constant series is kept finite
-    by the epsilon added to the divisor.
+    ``stats`` defaults to the series' own ``instance_stats``; passing the
+    statistics of the input window maps a target into the model's normalized
+    space. Statistics are plain arrays; forecasts are mapped back with the
+    exact inverse affine map. A near-constant series is kept finite by the
+    epsilon added to the divisor.
     """
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    mean = arr.mean(axis=-1, keepdims=True)
-    std = arr.std(axis=-1, keepdims=True)
+    if stats is None:
+        stats = instance_stats(x.data if isinstance(x, Tensor) else np.asarray(x))
+    mean, std = stats
     x_t = x if isinstance(x, Tensor) else Tensor(x)
     x_norm = (x_t - Tensor(mean)) / (std + INSTANCE_NORM_EPS)
-    return x_norm, (mean, std)
+    return x_norm, stats
 
 
 def denormalize(pred: Tensor, stats) -> Tensor:
@@ -272,7 +281,7 @@ class ForecastEncoder:
 # -- checkpoint format --------------------------------------------------------
 #
 # Binary layout: magic b"ICM1", uint32 little-endian header length, UTF-8 JSON
-# header {"config": {...}, "seed": int, "params": [{name, shape, dtype, offset}]},
+# header {"config": {...}, "params": [{name, shape, dtype, offset}]},
 # then the raw little-endian parameter buffers concatenated in header order.
 
 _MAGIC = b"ICM1"

@@ -13,12 +13,17 @@ Four interchangeable designs, all driven by the same encoder backbone:
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .attention import AttentionConfig, ConfigError, MultiHeadSelfAttention
+from .attention import (
+    AttentionConfig,
+    ConfigError,
+    MultiHeadSelfAttention,
+    attention_scores,
+    merge_heads,
+)
 from .tensor import DimensionError, Parameter, Tensor
 
 
@@ -62,11 +67,6 @@ class StaticChannelEmbedding:
         return [self.table]
 
 
-def channel_independent_forward(x: Tensor, layer: MultiHeadSelfAttention) -> Tensor:
-    """Vanilla attention applied per channel; [b, m, n, d] with m as a batch dim."""
-    return layer(x)
-
-
 def add_static_channel_embedding(x: Tensor, embedding: StaticChannelEmbedding) -> Tensor:
     """Add embedding row c to every patch of channel c; x is [b, m, n_patches, d]."""
     m = x.shape[1]
@@ -81,17 +81,6 @@ def same_channel_mask(m: int, n: int) -> np.ndarray:
     """[m*n, m*n] indicator: 1 where both tokens belong to the same channel."""
     channel_of = np.repeat(np.arange(m), n)
     return (channel_of[:, None] == channel_of[None, :]).astype(np.float64)
-
-
-def concat_attention_scores(x: Tensor, layer: "ConcatAttention") -> Tensor:
-    """Raw biased scores [h, m*n, m*n] for a single batch item [m, n, d_model]."""
-    m, n, _ = x.shape
-    q, k, _ = layer.project_qkv(x.reshape(1, m * n, layer.config.d_model))
-    scale = 1.0 / math.sqrt(layer.config.d_k)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    mask = Tensor(same_channel_mask(m, n))
-    return (scores + layer.bias.u1 * mask + layer.bias.u2 * (1.0 - mask)).reshape(
-        layer.config.n_heads, m * n, m * n)
 
 
 class ConcatAttention(MultiHeadSelfAttention):
@@ -110,13 +99,8 @@ class ConcatAttention(MultiHeadSelfAttention):
         if x.ndim != 4:
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         b, m, n, d = x.shape
-        flat = x.reshape(b, m * n, d)
-        q, k, v = self.project_qkv(flat)  # [b, h, m*n, d_k]
-        scale = 1.0 / math.sqrt(self.config.d_k)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
+        q, k, v = self.project_qkv(x.reshape(b, m * n, d))  # [b, h, m*n, d_k]
         mask = Tensor(same_channel_mask(m, n))
-        scores = scores + self.bias.u1 * mask + self.bias.u2 * (1.0 - mask)
+        scores = attention_scores(q, k) + self.bias.u1 * mask + self.bias.u2 * (1.0 - mask)
         att = scores.softmax(axis=-1) @ v
-        h = self.config.n_heads
-        merged = att.swapaxes(-3, -2).reshape(b, m * n, h * self.config.d_k)
-        return (merged @ self.wo).reshape(b, m, n, d)
+        return (merge_heads(att) @ self.wo).reshape(b, m, n, d)

@@ -92,17 +92,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
     # -- backward pass --------------------------------------------------------
 
@@ -201,17 +192,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * p * a.data ** (p - 1))
-
-        return Tensor._make(a.data ** p, (a,), bwd)
 
     def sqrt(self):
         a = self
@@ -326,17 +306,6 @@ class Tensor:
 
         return Tensor._make(a.data.reshape(shape), (a,), bwd)
 
-    def transpose(self, axes):
-        a = self
-        axes = tuple(axes)
-        inv = np.argsort(axes)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g.transpose(inv))
-
-        return Tensor._make(a.data.transpose(axes), (a,), bwd)
-
     def swapaxes(self, ax1, ax2):
         a = self
 
@@ -401,10 +370,6 @@ def concat(tensors, axis=0):
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
-def stack(tensors, axis=0):
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis=axis)
-
-
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis, optionally affine."""
@@ -422,13 +387,12 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 class Parameter(Tensor):
     """A named trainable tensor registered in a model's parameter map."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True, dtype=None):
+    def __init__(self, data, name: str, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.requires_grad = True  # immune to no_grad() at construction time
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"

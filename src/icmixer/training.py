@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import ConfigError
 from .data import MultivariateSeries, make_windows
-from .encoder import INSTANCE_NORM_EPS, EncoderConfig, ForecastEncoder
+from .encoder import EncoderConfig, ForecastEncoder, instance_normalize, instance_stats
 from .mixers import MixerKind
 from .tensor import DimensionError, Parameter, Tensor, no_grad
 
@@ -111,7 +111,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-4
-    optimizer: str = "adam"
     seed: int = 0
     precision: str = "f32"
     patience: int = 3
@@ -134,12 +133,6 @@ def _stack_batch(windows, idx):
     x = np.stack([windows[i].input for i in idx])
     y = np.stack([windows[i].target for i in idx])
     return x, y
-
-
-def _normalized_targets(x: np.ndarray, y: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    std = x.std(axis=-1, keepdims=True)
-    return (y - mean) / (std + INSTANCE_NORM_EPS)
 
 
 def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64):
@@ -178,12 +171,10 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         keep = np.sort(rng.choice(len(train_windows), config.max_train_windows, replace=False))
         train_windows = [train_windows[i] for i in keep]
 
-    params = model.parameters()
-    trainable = [p for p in params.values()
-                 if p.trainable and (config.freeze_mask is None or config.freeze_mask(p.name))]
+    trainable = [p for p in model.parameters().values()
+                 if config.freeze_mask is None or config.freeze_mask(p.name)]
     if not trainable:
         raise ConfigError("freeze mask admits no trainable parameters")
-    frozen = [p for p in params.values() if p not in trainable]
     optimizer = Adam(trainable, lr=config.learning_rate)
 
     best_val = np.inf
@@ -196,7 +187,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         for start in range(0, len(order), config.batch_size):
             x, y = _stack_batch(train_windows, order[start:start + config.batch_size])
             pred_norm, _ = model.forecast_normalized(x.astype(model.dtype), horizon)
-            loss = mse(pred_norm, Tensor(_normalized_targets(x, y).astype(model.dtype)))
+            y_norm, _ = instance_normalize(y, instance_stats(x))
+            loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(
                     f"non-finite training loss at epoch {epoch}, batch offset {start} "
@@ -226,8 +218,6 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     if best_state is not None:
         for p in trainable:
             p.data = best_state[p.name]
-    for p in frozen:  # masking contract: frozen parameters are never written
-        assert params[p.name] is p
 
     report = MetricReport()
     if test_windows:

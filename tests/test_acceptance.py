@@ -14,7 +14,6 @@ import pytest
 from icmixer.attention import (
     AttentionConfig,
     ICMAttention,
-    MemoryState,
     MultiHeadSelfAttention,
     accumulate_memory,
     retrieve_memory,
@@ -53,10 +52,8 @@ def test_criterion_1_memory_oracle_equivalence():
         v = rng.uniform(-2, 2, (m, h, n, d_k))
         eps = 1e-6
 
-        state = MemoryState.zeros(h, d_k)
-        for i in range(m):
-            state = accumulate_memory(state, Tensor(k[i]), Tensor(v[i]))
-        got = np.stack([retrieve_memory(Tensor(q[i]), state, eps).data for i in range(m)])
+        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        got = retrieve_memory(Tensor(q), mem, z, eps).data
 
         expected = np.zeros_like(q)
         for head in range(h):

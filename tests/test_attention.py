@@ -7,7 +7,6 @@ from icmixer.attention import (
     AttentionConfig,
     ConfigError,
     ICMAttention,
-    MemoryState,
     MultiHeadSelfAttention,
     accumulate_memory,
     dot_attention,
@@ -72,59 +71,59 @@ class TestSigma:
 
 class TestMemory:
     def test_initial_state_is_zero(self):
-        state = MemoryState.zeros(2, 3)
-        assert not state.M.data.any() and not state.z.data.any()
+        # A memory built from no channels holds nothing.
+        mem, z = accumulate_memory(Tensor(np.ones((0, 2, 5, 3))), Tensor(np.ones((0, 2, 5, 3))))
+        assert mem.shape == (1, 2, 3, 3) and z.shape == (1, 2, 3, 1)
+        assert not mem.data.any() and not z.data.any()
 
     def test_single_outer_product(self):
-        # One head, one token: sigma(k) = [1, 0] requires k = [0, -inf]; use the
-        # closed form instead with k chosen so sigma(k) is exactly [1, 0]-like.
-        k = np.array([[[0.0, -745.0]]])  # sigma -> [1.0, ~5e-324]
-        v = np.array([[[2.0, 3.0]]])
-        state = accumulate_memory(MemoryState.zeros(1, 2), Tensor(k), Tensor(v))
-        np.testing.assert_allclose(state.M.data[0], [[2.0, 3.0], [0.0, 0.0]], atol=1e-300)
-        np.testing.assert_allclose(state.z.data[0], [[1.0], [0.0]], atol=1e-300)
+        # One channel, one head, one token: k is chosen so sigma(k) is [1, ~0].
+        k = np.array([[[[0.0, -745.0]]]])  # sigma -> [1.0, ~5e-324]
+        v = np.array([[[[2.0, 3.0]]]])
+        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        np.testing.assert_allclose(mem.data[0, 0], [[2.0, 3.0], [0.0, 0.0]], atol=1e-300)
+        np.testing.assert_allclose(z.data[0, 0], [[1.0], [0.0]], atol=1e-300)
 
     def test_accumulation_commutes_over_channels(self):
+        # (M, z) is invariant to any permutation of the channel axis.
         rng = np.random.default_rng(1)
-        k1, v1 = rng.standard_normal((2, 2, 5, 3)), rng.standard_normal((2, 2, 5, 3))
-        k2, v2 = rng.standard_normal((2, 2, 5, 3)), rng.standard_normal((2, 2, 5, 3))
-        s_a = accumulate_memory(accumulate_memory(MemoryState.zeros(2, 3), Tensor(k1[0]), Tensor(v1[0])), Tensor(k2[0]), Tensor(v2[0]))
-        s_b = accumulate_memory(accumulate_memory(MemoryState.zeros(2, 3), Tensor(k2[0]), Tensor(v2[0])), Tensor(k1[0]), Tensor(v1[0]))
-        np.testing.assert_array_equal(s_a.M.data, s_b.M.data)
-        np.testing.assert_array_equal(s_a.z.data, s_b.z.data)
+        k, v = rng.standard_normal((5, 2, 4, 3)), rng.standard_normal((5, 2, 4, 3))
+        perm = rng.permutation(5)
+        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        mem_p, z_p = accumulate_memory(Tensor(k[perm]), Tensor(v[perm]))
+        np.testing.assert_allclose(mem_p.data, mem.data, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(z_p.data, z.data, rtol=0, atol=1e-13)
 
     def test_z_strictly_positive_after_accumulation(self):
         rng = np.random.default_rng(2)
-        state = MemoryState.zeros(2, 4)
-        for _ in range(3):
-            state = accumulate_memory(
-                state, Tensor(rng.standard_normal((2, 6, 4))), Tensor(rng.standard_normal((2, 6, 4))))
-        assert state.z.data.min() > 0
+        _, z = accumulate_memory(
+            Tensor(rng.standard_normal((3, 2, 6, 4))), Tensor(rng.standard_normal((3, 2, 6, 4))))
+        assert z.data.min() > 0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            accumulate_memory(MemoryState.zeros(2, 3), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))))
+            accumulate_memory(Tensor(np.ones((1, 2, 5, 3))), Tensor(np.ones((1, 2, 5, 4))))
 
 
 class TestRetrieve:
     def test_one_row_product(self):
-        k = np.array([[[0.0, -745.0]]])
-        v = np.array([[[2.0, 3.0]]])
-        state = accumulate_memory(MemoryState.zeros(1, 2), Tensor(k), Tensor(v))
-        q = Tensor(np.array([[[0.0, -745.0]]]))  # sigma(q) ~ [1, 0]
-        out = retrieve_memory(q, state, epsilon=1e-6)
-        np.testing.assert_allclose(out.data[0, 0], np.array([2.0, 3.0]) / (1 + 1e-6), rtol=1e-12)
+        k = np.array([[[[0.0, -745.0]]]])
+        v = np.array([[[[2.0, 3.0]]]])
+        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        q = Tensor(np.array([[[[0.0, -745.0]]]]))  # sigma(q) ~ [1, 0]
+        out = retrieve_memory(q, mem, z, epsilon=1e-6)
+        np.testing.assert_allclose(out.data[0, 0, 0], np.array([2.0, 3.0]) / (1 + 1e-6), rtol=1e-12)
 
     def test_epsilon_floor(self):
-        state = accumulate_memory(
-            MemoryState.zeros(1, 2), Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 3, 2))))
-        q = Tensor(np.full((1, 2, 2), -600.0))  # sigma(q) ~ 0 everywhere
-        out = retrieve_memory(q, state, epsilon=1e-6)
+        mem, z = accumulate_memory(Tensor(np.ones((1, 1, 3, 2))), Tensor(np.ones((1, 1, 3, 2))))
+        q = Tensor(np.full((1, 1, 2, 2), -600.0))  # sigma(q) ~ 0 everywhere
+        out = retrieve_memory(q, mem, z, epsilon=1e-6)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-250)
 
     def test_bad_epsilon_raises(self):
+        mem, z = accumulate_memory(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2))))
         with pytest.raises(ConfigError):
-            retrieve_memory(Tensor(np.ones((1, 2, 2))), MemoryState.zeros(1, 2), epsilon=-1.0)
+            retrieve_memory(Tensor(np.ones((1, 1, 2, 2))), mem, z, epsilon=-1.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_concatenated_token_oracle(self, seed):
@@ -137,10 +136,8 @@ class TestRetrieve:
         k = rng.uniform(-2, 2, (m, h, n, d_k))
         v = rng.uniform(-2, 2, (m, h, n, d_k))
         eps = 1e-6
-        state = MemoryState.zeros(h, d_k)
-        for i in range(m):
-            state = accumulate_memory(state, Tensor(k[i]), Tensor(v[i]))
-        got = np.stack([retrieve_memory(Tensor(q[i]), state, eps).data for i in range(m)])
+        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        got = retrieve_memory(Tensor(q), mem, z, eps).data
         expected = linear_attention_oracle(q, k, v, eps)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -247,6 +244,26 @@ class TestICMLayer:
         got = icm(Tensor(x[None])).data[0]
         expected = icm_attention_reference(Tensor(x), icm).data
         np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    def test_matches_reference_transcription_per_batch_item(self):
+        icm, _ = make_layers(seed=4)
+        icm.beta.data = np.random.default_rng(9).standard_normal(2)
+        x = np.random.default_rng(12).standard_normal((3, 4, 6, 16))
+        got = icm(Tensor(x)).data
+        for i in range(3):
+            expected = icm_attention_reference(Tensor(x[i]), icm).data
+            np.testing.assert_allclose(got[i], expected, atol=1e-10)
+
+    def test_batch_items_never_share_memory(self):
+        icm, _ = make_layers(seed=6)
+        icm.beta.data = np.full(2, 2.0)  # lean on the memory path
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 6, 16))
+        out = icm(Tensor(x)).data
+        x[1] = rng.standard_normal((3, 6, 16)) * 10.0
+        out_changed = icm(Tensor(x)).data
+        np.testing.assert_array_equal(out_changed[0], out[0])
+        assert not np.allclose(out_changed[1], out[1])
 
     def test_zero_channels_raises(self):
         icm, _ = make_layers()

@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from icmixer.cli import main, parse_synthetic_spec
 from icmixer.data import load_csv
+from icmixer.encoder import EncoderConfig, ForecastEncoder, save_checkpoint
 
 
 COMMON = ["--lookback", "32", "--horizons", "8", "--epochs", "1",
@@ -106,6 +108,22 @@ class TestEvalCommand:
         out = capsys.readouterr().out.strip().splitlines()
         recs = [json.loads(line) for line in out]
         assert any(r["horizon"] == 8 for r in recs)
+
+    def test_unknown_config_key_in_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
+        path = tmp_path / "extra.icm"
+        save_checkpoint(ForecastEncoder(cfg), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen])
+        header["config"]["dropout"] = 0.0
+        new_header = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header + raw[8 + hlen:])
+        rc = main(["eval", "--checkpoint", str(path), *SYNTH])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "dropout" in err
+        assert "Traceback" not in err
 
     def test_mismatched_checkpoint_is_versioned_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.icm"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icmixer.attention import AttentionConfig
+from icmixer.attention import AttentionConfig, MultiHeadSelfAttention
 from icmixer.mixers import (
     CapacityError,
     ChannelBias,
@@ -9,7 +9,6 @@ from icmixer.mixers import (
     MixerKind,
     StaticChannelEmbedding,
     add_static_channel_embedding,
-    concat_attention_scores,
     same_channel_mask,
 )
 from icmixer.tensor import Tensor
@@ -24,23 +23,41 @@ def make_concat(d_model=16, n_heads=2, seed=0, u1=0.0, u2=0.0):
     return layer, bias
 
 
-class TestConcatScores:
-    def test_zero_bias_equals_plain_scores(self):
-        layer, _ = make_concat()
-        x = np.random.default_rng(1).standard_normal((3, 4, 16))
-        scores = concat_attention_scores(Tensor(x), layer).data
-        q = (x.reshape(12, 16) @ layer.wq.data).reshape(12, 2, 8).swapaxes(0, 1)
-        k = (x.reshape(12, 16) @ layer.wk.data).reshape(12, 2, 8).swapaxes(0, 1)
-        np.testing.assert_allclose(scores, q @ k.swapaxes(-1, -2) / np.sqrt(8), atol=1e-12)
+def concat_attention_oracle(x, layer, u1, u2):
+    """Numpy transcription of ConcatAttention for one batch item x [m, n, d]."""
+    m, n, d = x.shape
+    h, d_k = layer.config.n_heads, layer.config.d_k
+    tokens = x.reshape(m * n, d)
 
-    def test_same_channel_bias_is_added(self):
-        layer, _ = make_concat(u1=0.5)
-        x = np.random.default_rng(2).standard_normal((2, 3, 16))
-        base = concat_attention_scores(Tensor(x), make_concat(u1=0.0)[0]).data
-        biased = concat_attention_scores(Tensor(x), layer).data
-        mask = same_channel_mask(2, 3)
-        np.testing.assert_allclose(biased - base, np.broadcast_to(0.5 * mask, biased.shape),
-                                   atol=1e-12)
+    def heads(w):
+        return (tokens @ w.data).reshape(m * n, h, d_k).swapaxes(0, 1)
+
+    q, k, v = heads(layer.wq), heads(layer.wk), heads(layer.wv)
+    channel_of = np.repeat(np.arange(m), n)
+    bias = np.where(channel_of[:, None] == channel_of[None, :], u1, u2)
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(d_k) + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return (att.swapaxes(0, 1).reshape(m * n, d) @ layer.wo.data).reshape(m, n, d)
+
+
+class TestConcatScores:
+    def test_matches_numpy_oracle(self):
+        layer, _ = make_concat(u1=0.8, u2=-0.5, seed=1)
+        x = np.random.default_rng(2).standard_normal((2, 3, 4, 16))
+        got = layer(Tensor(x)).data
+        for i in range(2):
+            np.testing.assert_allclose(got[i], concat_attention_oracle(x[i], layer, 0.8, -0.5),
+                                       atol=1e-12)
+
+    def test_zero_bias_equals_attention_over_flattened_tokens(self):
+        layer, _ = make_concat(seed=1)
+        vanilla = MultiHeadSelfAttention(layer.config, np.random.default_rng(0), "attn")
+        for dst, src in zip(vanilla.parameters(), layer.parameters()):
+            dst.data = src.data.copy()
+        x = np.random.default_rng(3).standard_normal((2, 3, 4, 16))
+        expected = vanilla(Tensor(x.reshape(2, 12, 16))).data.reshape(x.shape)
+        np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
 
     def test_equal_biases_cancel_in_softmax(self):
         x = np.random.default_rng(3).standard_normal((1, 2, 4, 16))
@@ -88,18 +105,6 @@ class TestStaticChannelEmbedding:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             add_static_channel_embedding(Tensor(np.zeros((1, 5, 3, 8))), self.emb)
-
-
-class TestChannelIndependentForward:
-    def test_delegates_to_vanilla_attention(self):
-        from icmixer.attention import AttentionConfig, MultiHeadSelfAttention
-        from icmixer.mixers import channel_independent_forward
-        layer = MultiHeadSelfAttention(AttentionConfig(16, 2), np.random.default_rng(0), "a")
-        x = np.random.default_rng(1).standard_normal((2, 3, 4, 16))
-        out = channel_independent_forward(Tensor(x), layer).data
-        np.testing.assert_array_equal(out, layer(Tensor(x)).data)
-        # channel outputs depend only on their own channel
-        np.testing.assert_array_equal(out[:, 1], layer(Tensor(x[:, 1:2])).data[:, 0])
 
 
 class TestMixerKind:

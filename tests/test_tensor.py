@@ -189,4 +189,4 @@ class TestInvariants:
     def test_parameter_always_requires_grad(self):
         with no_grad():
             p = Parameter(np.zeros(3), name="p")
-        assert p.requires_grad and p.trainable and p.name == "p"
+        assert p.requires_grad and p.name == "p"
