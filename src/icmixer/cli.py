@@ -73,31 +73,62 @@ def _resolve(ns, file_cfg: dict, section: str, key: str, default):
     return file_cfg.get(section, {}).get(key, default)
 
 
-def _build_configs(ns):
-    file_cfg = {}
-    if getattr(ns, "config", None):
-        with open(ns.config) as f:
+# The keys a --config file may set, per section.
+_CONFIG_FILE_KEYS = {
+    "model": ("mixer", "lookback", "horizons", "n_blocks", "d_model", "n_heads", "d_ff",
+              "patch_len", "max_channels"),
+    "train": ("epochs", "batch_size", "learning_rate", "seed", "precision", "train_stride",
+              "max_train_windows"),
+}
+
+
+def _read_config_file(path) -> dict:
+    """Parse a --config file; ConfigError on invalid JSON or an unknown section or key."""
+    with open(path) as f:
+        try:
             file_cfg = json.load(f)
-    model_cfg = EncoderConfig(
-        mixer=_resolve(ns, file_cfg, "model", "mixer", MixerKind.ICM.value),
-        lookback=int(_resolve(ns, file_cfg, "model", "lookback", 256)),
-        horizons=_resolve(ns, file_cfg, "model", "horizons", (96, 192, 384)),
-        n_blocks=int(_resolve(ns, file_cfg, "model", "n_blocks", 4)),
-        d_model=int(_resolve(ns, file_cfg, "model", "d_model", 256)),
-        n_heads=int(_resolve(ns, file_cfg, "model", "n_heads", 4)),
-        d_ff=int(_resolve(ns, file_cfg, "model", "d_ff", 1024)),
-        patch_len=int(file_cfg.get("model", {}).get("patch_len", 8)),
-        max_channels=int(file_cfg.get("model", {}).get("max_channels", 8)),
-    )
-    train_cfg = TrainConfig(
-        epochs=int(_resolve(ns, file_cfg, "train", "epochs", 10)),
-        batch_size=int(_resolve(ns, file_cfg, "train", "batch_size", 64)),
-        learning_rate=float(_resolve(ns, file_cfg, "train", "learning_rate", 1e-4)),
-        seed=int(_resolve(ns, file_cfg, "train", "seed", 0)),
-        precision=_resolve(ns, file_cfg, "train", "precision", "f32"),
-        train_stride=int(_resolve(ns, file_cfg, "train", "train_stride", 1)),
-        max_train_windows=_resolve(ns, file_cfg, "train", "max_train_windows", None),
-    )
+        except ValueError as err:
+            raise ConfigError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object with 'model' and 'train' sections")
+    unknown = sorted(set(file_cfg) - set(_CONFIG_FILE_KEYS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config section(s): {', '.join(unknown)}")
+    for section, keys in _CONFIG_FILE_KEYS.items():
+        entries = file_cfg.get(section, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{path}: section {section!r} must be a JSON object")
+        unknown = sorted(set(entries) - set(keys))
+        if unknown:
+            raise ConfigError(f"{path}: unknown {section} config key(s): {', '.join(unknown)}")
+    return file_cfg
+
+
+def _build_configs(ns):
+    file_cfg = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
+    try:
+        model_cfg = EncoderConfig(
+            mixer=_resolve(ns, file_cfg, "model", "mixer", MixerKind.ICM.value),
+            lookback=int(_resolve(ns, file_cfg, "model", "lookback", 256)),
+            horizons=_resolve(ns, file_cfg, "model", "horizons", (96, 192, 384)),
+            n_blocks=int(_resolve(ns, file_cfg, "model", "n_blocks", 4)),
+            d_model=int(_resolve(ns, file_cfg, "model", "d_model", 256)),
+            n_heads=int(_resolve(ns, file_cfg, "model", "n_heads", 4)),
+            d_ff=int(_resolve(ns, file_cfg, "model", "d_ff", 1024)),
+            patch_len=int(file_cfg.get("model", {}).get("patch_len", 8)),
+            max_channels=int(file_cfg.get("model", {}).get("max_channels", 8)),
+        )
+        train_cfg = TrainConfig(
+            epochs=int(_resolve(ns, file_cfg, "train", "epochs", 10)),
+            batch_size=int(_resolve(ns, file_cfg, "train", "batch_size", 64)),
+            learning_rate=float(_resolve(ns, file_cfg, "train", "learning_rate", 1e-4)),
+            seed=int(_resolve(ns, file_cfg, "train", "seed", 0)),
+            precision=_resolve(ns, file_cfg, "train", "precision", "f32"),
+            train_stride=int(_resolve(ns, file_cfg, "train", "train_stride", 1)),
+            max_train_windows=_resolve(ns, file_cfg, "train", "max_train_windows", None),
+        )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid config value: {err}") from err
     return model_cfg, train_cfg, file_cfg
 
 

@@ -44,6 +44,13 @@ class EncoderConfig:
     def __post_init__(self):
         self.mixer = MixerKind(self.mixer)
         self.horizons = tuple(int(h) for h in self.horizons)
+        for name in ("n_blocks", "d_model", "n_heads", "d_ff", "patch_len", "lookback",
+                     "max_channels"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.horizons or min(self.horizons) <= 0:
+            raise ConfigError(f"horizons must be a non-empty list of positive ints, "
+                              f"got {list(self.horizons)}")
         if self.lookback % self.patch_len != 0:
             raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
@@ -285,6 +292,7 @@ class ForecastEncoder:
 # then the raw little-endian parameter buffers concatenated in header order.
 
 _MAGIC = b"ICM1"
+_ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int}
 
 
 def save_checkpoint(model: ForecastEncoder, path):
@@ -305,31 +313,71 @@ def save_checkpoint(model: ForecastEncoder, path):
             f.write(blob)
 
 
-def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ForecastEncoder:
+def _read_checkpoint(path):
+    """(header, body) of a checkpoint file; ConfigError if it is not well formed."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
+        prefix = f.read(4)
+        if len(prefix) != 4:
+            raise ConfigError(f"{path}: checkpoint truncated inside the header length")
+        (hlen,) = struct.unpack("<I", prefix)
+        raw_header = f.read(hlen)
         body = f.read()
-    config = EncoderConfig.from_dict(header["config"])
+    if len(raw_header) != hlen:
+        raise ConfigError(f"{path}: checkpoint truncated inside the header")
+    try:
+        header = json.loads(raw_header.decode())
+    except ValueError as err:
+        raise ConfigError(f"{path}: corrupt checkpoint header ({err})") from err
+    entries = header.get("params") if isinstance(header, dict) else None
+    if not (isinstance(entries, list) and entries and isinstance(header.get("config"), dict)
+            and all(isinstance(e, dict) and all(isinstance(e.get(key), kind)
+                                                for key, kind in _ENTRY_TYPES.items())
+                    for e in entries)):
+        raise ConfigError(f"{path}: corrupt checkpoint header (expected a config object and "
+                          f"a non-empty list of {{name, shape, dtype, offset}} entries)")
+    return header, body
+
+
+def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ForecastEncoder:
+    """Rebuild a model from ``save_checkpoint`` output.
+
+    The file must hold exactly the model's parameters, each with its shape,
+    in one float dtype, inside the body. Any other file raises ConfigError.
+    """
+    header, body = _read_checkpoint(path)
+    try:
+        config = EncoderConfig.from_dict(header["config"])
+        dtypes = {np.dtype(e["dtype"]).newbyteorder("=") for e in header["params"]}
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
     if expect_config is not None and expect_config.to_dict() != config.to_dict():
         raise ConfigError(
             f"checkpoint config mismatch: file has {config.to_dict()}, "
             f"expected {expect_config.to_dict()}")
-    model = ForecastEncoder(config, dtype=np.dtype(header["params"][0]["dtype"]))
+    if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
+        raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
+                          f"got {sorted(d.str for d in dtypes)}")
+    model = ForecastEncoder(config, dtype=dtypes.pop())
     params = model.parameters()
+    names = [entry["name"] for entry in header["params"]]
+    missing, unknown = sorted(set(params) - set(names)), sorted(set(names) - set(params))
+    if missing or unknown or len(names) != len(params):
+        raise ConfigError(
+            f"{path}: checkpoint parameters do not match the model (missing: {missing}, "
+            f"unknown: {unknown}, {len(names)} entries for {len(params)} parameters)")
     for entry in header["params"]:
-        p = params.get(entry["name"])
-        if p is None:
-            raise ConfigError(f"checkpoint parameter {entry['name']!r} unknown to model")
-        shape = tuple(entry["shape"])
-        if shape != p.shape:
-            raise ConfigError(
-                f"checkpoint parameter {entry['name']!r} shape {shape} != model shape {p.shape}")
+        p = params[entry["name"]]
+        if entry["shape"] != list(p.shape):
+            raise ConfigError(f"checkpoint parameter {entry['name']!r} shape "
+                              f"{entry['shape']} != model shape {list(p.shape)}")
         dt = np.dtype(entry["dtype"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        start, nbytes = entry["offset"], p.size * dt.itemsize
+        if not 0 <= start <= len(body) - nbytes:
+            raise ConfigError(
+                f"{path}: checkpoint parameter {entry['name']!r} ({nbytes} bytes at offset "
+                f"{start}) lies outside the {len(body)}-byte body")
         p.data = np.frombuffer(
-            body, dtype=dt, count=count, offset=start).reshape(shape).astype(dt.newbyteorder("="))
+            body, dtype=dt, count=p.size, offset=start).reshape(p.shape).astype(dt.newbyteorder("="))
     return model

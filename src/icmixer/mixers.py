@@ -77,10 +77,10 @@ def add_static_channel_embedding(x: Tensor, embedding: StaticChannelEmbedding) -
     return x + embedding.table[:m].reshape(1, m, 1, d)
 
 
-def same_channel_mask(m: int, n: int) -> np.ndarray:
+def same_channel_mask(m: int, n: int, dtype=np.float64) -> np.ndarray:
     """[m*n, m*n] indicator: 1 where both tokens belong to the same channel."""
     channel_of = np.repeat(np.arange(m), n)
-    return (channel_of[:, None] == channel_of[None, :]).astype(np.float64)
+    return (channel_of[:, None] == channel_of[None, :]).astype(dtype)
 
 
 class ConcatAttention(MultiHeadSelfAttention):
@@ -100,7 +100,7 @@ class ConcatAttention(MultiHeadSelfAttention):
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         b, m, n, d = x.shape
         q, k, v = self.project_qkv(x.reshape(b, m * n, d))  # [b, h, m*n, d_k]
-        mask = Tensor(same_channel_mask(m, n))
+        mask = Tensor(same_channel_mask(m, n, x.dtype))
         scores = attention_scores(q, k) + self.bias.u1 * mask + self.bias.u2 * (1.0 - mask)
         att = scores.softmax(axis=-1) @ v
         return (merge_heads(att) @ self.wo).reshape(b, m, n, d)

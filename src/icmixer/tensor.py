@@ -4,7 +4,9 @@ Every value flowing through the models in this package is a ``Tensor``
 wrapping a numpy array. Each differentiable operation records a backward
 closure; ``Tensor.backward()`` replays them in reverse topological order.
 Broadcasting follows numpy rules on leading batch dimensions, and gradients
-are summed back down to the original operand shapes.
+are summed back down to the original operand shapes. Python scalars and
+array constants take the dtype of the Tensor they meet, so a float32 graph
+computes and differentiates in float32.
 """
 
 from __future__ import annotations
@@ -130,9 +132,13 @@ class Tensor:
 
     # -- elementwise arithmetic ----------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    def _coerce(self, x) -> "Tensor":
+        """Wrap a scalar or array constant in this tensor's dtype.
+
+        Constants never promote: ``f32_tensor + 1.0`` stays float32. Two
+        Tensors combine under numpy's promotion rules.
+        """
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -288,7 +294,13 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+                if b.ndim == 2 and a.ndim > 2:
+                    # Fold the leading dims of `a` into one GEMM rather than
+                    # summing a [..., d, d_out] stack of per-item products.
+                    d, d_out = b.shape
+                    b._accumulate(a.data.reshape(-1, d).T @ g.reshape(-1, d_out))
+                else:
+                    b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
         return Tensor._make(out_data, (a, b), bwd)
 
@@ -354,7 +366,7 @@ class Tensor:
 
 
 def concat(tensors, axis=0):
-    tensors = [Tensor._coerce(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat of an empty sequence")
     sizes = [t.shape[axis] for t in tensors]

@@ -16,6 +16,15 @@ COMMON = ["--lookback", "32", "--horizons", "8", "--epochs", "1",
 SYNTH = ["--synthetic", "lagged:m=2,lag=4,noise=0.1,T=700,seed=0"]
 
 
+def drop_first_parameter(raw: bytes) -> bytes:
+    """A checkpoint whose header no longer lists its first parameter."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    del header["params"][0]
+    new_header = json.dumps(header).encode()
+    return raw[:4] + struct.pack("<I", len(new_header)) + new_header + raw[8 + hlen:]
+
+
 class TestParseSyntheticSpec:
     def test_defaults_and_overrides(self):
         series = parse_synthetic_spec("lagged:m=3,lag=8,noise=0.2,T=500")
@@ -75,6 +84,31 @@ class TestTrainCommand:
         assert written["model"]["lookback"] == 32
         assert written["model"]["d_model"] == 16
 
+    @pytest.mark.parametrize("file_cfg,message", [
+        ({"model": {"d_modle": 16}}, "unknown model config key(s): d_modle"),
+        ({"train": {"epochz": 1}}, "unknown train config key(s): epochz"),
+        ({"trian": {"epochs": 1}}, "unknown config section(s): trian"),
+        ({"model": {"mixer": "bogus"}}, "invalid config value"),
+        ({"model": {"patch_len": 0}}, "patch_len must be positive"),
+    ], ids=["model-key", "train-key", "section", "bad-mixer", "zero-size"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, file_cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        rc = main(["train", *SYNTH, *COMMON, "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err
+        assert not list(tmp_path.glob("*/metrics.jsonl"))
+
+    def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"model": {"d_model": 16,}}')
+        rc = main(["train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "invalid JSON" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_two_variants_table(self, tmp_path, capsys):
@@ -123,6 +157,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "dropout" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (drop_first_parameter, "missing: ['embed.w']"),
+        (lambda raw: raw[:-100], "lies outside the"),
+        (lambda raw: raw[:8] + b"#" + raw[9:], "corrupt checkpoint header"),
+        (lambda raw: raw[:6], "truncated inside the header length"),
+        (lambda raw: raw[:4] + struct.pack("<I", 10**6) + raw[8:], "truncated inside the header"),
+    ], ids=["missing-parameter", "truncated-body", "bad-json-header", "short-prefix",
+            "header-past-end"])
+    def test_corrupt_checkpoint_is_config_error(self, tmp_path, capsys, corrupt, message):
+        cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(cfg), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        rc = main(["eval", "--checkpoint", str(path), *SYNTH])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
     def test_mismatched_checkpoint_is_versioned_error(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from icmixer.encoder import (
 )
 from icmixer.mixers import MixerKind
 from icmixer.tensor import DimensionError, Tensor
-from icmixer.training import shrunken_config
+from icmixer.training import mse, shrunken_config
 
 
 def tiny_config(mixer=MixerKind.ICM, **overrides):
@@ -37,6 +37,14 @@ class TestConfig:
     def test_roundtrip_dict(self):
         cfg = tiny_config(MixerKind.CONCAT)
         assert EncoderConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_blocks", 0), ("d_model", 0), ("n_heads", -2), ("d_ff", 0), ("patch_len", 0),
+        ("lookback", -32), ("max_channels", 0), ("horizons", (8, 0)), ("horizons", ()),
+    ])
+    def test_non_positive_sizes_raise(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value})
 
 
 class TestInstanceNormalize:
@@ -145,6 +153,34 @@ class TestEncode:
         model = ForecastEncoder(tiny_config(), seed=0)
         with pytest.raises(DimensionError):
             model.encode(np.zeros((1, 2, 40)))
+
+
+class TestPrecision:
+    @staticmethod
+    def graph_dtypes(loss: Tensor) -> set:
+        seen, stack, dtypes = set(), [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                dtypes.add(node.dtype)
+                stack.extend(node._parents)
+        return dtypes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_model_computes_in_its_dtype(self, mixer, dtype):
+        model = ForecastEncoder(tiny_config(mixer, n_blocks=2, horizons=(8,)), seed=0, dtype=dtype)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 32))
+        y = rng.standard_normal((2, 3, 8)).astype(dtype)
+        pred = model.forecast(x, 8)
+        assert pred.dtype == dtype
+        loss = mse(pred, y)
+        assert self.graph_dtypes(loss) == {np.dtype(dtype)}
+        loss.backward()
+        grads = [p.grad for p in model.parameters().values()]
+        assert all(g is not None and g.dtype == dtype for g in grads)
 
 
 class TestForecast:

@@ -190,3 +190,29 @@ class TestInvariants:
         with no_grad():
             p = Parameter(np.zeros(3), name="p")
         assert p.requires_grad and p.name == "p"
+
+
+class TestPrecision:
+    """Python scalars and array constants take the Tensor operand's dtype."""
+
+    @pytest.mark.parametrize("op", [
+        lambda t: t + 1.0,
+        lambda t: 1.0 - t,
+        lambda t: t / 3,
+        lambda t: 2.0 * t,
+        lambda t: t.mean(),
+        lambda t: t - np.float64(0.5),
+        lambda t: t * np.ones(3),
+    ], ids=["add", "rsub", "truediv", "rmul", "mean", "np-scalar", "f64-array"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constants_keep_the_tensor_dtype(self, op, dtype):
+        t = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=dtype)
+        out = op(t)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert t.grad.dtype == dtype
+
+    def test_tensor_operands_still_promote(self):
+        a = Tensor(np.ones(3), dtype=np.float32)
+        b = Tensor(np.ones(3), dtype=np.float64)
+        assert (a + b).dtype == np.float64
