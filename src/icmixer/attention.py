@@ -40,8 +40,21 @@ class AttentionConfig:
 
 
 def sigma(x: Tensor) -> Tensor:
-    """Strictly positive feature map: ELU(x) + 1."""
-    return x.elu() + 1.0
+    """Strictly positive feature map ELU(x) + 1: x + 1 for x >= 0, else exp(x).
+
+    One graph node, branch-free; the derivative min(sigma(x), 1) is read from
+    the output, so nothing else is saved for backward.
+    """
+    # asarray: a ufunc on a 0-d input returns a numpy scalar, which `out=` rejects.
+    out_data = np.asarray(np.minimum(x.data, 0))
+    np.exp(out_data, out=out_data)
+    out_data += np.maximum(x.data, 0)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * np.minimum(out_data, 1))
+
+    return Tensor._make(out_data, (x,), bwd)
 
 
 def accumulate_memory(k: Tensor, v: Tensor):

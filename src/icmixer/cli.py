@@ -29,6 +29,7 @@ from .mixers import MixerKind
 from .training import (
     MetricReport,
     TrainConfig,
+    TrainingDiverged,
     evaluate,
     finetune_beta_and_head,
     gradcheck,
@@ -49,7 +50,12 @@ def parse_synthetic_spec(spec: str):
         key, _, value = part.partition("=")
         if key not in args:
             raise ConfigError(f"unknown synthetic parameter {key!r}")
-        args[key] = float(value) if key == "noise" else int(value)
+        convert = float if key == "noise" else int
+        try:
+            args[key] = convert(value)
+        except ValueError:
+            raise ConfigError(f"synthetic parameter {key!r}: {value!r} is not a valid "
+                              f"{convert.__name__}") from None
     return generate_lagged_copy(m=args["m"], T=args["T"], lag=args["lag"],
                                 noise_std=args["noise"], seed=args["seed"])
 
@@ -317,6 +323,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except TrainingDiverged as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

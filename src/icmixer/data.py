@@ -73,7 +73,7 @@ def load_csv(path, name: str | None = None, split_fracs: tuple | None = None) ->
         channel_names = header[1:]
         if not channel_names:
             raise ParseError(f"{path}: no channel columns in header")
-        rows = []
+        rows, row_numbers = [], []
         for row_idx, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -87,9 +87,15 @@ def load_csv(path, name: str | None = None, split_fracs: tuple | None = None) ->
                            if not _is_float(cell))
                 raise ParseError(
                     f"{path}: non-numeric value at row {row_idx}, column {bad}") from None
+            row_numbers.append(row_idx)
     if not rows:
         raise ParseError(f"{path}: header only, no data rows")
     values = np.asarray(rows, dtype=np.float64)
+    nonfinite = np.argwhere(~np.isfinite(values))
+    if len(nonfinite):
+        i, j = nonfinite[0]
+        raise ParseError(f"{path}: non-finite value {values[i, j]} at row {row_numbers[i]}, "
+                         f"column {j + 2} ({channel_names[j]!r})")
     n = len(values)
     train_end = int(n * split_fracs[0])
     val_end = train_end + int(n * split_fracs[1])
@@ -189,6 +195,12 @@ def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,
     """
     if m < 2:
         raise ConfigError(f"need at least 2 channels, got {m}")
+    if lag < 0:
+        raise ConfigError(f"lag must be >= 0, got {lag}")
+    if not 0 <= noise_std < np.inf:
+        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if T <= m * lag:
         raise ConfigError(f"series length {T} too short for {m} channels at lag {lag}")
     rng = np.random.default_rng(seed)

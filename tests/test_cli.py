@@ -39,6 +39,23 @@ class TestParseSyntheticSpec:
         with pytest.raises(Exception):
             parse_synthetic_spec("lagged:bogus=3")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("lagged:m=x", "'m': 'x' is not a valid int"),
+        ("lagged:m", "'m': '' is not a valid int"),
+        ("lagged:T=1.5", "'T': '1.5' is not a valid int"),
+        ("lagged:noise=abc", "'noise': 'abc' is not a valid float"),
+        ("lagged:lag=-3", "lag must be >= 0, got -3"),
+        ("lagged:noise=-1", "noise_std must be finite and >= 0, got -1.0"),
+        ("lagged:noise=nan", "noise_std must be finite and >= 0, got nan"),
+        ("lagged:seed=-1", "seed must be >= 0, got -1"),
+    ])
+    def test_malformed_spec_is_config_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "x.csv"
+        assert main(["synth", "--spec", spec, "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not path.exists()
+
 
 class TestTrainCommand:
     def test_train_on_synthetic_writes_outputs(self, tmp_path):
@@ -61,6 +78,28 @@ class TestTrainCommand:
         rc = main(["train", "--mixer", "icm", "--data", str(tmp_path / "nope.csv")])
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_is_parse_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", "lagged:m=2,lag=4,noise=0.1,T=700",
+                     "--path", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",1.0,nan"
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["train", "--mixer", "icm", "--data", str(csv_path), *COMMON,
+                   "--out", str(tmp_path), "--name", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_error_line_with_exit_3(self, tmp_path, capsys):
+        rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--learning-rate", "1e100",
+                   "--out", str(tmp_path), "--name", "diverge"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite training loss")
+        assert "Traceback" not in err
 
     def test_train_idempotent_outputs(self, tmp_path):
         args = ["train", "--mixer", "icm", *SYNTH, *COMMON, "--out", str(tmp_path)]

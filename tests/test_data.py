@@ -50,6 +50,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3, column 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path / "x.csv", ["2020-01-01,1.0,2.0",
+                                              "",
+                                              f"2020-01-02,3.0,{cell}"])
+        with pytest.raises(ParseError, match=r"non-finite value .* at row 4, column 3 \('b'\)"):
+            load_csv(path)
+
     def test_ett_split_convention(self, tmp_path):
         rows = [f"t{i},{i}.0,{i}.5" for i in range(100)]
         path = write_csv(tmp_path / "ETTh1.csv", rows)

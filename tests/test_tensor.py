@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icmixer.attention import sigma
 from icmixer.tensor import (
     DimensionError,
     GraphError,
@@ -79,9 +80,9 @@ class TestElementwise:
         out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]))
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-12)
 
-    def test_elu_values(self):
+    def test_sigma_values(self):
         x = Tensor([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(x.elu().data, [np.expm1(-1.0), 0.0, 2.0])
+        np.testing.assert_allclose(sigma(x).data, [np.expm1(-1.0) + 1.0, 1.0, 3.0])
 
     def test_broadcast_add(self):
         out = Tensor(np.ones((2, 3))) + Tensor(np.arange(3.0))
@@ -134,7 +135,7 @@ class TestBackward:
         cases = [
             lambda t: t.softmax(),
             lambda t: t.sigmoid(),
-            lambda t: t.elu(),
+            sigma,
             lambda t: layer_norm(t),
             lambda t: t.exp(),
             lambda t: (t * t + 2.0 * t).swapaxes(0, 1),
