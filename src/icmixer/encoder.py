@@ -23,7 +23,7 @@ from .mixers import (
     StaticChannelEmbedding,
     add_static_channel_embedding,
 )
-from .tensor import DimensionError, Parameter, Tensor, layer_norm
+from .tensor import DimensionError, Parameter, Tensor, layer_norm, linear
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -145,7 +145,7 @@ class FeedForward:
         self.b2 = Parameter(np.zeros(d_model), f"{prefix}.b2", dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
+        return linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -249,7 +249,7 @@ class ForecastEncoder:
 
     def embed(self, x_norm: Tensor) -> Tensor:
         patches = patchify(x_norm, self.config.patch_len)
-        emb = patches @ self.embed_w + self.embed_b
+        emb = linear(patches, self.embed_w, self.embed_b)
         emb = emb + Tensor(self._positions)  # positions restart per channel
         if self.channel_embed is not None:
             emb = add_static_channel_embedding(emb, self.channel_embed)
@@ -276,7 +276,7 @@ class ForecastEncoder:
         enc = self._encode_normalized(x_norm)
         b, m, n_patches, d = enc.shape
         w, bias = self.heads[horizon]
-        pred = enc.reshape(b, m, n_patches * d) @ w + bias
+        pred = linear(enc.reshape(b, m, n_patches * d), w, bias)
         return pred, stats
 
     def forecast(self, x, horizon: int) -> Tensor:

@@ -7,11 +7,13 @@ deterministic for a fixed seed under single-threaded execution.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .attention import ConfigError
+from .attention import ConfigError, ICMAttention
 from .data import MultivariateSeries, make_windows
 from .encoder import EncoderConfig, ForecastEncoder, instance_normalize, instance_stats
 from .mixers import MixerKind
@@ -151,12 +153,25 @@ def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64
     return sq_sum / count, abs_sum / count
 
 
+def _diverged(what: str, model: ForecastEncoder, config: TrainConfig,
+              horizon: int) -> TrainingDiverged:
+    """The error for a non-finite ``what``, naming the first non-finite parameter."""
+    bad = next((name for name, p in model.parameters().items()
+                if not np.isfinite(p.data).all()), None)
+    state = f"first non-finite parameter: {bad}" if bad else "all parameters are finite"
+    return TrainingDiverged(
+        f"non-finite {what} (lr={config.learning_rate}, horizon={horizon}); {state}")
+
+
 def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                      config: TrainConfig, horizon: int, log=None):
     """Train on MSE, select by validation MSE, report test metrics.
 
     Returns (model, MetricReport, loss_curve) where loss_curve is the list of
     per-epoch mean training losses. `series` should already be standardized.
+    Each epoch's ``log`` record also carries the wall time of its training
+    steps (``seconds``), the windows trained per second, and for ICM mixers
+    the per-block, per-head gate openness ``gate``.
     """
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
@@ -184,28 +199,41 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_windows))
         epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            x, y = _stack_batch(train_windows, order[start:start + config.batch_size])
-            pred_norm, _ = model.forecast_normalized(x.astype(model.dtype), horizon)
-            y_norm, _ = instance_normalize(y, instance_stats(x))
-            loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(
-                    f"non-finite training loss at epoch {epoch}, batch offset {start} "
-                    f"(lr={config.learning_rate}, horizon={horizon})")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
-        loss_curve.append(float(np.mean(epoch_losses)))
+        epoch_start = time.perf_counter()
+        # A diverging step overflows; the finite-loss and finite-validation
+        # checks report it, so numpy's floating-point warnings would only
+        # repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start in range(0, len(order), config.batch_size):
+                x, y = _stack_batch(train_windows, order[start:start + config.batch_size])
+                pred_norm, _ = model.forecast_normalized(x.astype(model.dtype), horizon)
+                y_norm, _ = instance_normalize(y, instance_stats(x))
+                loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
+                if not np.isfinite(loss.item()):
+                    raise _diverged(f"training loss at epoch {epoch}, batch offset {start}",
+                                    model, config, horizon)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                epoch_losses.append(loss.item())
+            seconds = time.perf_counter() - epoch_start
+            loss_curve.append(float(np.mean(epoch_losses)))
 
-        if val_windows:
-            val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
-        else:
-            val_mse = loss_curve[-1]
+            if val_windows:
+                val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
+            else:
+                val_mse = loss_curve[-1]
+        if not np.isfinite(val_mse):
+            raise _diverged(f"validation MSE at epoch {epoch}", model, config, horizon)
         if log is not None:
-            log({"dataset": series.name, "horizon": horizon, "epoch": epoch,
-                 "train_loss": loss_curve[-1], "val_mse": val_mse})
+            record = {"dataset": series.name, "horizon": horizon, "epoch": epoch,
+                      "train_loss": loss_curve[-1], "val_mse": val_mse,
+                      "seconds": seconds, "windows_per_s": len(order) / seconds}
+            gates = [expit(block.attn.beta.data).tolist() for block in model.blocks
+                     if isinstance(block.attn, ICMAttention)]
+            if gates:
+                record["gate"] = gates
+            log(record)
         if val_mse < best_val:
             best_val = val_mse
             best_state = {p.name: p.data.copy() for p in trainable}

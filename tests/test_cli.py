@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite training loss")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra,diagnosis", [
+        (["--precision", "f32"], "training loss at epoch 0, batch offset 16 (lr=1e+100, "
+                                 "horizon=8); first non-finite parameter: embed.w"),
+        # Huge but finite f64 weights overflow the loss.
+        (["--precision", "f64"], "training loss at epoch 0, batch offset 16 (lr=1e+100, "
+                                 "horizon=8); all parameters are finite"),
+        # The epoch's only step diverges, so the validation pass meets the weights first.
+        (["--precision", "f32", "--batch-size", "512"],
+         "validation MSE at epoch 0 (lr=1e+100, horizon=8); first non-finite parameter: embed.w"),
+    ], ids=["f32-weights-overflow", "f64-loss-overflows", "validation"])
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capsys, extra, diagnosis):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--learning-rate", "1e100",
+                       *extra, "--out", str(tmp_path), "--name", "diverge"])
+        assert rc == 3
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == f"error: non-finite {diagnosis}\n"
 
     def test_train_idempotent_outputs(self, tmp_path):
         args = ["train", "--mixer", "icm", *SYNTH, *COMMON, "--out", str(tmp_path)]

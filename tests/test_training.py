@@ -12,6 +12,7 @@ from icmixer.training import (
     TrainConfig,
     TrainingDiverged,
     beta_and_head_mask,
+    evaluate,
     finetune_beta_and_head,
     gradcheck,
     mae,
@@ -116,6 +117,48 @@ class TestTrainSupervised:
         cfg = small_train_config(freeze_mask=lambda name: False)
         with pytest.raises(ConfigError, match="no trainable"):
             train_supervised(model, series, cfg, horizon=8)
+
+
+class TestTelemetry:
+    def run(self, mixer, log, monkeypatch):
+        """(loss curve, report entries, final parameters, validation MSEs) of a 2-epoch run."""
+        series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
+        val_mses = []
+
+        def recording_evaluate(*args, **kwargs):
+            result = evaluate(*args, **kwargs)
+            val_mses.append(result)
+            return result
+
+        monkeypatch.setattr("icmixer.training.evaluate", recording_evaluate)
+        model = ForecastEncoder(small_config(mixer), seed=1)
+        _, report, curve = train_supervised(
+            model, series, small_train_config(epochs=2), horizon=8, log=log)
+        params = {name: p.data for name, p in model.parameters().items()}
+        return curve, report.entries, params, val_mses
+
+    @pytest.mark.parametrize("mixer", [MixerKind.ICM, MixerKind.ICM_STATIC, MixerKind.CONCAT])
+    def test_epoch_records_carry_throughput_and_gates(self, mixer, monkeypatch):
+        records = []
+        self.run(mixer, records.append, monkeypatch)
+        assert [r["epoch"] for r in records] == [0, 1]
+        for record in records:
+            assert record["seconds"] > 0 and record["windows_per_s"] > 0
+            if mixer is MixerKind.CONCAT:
+                assert "gate" not in record
+            else:
+                gate = np.array(record["gate"])
+                assert gate.shape == (1, 2)  # blocks x heads
+                assert np.all((gate > 0) & (gate < 1))
+
+    def test_logging_does_not_perturb_training(self, monkeypatch):
+        records = []
+        curve_on, report_on, params_on, val_on = self.run(MixerKind.ICM, records.append, monkeypatch)
+        curve_off, report_off, params_off, val_off = self.run(MixerKind.ICM, None, monkeypatch)
+        assert curve_on == curve_off and report_on == report_off and val_on == val_off
+        assert [r["val_mse"] for r in records] == [v[0] for v in val_on[:2]]
+        for name, value in params_on.items():
+            np.testing.assert_array_equal(value, params_off[name])
 
 
 class TestFinetune:
