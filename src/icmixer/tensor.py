@@ -2,7 +2,8 @@
 
 Every value flowing through the models in this package is a ``Tensor``
 wrapping a numpy array. Each differentiable operation records a backward
-closure; ``Tensor.backward()`` replays them in reverse topological order.
+closure; ``Tensor.backward()`` replays them in reverse topological order and
+frees each node as its closure finishes, so only leaves keep ``.grad``.
 Broadcasting follows numpy rules on leading batch dimensions, and gradients
 are summed back down to the original operand shapes. Python scalars and
 array constants take the dtype of the Tensor they meet, so a float32 graph
@@ -48,6 +49,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _freed(grad):
+    """Backward of a node whose closure already ran and was released."""
+    raise GraphError("graph already freed by an earlier backward()")
 
 
 class Tensor:
@@ -100,12 +106,20 @@ class Tensor:
     # -- backward pass --------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if self.grad is None:  # a copy: ``grad`` may be a view of another gradient
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor with ∂self/∂tensor."""
+        """Populate ``grad`` on every reachable leaf with ∂self/∂leaf, freeing the graph.
+
+        Each op node is released as soon as its closure has run: its ``grad``
+        becomes None, it drops its parents, and the closure (with every
+        array it saved) is replaced by one that raises ``GraphError``. Only
+        leaves (parameters and tensors built with ``requires_grad=True``)
+        keep ``grad``, and a second backward through any freed node raises.
+        """
         if self.size != 1:
             raise GraphError(f"backward() requires a scalar loss, got shape {self.shape}")
         # Iterative topological sort; each node's closure runs exactly once.
@@ -123,9 +137,12 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        # Popping drops this loop's reference to each node once it has run.
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _freed
 
     def zero_grad(self):
         self.grad = None
@@ -195,29 +212,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
 
         return Tensor._make(out_data, (a, b), bwd)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / out_data)
-
-        return Tensor._make(out_data, (a,), bwd)
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (a,), bwd)
 
     def abs(self):
         a = self
@@ -314,12 +308,21 @@ class Tensor:
         return Tensor._make(a.data.swapaxes(ax1, ax2), (a,), bwd)
 
     def __getitem__(self, key):
+        """Basic indexing only: ints, slices, None and Ellipsis.
+
+        Such a key selects each element at most once, so the backward can
+        assign the gradient into place.
+        """
+        for k in key if isinstance(key, tuple) else (key,):
+            if isinstance(k, bool) or not isinstance(
+                    k, (int, np.integer, slice, type(None), type(Ellipsis))):
+                raise DimensionError(f"Tensor index must be ints, slices, None or ...; got {key!r}")
         a = self
 
         def bwd(g):
             if a.requires_grad:
                 full = np.zeros_like(a.data)
-                np.add.at(full, key, g)
+                full[key] = g
                 a._accumulate(full)
 
         return Tensor._make(a.data[key], (a,), bwd)
@@ -332,13 +335,13 @@ class Tensor:
             if not a.requires_grad:
                 return
             if axis is None:
-                a._accumulate(np.broadcast_to(g, in_shape).copy())
+                a._accumulate(np.broadcast_to(g, in_shape))
                 return
             if not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 for ax in sorted(ax % len(in_shape) for ax in axes):
                     g = np.expand_dims(g, ax)
-            a._accumulate(np.broadcast_to(g, in_shape).copy())
+            a._accumulate(np.broadcast_to(g, in_shape))
 
         return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 

@@ -7,6 +7,7 @@ deterministic for a fixed seed under single-threaded execution.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -170,8 +171,9 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     Returns (model, MetricReport, loss_curve) where loss_curve is the list of
     per-epoch mean training losses. `series` should already be standardized.
     Each epoch's ``log`` record also carries the wall time of its training
-    steps (``seconds``), the windows trained per second, and for ICM mixers
-    the per-block, per-head gate openness ``gate``.
+    steps (``seconds``), the windows trained per second, the process's peak
+    resident set so far (``peak_rss_mb``), and for ICM mixers the per-block,
+    per-head gate openness ``gate``.
     """
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
@@ -228,7 +230,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         if log is not None:
             record = {"dataset": series.name, "horizon": horizon, "epoch": epoch,
                       "train_loss": loss_curve[-1], "val_mse": val_mse,
-                      "seconds": seconds, "windows_per_s": len(order) / seconds}
+                      "seconds": seconds, "windows_per_s": len(order) / seconds,
+                      "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
             gates = [expit(block.attn.beta.data).tolist() for block in model.blocks
                      if isinstance(block.attn, ICMAttention)]
             if gates:

@@ -3,9 +3,9 @@
 ``relu``, ``sigma``, ``layer_norm`` and ``softmax`` each run as one graph
 node with a hand-written backward. The oracles below compute the same
 values and gradients another way: ``relu`` and ``sigma`` element by element
-in Python, ``layer_norm`` as the chain of primitive Tensor ops it used to be
-(differentiated by the engine's own primitive backwards), and ``softmax``
-as the out-of-place formula.
+in Python, ``layer_norm`` as the chain of primitive ops it used to be
+(differentiated step by step in numpy), and ``softmax`` as the out-of-place
+formula.
 
 Tolerances were fixed before any result was seen. Each error is measured
 relative to the largest magnitude of the checked array, taken over the
@@ -102,17 +102,33 @@ def test_softmax_matches_out_of_place_formula(xg, data):
     assert_close(grad, expected * (g - dot), TOLERANCE[x.dtype.type], scale)
 
 
-def layer_norm_chain(x, gain=None, bias=None, eps=1e-5):
-    """The former layer_norm: a chain of primitive Tensor ops."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    out = centered / (var + eps).sqrt()
-    if gain is not None:
-        out = out * gain
+def layer_norm_chain(x, g, gain=None, bias=None, eps=1e-5):
+    """(value, dL/dx, dL/dparams) of the former layer_norm node chain, in numpy.
+
+    The forward is ``(x - mean) / sqrt(var + eps) * gain + bias`` with
+    ``mean`` and ``var`` as a sum times ``1/d``; the backward runs the
+    primitive derivatives of that chain in reverse, one step per former node.
+    """
+    inv_d = x.dtype.type(1.0 / x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_d
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps)
+    normed = centered / std
+    out = normed if gain is None else normed * gain
     if bias is not None:
         out = out + bias
-    return out
+
+    d_normed = g if gain is None else g * gain
+    d_centered = d_normed / std                                       # centered / std
+    d_std = (-d_normed * normed / std).sum(axis=-1, keepdims=True)
+    d_square = (d_std * 0.5 / std) * inv_d                            # sqrt, then mean
+    d_centered = d_centered + d_square * centered + d_square * centered  # centered * centered
+    d_x = d_centered - d_centered.sum(axis=-1, keepdims=True) * inv_d    # x - mean(x)
+    param_grads = []
+    if gain is not None:
+        param_grads.append(sum_to_last_axis(g * normed))
+    if bias is not None:
+        param_grads.append(sum_to_last_axis(g))
+    return out, d_x, param_grads
 
 
 def sum_to_last_axis(a):
@@ -129,10 +145,8 @@ def test_layer_norm_matches_node_chain(xg, with_gain, with_bias, data):
     bias = Parameter(data.draw(affine), "bias") if with_bias else None
 
     value, grad, param_grads = run(layer_norm, x, g, gain, bias)
-    for p in (gain, bias):
-        if p is not None:
-            p.zero_grad()
-    expected, expected_grad, expected_param_grads = run(layer_norm_chain, x, g, gain, bias)
+    expected, expected_grad, expected_param_grads = layer_norm_chain(
+        x, g, *(p.data if p is not None else None for p in (gain, bias)))
 
     # Term magnitudes: xhat = (x - mean) * rstd is formed from terms up to
     # (|x| + |mean|) * rstd, and the gradients are sums of products of those.

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,6 @@ class TestBackward:
             lambda t: t.sigmoid(),
             sigma,
             lambda t: layer_norm(t),
-            lambda t: t.exp(),
             lambda t: (t * t + 2.0 * t).swapaxes(0, 1),
             lambda t: t.reshape(2, 6),
             lambda t: t[1:, ::2],
@@ -166,6 +167,65 @@ class TestBackward:
         assert x.grad == pytest.approx(8.0)
 
 
+class TestGraphFreeing:
+    """backward() frees each op node as it runs; only leaves keep a gradient."""
+
+    def build(self):
+        w = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
+        x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]), requires_grad=True)
+        hidden = (x @ w).sigmoid()
+        loss = (hidden * hidden).sum()
+        return w, x, hidden, loss
+
+    def test_leaves_keep_their_gradients(self):
+        w, x, hidden, loss = self.build()
+        loss.backward()
+        s = 1.0 / (1.0 + np.exp(-(x.data @ w.data)))
+        dz = 2.0 * s * s * (1.0 - s)
+        np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
+
+    def test_intermediate_nodes_drop_grad_and_parents(self):
+        _, _, hidden, loss = self.build()
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_saved_activation_dies_while_loss_is_alive(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        hidden = x.sigmoid()
+        probe = weakref.ref(hidden.data)  # the output array that sigmoid's backward saves
+        loss = (hidden * 2.0).sum()
+        del hidden
+        assert probe() is not None
+        loss.backward()
+        assert probe() is None
+        assert np.isfinite(loss.item()) and x.grad is not None
+
+    def test_second_backward_raises(self):
+        w, _, _, loss = self.build()
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(GraphError, match="already freed"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, first)
+
+    def test_new_loss_on_a_freed_subgraph_raises(self):
+        _, _, hidden, loss = self.build()
+        loss.backward()
+        with pytest.raises(GraphError, match="already freed"):
+            (hidden * 3.0).sum().backward()
+
+    def test_f32_leaf_keeps_f32_grad_in_f64_graph(self):
+        a = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=np.float32)
+        b = Tensor(np.full(3, 0.1), requires_grad=True, dtype=np.float64)
+        loss = (a * b + a).sum()
+        assert loss.dtype == np.float64
+        loss.backward()
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        np.testing.assert_array_equal(a.grad, np.float32(1.1))
+
+
 class TestInvariants:
     def test_forward_determinism(self):
         rng1 = np.random.default_rng(42)
@@ -175,6 +235,13 @@ class TestInvariants:
         out1 = (a @ a).softmax().data
         out2 = (b @ b).softmax().data
         assert np.array_equal(out1, out2)
+
+    @pytest.mark.parametrize("key", [
+        [0, 1], np.array([1, 1]), np.array([True, False, True]), (slice(None), [0, 0]), True,
+    ], ids=["list", "index-array", "bool-mask", "list-in-tuple", "bool"])
+    def test_advanced_index_raises(self, key):
+        with pytest.raises(DimensionError, match="index"):
+            Tensor(np.ones((3, 3)), requires_grad=True)[key]
 
     def test_grad_shape_matches_data(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

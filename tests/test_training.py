@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 
@@ -144,12 +146,15 @@ class TestTelemetry:
         assert [r["epoch"] for r in records] == [0, 1]
         for record in records:
             assert record["seconds"] > 0 and record["windows_per_s"] > 0
+            assert 1.0 < record["peak_rss_mb"] <= resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024
             if mixer is MixerKind.CONCAT:
                 assert "gate" not in record
             else:
                 gate = np.array(record["gate"])
                 assert gate.shape == (1, 2)  # blocks x heads
                 assert np.all((gate > 0) & (gate < 1))
+        assert records[0]["peak_rss_mb"] <= records[1]["peak_rss_mb"]  # a running peak
 
     def test_logging_does_not_perturb_training(self, monkeypatch):
         records = []
