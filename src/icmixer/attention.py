@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionError, Parameter, Tensor, concat
+from .tensor import (
+    DimensionError,
+    Parameter,
+    Tensor,
+    _unbroadcast,
+    concat,
+    row_max,
+    row_sum,
+)
 
 
 class ConfigError(ValueError):
@@ -39,16 +47,22 @@ class AttentionConfig:
         return self.d_model // self.n_heads
 
 
-def sigma(x: Tensor) -> Tensor:
-    """Strictly positive feature map ELU(x) + 1: x + 1 for x >= 0, else exp(x).
-
-    One graph node, branch-free; the derivative min(sigma(x), 1) is read from
-    the output, so nothing else is saved for backward.
-    """
+def _sigma(x: np.ndarray) -> np.ndarray:
+    """ELU(x) + 1 on an array: x + 1 for x >= 0, else exp(x); branch-free."""
     # asarray: a ufunc on a 0-d input returns a numpy scalar, which `out=` rejects.
-    out_data = np.asarray(np.minimum(x.data, 0))
-    np.exp(out_data, out=out_data)
-    out_data += np.maximum(x.data, 0)
+    out = np.asarray(np.minimum(x, 0))
+    np.exp(out, out=out)
+    out += np.maximum(x, 0)
+    return out
+
+
+def sigma(x: Tensor) -> Tensor:
+    """Strictly positive feature map ELU(x) + 1, as one graph node.
+
+    The derivative min(sigma(x), 1) is read from the output, so nothing else
+    is saved for backward.
+    """
+    out_data = _sigma(x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -63,32 +77,94 @@ def accumulate_memory(k: Tensor, v: Tensor):
     Returns ``(M, z)``: M [..., 1, h, d_k, d_k] is sigma(K)^T V summed over
     channels, z [..., 1, h, d_k, 1] the key sums over channels and tokens.
     The channel axis is kept so both broadcast against per-channel queries.
+    M and z are one node each on a shared sigma(K) node; M's backward keeps
+    sigma(K) and V, z's keeps nothing.
     """
     if k.shape != v.shape or k.ndim < 4:
         raise DimensionError(
             f"memory accumulation needs equal [..., m, h, n, d_k] K and V, got {k.shape}, {v.shape}")
     sk = sigma(k)
-    mem = (sk.swapaxes(-1, -2) @ v).sum(axis=-4, keepdims=True)
-    z = sk.sum(axis=(-4, -2), keepdims=True).reshape(*mem.shape[:-1], 1)
-    return mem, z
+    mem_data = (sk.data.swapaxes(-1, -2) @ v.data).sum(axis=-4, keepdims=True)
+
+    def mem_bwd(g):  # g: [..., 1, h, d_k, d_k], broadcast over the channels
+        if sk.requires_grad:
+            sk._accumulate(v.data @ g.swapaxes(-1, -2))
+        if v.requires_grad:
+            v._accumulate(sk.data @ g)
+
+    z_shape = (*mem_data.shape[:-1], 1)
+    z_data = sk.data.sum(axis=(-4, -2)).reshape(z_shape)
+
+    def z_bwd(g):  # each key row of each channel receives g^T
+        if sk.requires_grad:
+            sk._accumulate(np.broadcast_to(g.swapaxes(-1, -2), sk.shape))
+
+    return Tensor._make(mem_data, (sk, v), mem_bwd), Tensor._make(z_data, (sk,), z_bwd)
 
 
 def retrieve_memory(q: Tensor, mem: Tensor, z: Tensor, epsilon: float) -> Tensor:
-    """Query the accumulated memory: sigma(Q) M / (sigma(Q) z + epsilon)."""
+    """Query the accumulated memory: sigma(Q) M / (sigma(Q) z + epsilon), as one node.
+
+    The backward keeps sigma(Q), the denominator and the output.
+    """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    sq = sigma(q)
-    return (sq @ mem) / (sq @ z + epsilon)
+    sq = _sigma(q.data)
+    den = sq @ z.data
+    den += epsilon
+    out_data = sq @ mem.data
+    out_data /= den
+
+    def bwd(g):
+        g_num = g / den                            # dL/d(sigma(Q) M)
+        g_den = -row_sum(g_num * out_data)         # dL/d(sigma(Q) z)
+        if mem.requires_grad:
+            mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_num, mem.shape))
+        if z.requires_grad:
+            z._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_den, z.shape))
+        if q.requires_grad:
+            g_sq = g_num @ mem.data.swapaxes(-1, -2)
+            g_sq += g_den @ z.data.swapaxes(-1, -2)
+            g_sq *= np.minimum(sq, 1)
+            q._accumulate(_unbroadcast(g_sq, q.shape))
+
+    return Tensor._make(out_data, (q, mem, z), bwd)
 
 
-def attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot-product scores Q K^T / sqrt(d_k), [..., n_q, n_k]."""
-    return (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Bidirectional scaled dot-product attention, softmax over keys, as one node.
 
+    ``softmax(Q K^T / sqrt(d_k) + bias) V`` with an optional additive
+    ``bias`` that broadcasts to the [..., n_q, n_k] scores. Besides the
+    inputs, the backward keeps only the probabilities, never the scores.
+    """
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = q.data @ k.data.swapaxes(-1, -2)
+    scores *= scale
+    if bias is not None:
+        scores += bias.data
+    p = scores  # softmax over keys, in place
+    p -= row_max(p)
+    np.exp(p, out=p)
+    p /= row_sum(p)
+    out_data = p @ v.data
 
-def dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Bidirectional scaled dot-product attention, softmax over keys."""
-    return attention_scores(q, k).softmax(axis=-1) @ v
+    def bwd(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(p.swapaxes(-1, -2) @ g, v.shape))
+        g_scores = g @ v.data.swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
+        g_scores -= row_sum(g_scores * p)
+        g_scores *= p
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_scores, bias.shape))
+        g_scores *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(g_scores @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(g_scores.swapaxes(-1, -2) @ q.data, k.shape))
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return Tensor._make(out_data, parents, bwd)
 
 
 def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:

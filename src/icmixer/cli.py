@@ -1,4 +1,4 @@
-"""Command-line interface: train, compare, eval, gradcheck, synth.
+"""Command-line interface: train, compare, eval, inspect, gradcheck, synth.
 
 A run writes into ``<out>/<name>/``: the resolved ``config.json``, one
 checkpoint per horizon, line-delimited ``metrics.jsonl`` records, and a plain
@@ -237,6 +237,23 @@ def cmd_eval(ns) -> int:
     return 0
 
 
+def cmd_inspect(ns) -> int:
+    model = load_checkpoint(ns.checkpoint)
+    print(f"config: {json.dumps(model.config.to_dict())}")
+    print(f"dtype: {model.dtype.name}")
+    per_module = {}
+    for name, p in model.parameters().items():
+        module = name.rsplit(".", 1)[0]
+        per_module[module] = per_module.get(module, 0) + p.size
+    print(f"parameters: {model.parameter_count()}")
+    width = max(len(module) for module in per_module) + 2
+    for module, count in per_module.items():
+        print(f"  {module:<{width}}{count:>10}")
+    for i, gate in enumerate(model.gates()):
+        print(f"gate sigmoid(beta) block {i}: " + " ".join(f"{g:.4f}" for g in gate))
+    return 0
+
+
 def cmd_gradcheck(ns) -> int:
     mixers = [MixerKind(ns.mixer)] if ns.mixer else list(MixerKind)
     ok = True
@@ -297,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval, with_model=False)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(func=cmd_eval)
+
+    p_inspect = sub.add_parser("inspect", help="config, parameter counts and gates of a checkpoint")
+    p_inspect.add_argument("checkpoint")
+    p_inspect.set_defaults(func=cmd_inspect)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_gc.add_argument("--mixer", choices=MIXER_CHOICES)

@@ -21,7 +21,7 @@ from .attention import (
     AttentionConfig,
     ConfigError,
     MultiHeadSelfAttention,
-    attention_scores,
+    dot_attention,
     merge_heads,
 )
 from .tensor import DimensionError, Parameter, Tensor
@@ -101,6 +101,5 @@ class ConcatAttention(MultiHeadSelfAttention):
         b, m, n, d = x.shape
         q, k, v = self.project_qkv(x.reshape(b, m * n, d))  # [b, h, m*n, d_k]
         mask = Tensor(same_channel_mask(m, n, x.dtype))
-        scores = attention_scores(q, k) + self.bias.u1 * mask + self.bias.u2 * (1.0 - mask)
-        att = scores.softmax(axis=-1) @ v
+        att = dot_attention(q, k, v, self.bias.u1 * mask + self.bias.u2 * (1.0 - mask))
         return (merge_heads(att) @ self.wo).reshape(b, m, n, d)

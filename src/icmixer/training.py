@@ -7,16 +7,16 @@ deterministic for a fixed seed under single-threaded execution.
 
 from __future__ import annotations
 
+import math
 import resource
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .attention import ConfigError, ICMAttention
+from .attention import ConfigError
 from .data import MultivariateSeries, make_windows
-from .encoder import EncoderConfig, ForecastEncoder, instance_normalize, instance_stats
+from .encoder import EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
 from .tensor import DimensionError, Parameter, Tensor, no_grad
 
@@ -171,9 +171,11 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     Returns (model, MetricReport, loss_curve) where loss_curve is the list of
     per-epoch mean training losses. `series` should already be standardized.
     Each epoch's ``log`` record also carries the wall time of its training
-    steps (``seconds``), the windows trained per second, the process's peak
-    resident set so far (``peak_rss_mb``), and for ICM mixers the per-block,
-    per-head gate openness ``gate``.
+    steps (``seconds``), the windows trained per second, the largest global
+    L2 norm of the trainable gradients over the epoch's steps (``grad_norm``,
+    computed only when ``log`` is given), the process's peak resident set so
+    far (``peak_rss_mb``), and for ICM mixers the per-block, per-head gate
+    openness ``gate``.
     """
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
@@ -200,7 +202,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     loss_curve = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_windows))
-        epoch_losses = []
+        epoch_losses, grad_norm = [], 0.0
         epoch_start = time.perf_counter()
         # A diverging step overflows; the finite-loss and finite-validation
         # checks report it, so numpy's floating-point warnings would only
@@ -208,14 +210,17 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, len(order), config.batch_size):
                 x, y = _stack_batch(train_windows, order[start:start + config.batch_size])
-                pred_norm, _ = model.forecast_normalized(x.astype(model.dtype), horizon)
-                y_norm, _ = instance_normalize(y, instance_stats(x))
+                pred_norm, stats = model.forecast_normalized(x.astype(model.dtype), horizon)
+                y_norm, _ = instance_normalize(y, stats)
                 loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
                 if not np.isfinite(loss.item()):
                     raise _diverged(f"training loss at epoch {epoch}, batch offset {start}",
                                     model, config, horizon)
                 optimizer.zero_grad()
                 loss.backward()
+                if log is not None:
+                    grad_norm = max(grad_norm, math.sqrt(sum(
+                        float(np.vdot(p.grad, p.grad)) for p in trainable if p.grad is not None)))
                 optimizer.step()
                 epoch_losses.append(loss.item())
             seconds = time.perf_counter() - epoch_start
@@ -231,9 +236,9 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
             record = {"dataset": series.name, "horizon": horizon, "epoch": epoch,
                       "train_loss": loss_curve[-1], "val_mse": val_mse,
                       "seconds": seconds, "windows_per_s": len(order) / seconds,
+                      "grad_norm": grad_norm,
                       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-            gates = [expit(block.attn.beta.data).tolist() for block in model.blocks
-                     if isinstance(block.attn, ICMAttention)]
+            gates = model.gates()
             if gates:
                 record["gate"] = gates
             log(record)

@@ -1,0 +1,238 @@
+"""Property tests of the row kernels and the fused attention and memory nodes.
+
+``row_sum`` and ``row_max`` are checked against numpy's last-axis ``sum``
+and ``max``, on rows of length 1 to 40 (odd and even, on both sides of the
+length where ``row_max`` stops halving), with NaN and +-inf mixed in on some
+draws. ``row_max`` must be bitwise equal; ``row_sum`` adds in another order,
+so it must be equal where numpy's sum is not finite and close elsewhere.
+
+``dot_attention`` (with and without a broadcast bias), ``accumulate_memory``
+and ``retrieve_memory`` are checked against the primitive-op chains in
+``composite_chains.py``: values, and the gradients of
+``L = sum(g * output)`` with respect to every input.
+
+Tolerances were fixed before any result was seen: float64 1e-12 and
+float32 1e-5, relative to the summed magnitudes of the terms that form each
+element (computed in float64 from the inputs). Inputs are zero or at least
+2**-10 in magnitude, so that no term lands in the subnormal range.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from composite_chains import (
+    accumulate_memory_chain,
+    dot_attention_chain,
+    retrieve_memory_chain,
+)
+from icmixer.attention import accumulate_memory, dot_attention, retrieve_memory
+from icmixer.tensor import Tensor, row_max, row_sum
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+TOLERANCE = {np.float32: 1e-5, np.float64: 1e-12}
+EPSILON = 1e-6
+
+
+def magnitudes(dtype, lo, hi):
+    width = np.dtype(dtype).itemsize * 8
+    return st.floats(lo, hi, width=width) | st.floats(-hi, -lo, width=width)
+
+
+def floats(dtype, hi):
+    return st.just(0.0) | magnitudes(dtype, 2.0 ** -10, hi)
+
+
+def assert_close(got, want, tol, scale):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    err = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    bound = tol * np.broadcast_to(scale, err.shape)
+    assert np.all(err <= bound), f"worst error/bound {np.max(err / np.maximum(bound, 1e-300)):.3g}"
+
+
+def reduce_to(a, shape):
+    """Sum the broadcast axes of ``a`` away, leaving ``shape``."""
+    lead = a.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and a.shape[lead + i] != 1)
+    return a.sum(axis=axes).reshape(shape)
+
+
+def swap(a):
+    return a.swapaxes(-1, -2)
+
+
+def run(fn, *arrays):
+    """(outputs, [dL/d input], upstream gs) of L = sum over outputs of sum(g * output)."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    outs = fn(*tensors)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    rng = np.random.default_rng(sum(o.size for o in outs))
+    gs = [rng.uniform(-10.0, 10.0, o.shape).astype(o.dtype) for o in outs]
+    sum((o * Tensor(g)).sum() for o, g in zip(outs, gs)).backward()
+    for t in tensors:
+        assert t.grad.dtype == t.dtype and t.grad.shape == t.shape
+    return [o.data for o in outs], [t.grad for t in tensors], gs
+
+
+def check_against_chain(fused, chain, arrays, scales):
+    """Values and input gradients of ``fused`` against ``chain`` on the same inputs.
+
+    ``scales(gs)`` maps the absolute upstream gradients (float64) to the
+    term magnitudes of the values and of the input gradients.
+    """
+    tol = TOLERANCE[arrays[0].dtype.type]
+    values, grads, gs = run(fused, *arrays)
+    want_values, want_grads, _ = run(chain, *arrays)
+    value_scales, grad_scales = scales([np.abs(g.astype(np.float64)) for g in gs])
+    for got, want, scale in zip(values + grads, want_values + want_grads,
+                                value_scales + grad_scales):
+        assert_close(got, want, tol, scale)
+
+
+# -- row kernels ----------------------------------------------------------------
+
+@st.composite
+def rows_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    shape = (*lead, draw(st.integers(1, 40)))
+    elements = floats(dtype, 10.0)
+    if draw(st.booleans()):
+        elements = elements | st.sampled_from([math.nan, math.inf, -math.inf])
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(rows_case())
+def test_row_max_matches_numpy(x):
+    got = row_max(x)
+    assert got.dtype == x.dtype
+    np.testing.assert_array_equal(got, x.max(axis=-1, keepdims=True))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(rows_case())
+def test_row_sum_matches_numpy(x):
+    with np.errstate(invalid="ignore"):  # inf - inf in a row
+        got, want = row_sum(x), x.sum(axis=-1, keepdims=True)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    scale = np.abs(x.astype(np.float64)).sum(axis=-1, keepdims=True)
+    assert_close(got[finite], want[finite], TOLERANCE[x.dtype.type], scale[finite])
+
+
+def test_row_kernels_on_empty_rows():
+    assert row_sum(np.ones((2, 0))).tolist() == [[0.0], [0.0]]
+    with pytest.raises(ValueError):
+        row_max(np.ones((2, 0)))
+
+
+# -- dot attention --------------------------------------------------------------
+
+@st.composite
+def attention_case(draw):
+    """(q, k, v, bias or None): [*batch, n, d] operands and a bias broadcasting to the scores."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    batch = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))
+    n_q, n_k, d, d_v = (draw(st.integers(1, 5)) for _ in range(4))
+    q, k, v = (draw(hnp.arrays(dtype, (*batch, n, width), elements=floats(dtype, 2.0)))
+               for n, width in ((n_q, d), (n_k, d), (n_k, d_v)))
+    if not draw(st.booleans()):
+        return q, k, v, None
+    scores_shape = (*batch, n_q, n_k)
+    ndim = draw(st.integers(0, len(scores_shape)))
+    bias_shape = tuple(draw(st.sampled_from([1, n])) for n in scores_shape[len(scores_shape) - ndim:])
+    return q, k, v, draw(hnp.arrays(dtype, bias_shape, elements=floats(dtype, 2.0)))
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(attention_case())
+def test_dot_attention_matches_chain(case):
+    q, k, v, bias = case
+    arrays = [q, k, v] if bias is None else [q, k, v, bias]
+    q64, k64, v64 = (a.astype(np.float64) for a in (q, k, v))
+    c = 1.0 / math.sqrt(q.shape[-1])
+    scores = q64 @ swap(k64) * c
+    if bias is not None:
+        scores = scores + bias
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def scales(gs):
+        (g,) = gs
+        dp = g @ swap(np.abs(v64))
+        ds = p * (dp + (p * dp).sum(axis=-1, keepdims=True))
+        grad_scales = [c * ds @ np.abs(k64), c * swap(ds) @ np.abs(q64), swap(p) @ g]
+        if bias is not None:
+            grad_scales.append(reduce_to(ds, bias.shape))
+        return [p @ np.abs(v64)], grad_scales
+
+    check_against_chain(dot_attention, dot_attention_chain, arrays, scales)
+
+
+# -- compressive memory ---------------------------------------------------------
+
+def sigma64(x):
+    x = x.astype(np.float64)
+    return np.where(x >= 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+@st.composite
+def memory_case(draw):
+    """(dtype, lead, m, h, n, d) with K, V and Q shaped [*lead, m, h, n, d]."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=1, max_side=2))
+    return (dtype, lead, *(draw(st.integers(1, hi)) for hi in (3, 2, 4, 4)))
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(memory_case(), st.data())
+def test_accumulate_memory_matches_chain(case, data):
+    dtype, lead, m, h, n, d = case
+    k, v = (data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+            for _ in range(2))
+    sk, v64 = sigma64(k), np.abs(v.astype(np.float64))
+
+    def scales(gs):
+        g_mem, g_z = gs
+        g_sk = v64 @ swap(g_mem) + swap(g_z)
+        return ([(swap(sk) @ v64).sum(axis=-4, keepdims=True),
+                 swap(sk.sum(axis=(-4, -2), keepdims=True))],
+                [g_sk * np.minimum(sk, 1.0), sk @ g_mem])
+
+    check_against_chain(accumulate_memory, accumulate_memory_chain, [k, v], scales)
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(memory_case(), st.data())
+def test_retrieve_memory_matches_chain(case, data):
+    dtype, lead, m, h, n, d = case
+    q = data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+    mem = data.draw(hnp.arrays(dtype, (*lead, 1, h, d, d), elements=floats(dtype, 10.0)))
+    # z sums sigma(K) > 0 over every key, so it is positive.
+    z = data.draw(hnp.arrays(dtype, (*lead, 1, h, d, 1),
+                             elements=st.floats(2.0 ** -10, 10.0, width=np.dtype(dtype).itemsize * 8)))
+    sq, mem64, z64 = sigma64(q), np.abs(mem.astype(np.float64)), z.astype(np.float64)
+    den = sq @ z64 + EPSILON
+    out = (sq @ mem.astype(np.float64)) / den
+
+    def fused(*ts):
+        return retrieve_memory(*ts, EPSILON)
+
+    def chain(*ts):
+        return retrieve_memory_chain(*ts, EPSILON)
+
+    def scales(gs):
+        g_num = gs[0] / den
+        g_den = (g_num * np.abs(out)).sum(axis=-1, keepdims=True)
+        return ([(sq @ mem64) / den],
+                [(g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0),
+                 reduce_to(swap(sq) @ g_num, mem.shape), reduce_to(swap(sq) @ g_den, z.shape)])
+
+    check_against_chain(fused, chain, [q, mem, z], scales)

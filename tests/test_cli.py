@@ -245,6 +245,39 @@ class TestEvalCommand:
         assert "checkpoint" in capsys.readouterr().err
 
 
+class TestInspectCommand:
+    @pytest.mark.parametrize("mixer", ["icm", "independent"])
+    def test_prints_config_parameter_counts_and_gates(self, tmp_path, capsys, mixer):
+        cfg = EncoderConfig(n_blocks=2, d_model=16, n_heads=2, d_ff=32, lookback=32,
+                            horizons=(8,), mixer=mixer)
+        model = ForecastEncoder(cfg, seed=0, dtype=np.float32)
+        if mixer == "icm":
+            model.blocks[1].attn.beta.data[:] = [0.0, np.log(3.0)]
+        save_checkpoint(model, tmp_path / "model.icm")
+        assert main(["inspect", str(tmp_path / "model.icm")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0].removeprefix("config: ")) == cfg.to_dict()
+        assert lines[1] == "dtype: float32"
+        assert lines[2] == f"parameters: {model.parameter_count()}"
+        counts = dict(line.split() for line in lines[3:] if line.startswith("  "))
+        assert sum(int(c) for c in counts.values()) == model.parameter_count()
+        assert int(counts["block.1.ffn"]) == 16 * 32 + 32 + 32 * 16 + 16
+        gates = [line for line in lines if line.startswith("gate")]
+        if mixer == "icm":
+            assert gates == ["gate sigmoid(beta) block 0: 0.5000 0.5000",
+                             "gate sigmoid(beta) block 1: 0.5000 0.7500"]
+        else:
+            assert gates == []
+
+    def test_malformed_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.icm"
+        path.write_bytes(b"ICM1\x05")
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestGradcheckCommand:
     def test_single_mixer(self, capsys):
         assert main(["gradcheck", "--mixer", "independent"]) == 0

@@ -278,6 +278,16 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="magic"):
             load_checkpoint(path)
 
+    def test_save_over_an_existing_checkpoint(self, tmp_path):
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(d_model=32), seed=0), path)
+        second = ForecastEncoder(tiny_config(), seed=1)
+        save_checkpoint(second, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config.to_dict() == second.config.to_dict()
+        for name, p in second.parameters().items():
+            np.testing.assert_array_equal(loaded.parameters()[name].data, p.data)
+
     def test_f32_checkpoint_preserves_dtype(self, tmp_path):
         model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
         path = tmp_path / "model.icm"

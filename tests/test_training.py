@@ -141,11 +141,22 @@ class TestTelemetry:
 
     @pytest.mark.parametrize("mixer", [MixerKind.ICM, MixerKind.ICM_STATIC, MixerKind.CONCAT])
     def test_epoch_records_carry_throughput_and_gates(self, mixer, monkeypatch):
-        records = []
+        records, step_norms, epoch_of_step = [], [], []
+        adam_step = Adam.step
+
+        def recording_step(optimizer):
+            step_norms.append(np.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
+                                          for p in optimizer.params)))
+            epoch_of_step.append(len(records))
+            adam_step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
         self.run(mixer, records.append, monkeypatch)
         assert [r["epoch"] for r in records] == [0, 1]
-        for record in records:
+        for epoch, record in enumerate(records):
             assert record["seconds"] > 0 and record["windows_per_s"] > 0
+            largest = max(n for n, e in zip(step_norms, epoch_of_step) if e == epoch)
+            assert record["grad_norm"] == pytest.approx(largest, rel=1e-12)
             assert 1.0 < record["peak_rss_mb"] <= resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024
             if mixer is MixerKind.CONCAT:
