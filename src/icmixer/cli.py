@@ -124,13 +124,14 @@ def _build_configs(ns):
             patch_len=int(file_cfg.get("model", {}).get("patch_len", 8)),
             max_channels=int(file_cfg.get("model", {}).get("max_channels", 8)),
         )
+        # Counts go to TrainConfig unconverted, so that it rejects 1.5 or "8".
         train_cfg = TrainConfig(
-            epochs=int(_resolve(ns, file_cfg, "train", "epochs", 10)),
-            batch_size=int(_resolve(ns, file_cfg, "train", "batch_size", 64)),
+            epochs=_resolve(ns, file_cfg, "train", "epochs", 10),
+            batch_size=_resolve(ns, file_cfg, "train", "batch_size", 64),
             learning_rate=float(_resolve(ns, file_cfg, "train", "learning_rate", 1e-4)),
             seed=int(_resolve(ns, file_cfg, "train", "seed", 0)),
             precision=_resolve(ns, file_cfg, "train", "precision", "f32"),
-            train_stride=int(_resolve(ns, file_cfg, "train", "train_stride", 1)),
+            train_stride=_resolve(ns, file_cfg, "train", "train_stride", 1),
             max_train_windows=_resolve(ns, file_cfg, "train", "max_train_windows", None),
         )
     except (TypeError, ValueError) as err:

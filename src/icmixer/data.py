@@ -113,11 +113,15 @@ def _is_float(cell: str) -> bool:
 
 def save_csv(series: MultivariateSeries, path):
     """Write the same layout load_csv reads (timestamp column is the row index)."""
+    # Only the header can need quoting; a float's repr never holds a comma,
+    # quote or line break, so the rows are written as csv.writer would write
+    # them, without building a numpy scalar for every cell.
+    rows = np.asarray(series.values, dtype=np.float64).tolist()
+    # A new file, not the old one truncated: see save_checkpoint.
+    Path(path).unlink(missing_ok=True)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["date"] + list(series.channel_names))
-        for t, row in enumerate(series.values):
-            writer.writerow([t] + [repr(float(v)) for v in row])
+        csv.writer(f).writerow(["date"] + list(series.channel_names))
+        f.writelines(f"{t},{','.join(map(repr, row))}\r\n" for t, row in enumerate(rows))
 
 
 def standardize_stats(series: MultivariateSeries) -> tuple:
@@ -137,6 +141,8 @@ def standardized(series: MultivariateSeries) -> MultivariateSeries:
 def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int = 96,
                  stride: int = 1, split: str = "train") -> list:
     """All (input, target) windows fully inside the split region; no leakage."""
+    if stride < 1:
+        raise ConfigError(f"window stride must be >= 1, got {stride}")
     lo, hi = series.region(split)
     region_len = hi - lo
     if region_len < lookback + horizon:

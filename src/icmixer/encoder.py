@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .attention import AttentionConfig, ConfigError, ICMAttention, MultiHeadSelfAttention
 from .mixers import (
@@ -25,7 +24,7 @@ from .mixers import (
     StaticChannelEmbedding,
     add_static_channel_embedding,
 )
-from .tensor import DimensionError, Parameter, Tensor, layer_norm, linear, row_sum
+from .tensor import DimensionError, Parameter, Tensor, expit, layer_norm, linear, row_sum
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -182,13 +181,34 @@ class EncoderBlock:
             self.ln2.parameters() + self.ffn.parameters()
 
 
+class _ZeroDraws:
+    """Stands in for ``np.random.Generator`` where the draws will be overwritten."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.zeros(shape)
+
+
 class ForecastEncoder:
     """The full trainable model: embedding, encoder stack, per-horizon heads."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64):
+        self._build(config, np.random.default_rng(seed), dtype)
+
+    @classmethod
+    def _unfilled(cls, config: EncoderConfig, dtype) -> "ForecastEncoder":
+        """A model of the right shapes whose weights are zeros, to be overwritten.
+
+        It draws nothing from a generator: for the default backbone the
+        seeded normal draws are most of the time a checkpoint load takes.
+        """
+        model = cls.__new__(cls)
+        model._build(config, _ZeroDraws, dtype)
+        return model
+
+    def _build(self, config: EncoderConfig, rng, dtype):
         self.config = config
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
         d = config.d_model
 
         self.embed_w = Parameter(rng.standard_normal((config.patch_len, d)) / np.sqrt(config.patch_len),
@@ -374,7 +394,7 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> Forecas
     if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
         raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
                           f"got {sorted(d.str for d in dtypes)}")
-    model = ForecastEncoder(config, dtype=dtypes.pop())
+    model = ForecastEncoder._unfilled(config, dtypes.pop())
     params = model.parameters()
     names = [entry["name"] for entry in header["params"]]
     missing, unknown = sorted(set(params) - set(names)), sorted(set(names) - set(params))

@@ -8,6 +8,7 @@ deterministic for a fixed seed under single-threaded execution.
 from __future__ import annotations
 
 import math
+import numbers
 import resource
 import time
 from dataclasses import dataclass, field
@@ -122,6 +123,13 @@ class TrainConfig:
     max_train_windows: int | None = None  # seeded subsample cap, for desk-scale runs
 
     def __post_init__(self):
+        counts = ["epochs", "batch_size", "train_stride", "patience"]
+        if self.max_train_windows is not None:
+            counts.append("max_train_windows")
+        for name in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.precision not in ("f32", "f64"):

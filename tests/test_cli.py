@@ -149,7 +149,9 @@ class TestTrainCommand:
         ({"trian": {"epochs": 1}}, "unknown config section(s): trian"),
         ({"model": {"mixer": "bogus"}}, "invalid config value"),
         ({"model": {"patch_len": 0}}, "patch_len must be positive"),
-    ], ids=["model-key", "train-key", "section", "bad-mixer", "zero-size"])
+        ({"train": {"max_train_windows": "many"}},
+         "max_train_windows must be an integer >= 1, got 'many'"),
+    ], ids=["model-key", "train-key", "section", "bad-mixer", "zero-size", "window-cap"])
     def test_bad_config_file_is_config_error(self, tmp_path, capsys, file_cfg, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(file_cfg))
@@ -158,6 +160,32 @@ class TestTrainCommand:
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert not list(tmp_path.glob("*/metrics.jsonl"))
+
+    @pytest.mark.parametrize("key, value", [("epochs", 1.7), ("batch_size", "16"),
+                                            ("train_stride", 2.0)])
+    def test_config_file_counts_are_not_converted(self, tmp_path, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        at = COMMON.index(flag)
+        common = COMMON[:at] + COMMON[at + 2:]  # the file's value must not be overridden
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {key: value}}))
+        rc = main(["train", *SYNTH, *common, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: invalid config value: {key} must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--train-stride", "0"), ("--max-train-windows", "-3"),
+        ("--epochs", "0"), ("--max-train-windows", "0"),
+    ])
+    def test_bad_training_count_is_one_error_line(self, tmp_path, capsys, flag, value):
+        rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, flag, value,
+                   "--out", str(tmp_path), "--name", "bad"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        name = flag[2:].replace("-", "_")
+        assert err == f"error: invalid config value: {name} must be an integer >= 1, got {value}\n"
+        assert not (tmp_path / "bad").exists()
 
     def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -78,10 +80,26 @@ class TestLoadCsv:
 
     def test_save_load_roundtrip(self, tmp_path):
         series = generate_lagged_copy(m=3, T=200, lag=4, noise_std=0.1, seed=0)
+        series.values[:4] = [[-0.0, 5e-324, 1e300],
+                             [3.0, -7.0, 0.0],
+                             [1e16, -2.5e-310, 123456789.0],
+                             [0.1, -1e-300, 2.0 ** 60]]
+        series.channel_names = ["a", "b,c", 'd"e']
         path = tmp_path / "synth.csv"
-        save_csv(series, path)
+        save_csv(generate_lagged_copy(m=4, T=300, lag=4, noise_std=0.1, seed=1), path)
+        save_csv(series, path)  # over a longer file: nothing of it may remain
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["date"] + series.channel_names)
+        for t, row in enumerate(series.values):
+            writer.writerow([t] + [repr(float(v)) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode()
+
         loaded = load_csv(path, name=series.name)
-        np.testing.assert_allclose(loaded.values, series.values, atol=1e-15)
+        assert loaded.channel_names == series.channel_names
+        np.testing.assert_array_equal(loaded.values, series.values, strict=True)
+        np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(series.values))
 
 
 class TestMakeWindows:
@@ -110,6 +128,11 @@ class TestMakeWindows:
         with pytest.warns(UserWarning, match="too short"):
             out = make_windows(series, lookback=256, horizon=96, split="val")
         assert out == []
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_raises(self, stride):
+        with pytest.raises(ConfigError, match="stride must be >= 1"):
+            make_windows(self.series, 256, 96, stride=stride)
 
     def test_no_split_leakage(self):
         train_end, val_end = self.series.split_bounds

@@ -288,6 +288,26 @@ class TestCheckpoint:
         for name, p in second.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name].data, p.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch, mixer, dtype):
+        model = ForecastEncoder(tiny_config(mixer, n_blocks=2), seed=3, dtype=dtype)
+        rng = np.random.default_rng(4)
+        for p in model.parameters().values():  # no parameter left at its zero init
+            p.data = (p.data + rng.standard_normal(p.shape)).astype(dtype)
+        path = tmp_path / "model.icm"
+        save_checkpoint(model, path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_checkpoint(path).parameters()
+        assert loaded.keys() == model.parameters().keys()
+        for name, p in model.parameters().items():
+            assert loaded[name].dtype == dtype
+            np.testing.assert_array_equal(loaded[name].data, p.data, strict=True)
+
     def test_f32_checkpoint_preserves_dtype(self, tmp_path):
         model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
         path = tmp_path / "model.icm"

@@ -1,4 +1,6 @@
+import warnings
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from icmixer.tensor import (
     Parameter,
     Tensor,
     concat,
+    expit,
     layer_norm,
     no_grad,
 )
@@ -77,6 +80,45 @@ class TestElementwise:
 
     def test_sigmoid_at_zero(self):
         assert Tensor(0.0).sigmoid().item() == 0.5
+        assert expit(0.0) == 0.5
+        assert expit(np.float32(0.0)) == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_keeps_dtype(self, dtype):
+        assert expit(np.zeros((2, 3), dtype)).dtype == dtype
+        assert expit(np.array(1.0, dtype)).dtype == dtype  # 0-d array
+        assert expit(dtype(1.0)).dtype == dtype            # numpy scalar
+        assert Tensor(np.ones(3, dtype)).sigmoid().dtype == dtype
+        assert Tensor(np.array(1.0, dtype)).sigmoid().dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_without_warnings(self, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([-1000.0, 1000.0], dtype))
+            node = Tensor(np.array([-1000.0, 1000.0], dtype)).sigmoid()
+        assert out.tolist() == [0.0, 1.0]
+        assert node.data.tolist() == [0.0, 1.0]
+
+    @staticmethod
+    def expit_reference(v: float) -> float:
+        """1 / (1 + exp(-v)) in 40-digit decimal arithmetic, rounded to float64.
+
+        The reference is more precise than float64 because a float64
+        evaluation of the same formula is itself up to 2 ulp from the true
+        value, so two such evaluations can sit 4 ulp apart.
+        """
+        with localcontext() as ctx:
+            ctx.prec = 40
+            return float(1 / (1 + (-Decimal(v)).exp()))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_within_two_ulp_over_its_range(self, dtype):
+        x = np.linspace(-80.0, 80.0, 16001).astype(dtype)
+        ref = np.array([self.expit_reference(float(v)) for v in x])
+        ulp = np.spacing(ref.astype(dtype)).astype(np.float64)
+        err = np.abs(expit(x).astype(np.float64) - ref) / ulp
+        assert err.max() <= 2.0, (x[err.argmax()], err.max())
 
     def test_layer_norm_constant_vector_is_zero(self):
         out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]))

@@ -247,6 +247,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(precision="f16")
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch_size", 0), ("train_stride", 0), ("patience", 0),
+        ("max_train_windows", 0), ("max_train_windows", -3), ("max_train_windows", "many"),
+        ("epochs", 2.0), ("batch_size", True),
+    ])
+    def test_non_positive_or_non_integer_counts_raise(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+            TrainConfig(**{field: value})
+
+    def test_counts_accept_numpy_integers_and_no_window_cap(self):
+        cfg = TrainConfig(epochs=np.int64(2), max_train_windows=None)
+        assert cfg.epochs == 2 and cfg.max_train_windows is None
+
     def test_dtype_mapping(self):
         assert TrainConfig(precision="f32").dtype == np.float32
         assert TrainConfig(precision="f64").dtype == np.float64
