@@ -10,6 +10,7 @@ local attention output through a learned per-head gate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,12 @@ from .tensor import (
 
 class ConfigError(ValueError):
     """Raised for invalid architecture or run configuration."""
+
+
+def check_integer(name: str, value, minimum: int = 1):
+    """ConfigError unless ``value`` is an integer >= ``minimum`` (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass

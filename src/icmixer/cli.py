@@ -71,14 +71,6 @@ def _load_series(ns):
     return standardized(load_csv(path))
 
 
-def _resolve(ns, file_cfg: dict, section: str, key: str, default):
-    """Precedence: explicit flag > config file > default."""
-    flag = getattr(ns, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    return file_cfg.get(section, {}).get(key, default)
-
-
 # The keys a --config file may set, per section.
 _CONFIG_FILE_KEYS = {
     "model": ("mixer", "lookback", "horizons", "n_blocks", "d_model", "n_heads", "d_ff",
@@ -111,29 +103,20 @@ def _read_config_file(path) -> dict:
 
 
 def _build_configs(ns):
+    """EncoderConfig and TrainConfig from the keys a flag or the config file sets.
+
+    A flag wins over the file; a key neither sets keeps its dataclass default.
+    """
     file_cfg = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
+    sections = {}
+    for section, keys in _CONFIG_FILE_KEYS.items():
+        values = dict(file_cfg.get(section, {}))
+        values.update({key: getattr(ns, key) for key in keys
+                       if getattr(ns, key, None) is not None})
+        sections[section] = values
     try:
-        model_cfg = EncoderConfig(
-            mixer=_resolve(ns, file_cfg, "model", "mixer", MixerKind.ICM.value),
-            lookback=int(_resolve(ns, file_cfg, "model", "lookback", 256)),
-            horizons=_resolve(ns, file_cfg, "model", "horizons", (96, 192, 384)),
-            n_blocks=int(_resolve(ns, file_cfg, "model", "n_blocks", 4)),
-            d_model=int(_resolve(ns, file_cfg, "model", "d_model", 256)),
-            n_heads=int(_resolve(ns, file_cfg, "model", "n_heads", 4)),
-            d_ff=int(_resolve(ns, file_cfg, "model", "d_ff", 1024)),
-            patch_len=int(file_cfg.get("model", {}).get("patch_len", 8)),
-            max_channels=int(file_cfg.get("model", {}).get("max_channels", 8)),
-        )
-        # Counts go to TrainConfig unconverted, so that it rejects 1.5 or "8".
-        train_cfg = TrainConfig(
-            epochs=_resolve(ns, file_cfg, "train", "epochs", 10),
-            batch_size=_resolve(ns, file_cfg, "train", "batch_size", 64),
-            learning_rate=float(_resolve(ns, file_cfg, "train", "learning_rate", 1e-4)),
-            seed=int(_resolve(ns, file_cfg, "train", "seed", 0)),
-            precision=_resolve(ns, file_cfg, "train", "precision", "f32"),
-            train_stride=_resolve(ns, file_cfg, "train", "train_stride", 1),
-            max_train_windows=_resolve(ns, file_cfg, "train", "max_train_windows", None),
-        )
+        model_cfg = EncoderConfig(**sections["model"])
+        train_cfg = TrainConfig(**sections["train"])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid config value: {err}") from err
     return model_cfg, train_cfg, file_cfg
@@ -164,8 +147,7 @@ def _train_one(model_cfg, train_cfg, series, horizon, log, finetune_beta=False, 
     model = ForecastEncoder(model_cfg, seed=seed, dtype=train_cfg.dtype)
     model, report, curve = train_supervised(model, series, train_cfg, horizon, log=log)
     if finetune_beta:
-        model, report, _ = finetune_beta_and_head(model, series, train_cfg, horizon,
-                                                  tune_beta=True, log=log)
+        model, report, _ = finetune_beta_and_head(model, series, train_cfg, horizon, log=log)
     return model, report, curve
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import ConfigError
 
@@ -45,13 +46,6 @@ class MultivariateSeries:
         if split == "test":
             return val_end, len(self)
         raise ConfigError(f"unknown split {split!r}")
-
-
-@dataclass
-class MultivariateWindow:
-    input: np.ndarray   # [m, lookback]
-    target: np.ndarray  # [m, horizon]
-    offset: int         # start row of the input slice in the source series
 
 
 ETT_SPLIT = (0.6, 0.2, 0.2)
@@ -139,38 +133,35 @@ def standardized(series: MultivariateSeries) -> MultivariateSeries:
 
 
 def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int = 96,
-                 stride: int = 1, split: str = "train") -> list:
-    """All (input, target) windows fully inside the split region; no leakage."""
+                 stride: int = 1, split: str = "train") -> np.ndarray:
+    """All windows fully inside the split region, as one read-only array.
+
+    Returns ``[N, m, lookback + horizon]``: window ``i`` holds the rows from
+    ``lo + i * stride`` on, channel-major, input first and then target. It is
+    a strided view of one channel-major copy of the region, so no window is
+    copied; index it with an array to gather a batch.
+    """
     if stride < 1:
         raise ConfigError(f"window stride must be >= 1, got {stride}")
     lo, hi = series.region(split)
-    region_len = hi - lo
-    if region_len < lookback + horizon:
+    window = lookback + horizon
+    if hi - lo < window:
         warnings.warn(
-            f"{series.name}/{split}: region of {region_len} rows too short for "
+            f"{series.name}/{split}: region of {hi - lo} rows too short for "
             f"lookback {lookback} + horizon {horizon}; no windows produced")
-        return []
-    windows = []
-    for start in range(lo, hi - lookback - horizon + 1, stride):
-        windows.append(MultivariateWindow(
-            input=series.values[start:start + lookback].T,
-            target=series.values[start + lookback:start + lookback + horizon].T,
-            offset=start,
-        ))
-    return windows
+        return np.empty((0, series.n_channels, window), dtype=series.values.dtype)
+    # Channel-major, so each gathered window row is contiguous in time.
+    region = np.ascontiguousarray(series.values[lo:hi].T)
+    return sliding_window_view(region, window, axis=1)[:, ::stride].swapaxes(0, 1)
 
 
-def cap_channels(window: MultivariateWindow, cap: int = 8,
-                 seed: int = 0) -> MultivariateWindow:
-    """Sub-sample to at most `cap` channels (without replacement, seeded)."""
+def cap_channels(m: int, cap: int = 8, seed: int = 0) -> np.ndarray:
+    """Sorted indices of at most `cap` of m channels (without replacement, seeded)."""
     if cap < 1:
         raise ConfigError(f"channel cap must be >= 1, got {cap}")
-    m = window.input.shape[0]
     if m <= cap:
-        return window
-    pick = np.sort(np.random.default_rng(seed).choice(m, size=cap, replace=False))
-    return MultivariateWindow(input=window.input[pick], target=window.target[pick],
-                              offset=window.offset)
+        return np.arange(m)
+    return np.sort(np.random.default_rng(seed).choice(m, size=cap, replace=False))
 
 
 def partition_channels(m: int, cap: int = 8, seed: int = 0) -> list:

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionConfig, ConfigError, ICMAttention, MultiHeadSelfAttention
+from .attention import (
+    AttentionConfig,
+    ConfigError,
+    ICMAttention,
+    MultiHeadSelfAttention,
+    check_integer,
+)
 from .mixers import (
     ChannelBias,
     ConcatAttention,
@@ -44,14 +50,15 @@ class EncoderConfig:
 
     def __post_init__(self):
         self.mixer = MixerKind(self.mixer)
-        self.horizons = tuple(int(h) for h in self.horizons)
         for name in ("n_blocks", "d_model", "n_heads", "d_ff", "patch_len", "lookback",
                      "max_channels"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.horizons or min(self.horizons) <= 0:
-            raise ConfigError(f"horizons must be a non-empty list of positive ints, "
-                              f"got {list(self.horizons)}")
+            check_integer(name, getattr(self, name))
+        horizons = tuple(self.horizons)
+        if not horizons:
+            raise ConfigError("horizons must be a non-empty list")
+        for i, h in enumerate(horizons):
+            check_integer(f"horizons[{i}]", h)
+        self.horizons = tuple(map(int, horizons))
         if self.lookback % self.patch_len != 0:
             raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")

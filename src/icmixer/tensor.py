@@ -301,21 +301,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a,), bwd)
 
-    def softmax(self, axis=-1):
-        # Attention runs on dot_attention's row softmax; this general-axis op
-        # keeps numpy's reductions, so it is bitwise numpy's formula.
-        a = self
-        out_data = a.data - a.data.max(axis=axis, keepdims=True)
-        np.exp(out_data, out=out_data)
-        out_data /= out_data.sum(axis=axis, keepdims=True)
-
-        def bwd(g):
-            if a.requires_grad:
-                dot = (g * out_data).sum(axis=axis, keepdims=True)
-                a._accumulate(out_data * (g - dot))
-
-        return Tensor._make(out_data, (a,), bwd)
-
     # -- linear algebra -------------------------------------------------------
 
     def __matmul__(self, other):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import ConfigError
+from .attention import ConfigError, check_integer
 from .data import MultivariateSeries, make_windows
 from .encoder import EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
@@ -127,11 +127,11 @@ class TrainConfig:
         if self.max_train_windows is not None:
             counts.append("max_train_windows")
         for name in counts:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+            check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, minimum=0)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not lr > 0:
+            raise ConfigError(f"learning rate must be positive, got {lr!r}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
 
@@ -140,20 +140,21 @@ class TrainConfig:
         return np.float32 if self.precision == "f32" else np.float64
 
 
-def _stack_batch(windows, idx):
-    x = np.stack([windows[i].input for i in idx])
-    y = np.stack([windows[i].target for i in idx])
-    return x, y
+def _batch(windows: np.ndarray, idx, lookback: int):
+    """Gather windows ``idx`` of a make_windows array; returns (input, target)."""
+    batch = windows[idx]
+    return batch[..., :lookback], batch[..., lookback:]
 
 
 def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64):
-    """(MSE, MAE) of denormalized forecasts over a window list."""
-    if not windows:
+    """(MSE, MAE) of denormalized forecasts over a make_windows array."""
+    if not len(windows):
         raise ConfigError("no evaluation windows")
     sq_sum = abs_sum = count = 0.0
     with no_grad():
         for start in range(0, len(windows), batch_size):
-            x, y = _stack_batch(windows, range(start, min(start + batch_size, len(windows))))
+            x, y = _batch(windows, np.arange(start, min(start + batch_size, len(windows))),
+                          model.config.lookback)
             pred = model.forecast(x, horizon).data
             err = pred.astype(np.float64) - y
             sq_sum += float((err * err).sum())
@@ -190,13 +191,14 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                                  split="train")
     val_windows = make_windows(series, lookback, horizon, split="val")
     test_windows = make_windows(series, lookback, horizon, split="test")
-    if not train_windows:
+    if not len(train_windows):
         raise ConfigError(f"{series.name}: no training windows for horizon {horizon}")
 
+    # The subsample is an index array, so the window set is never copied.
     rng = np.random.default_rng(config.seed)
-    if config.max_train_windows is not None and len(train_windows) > config.max_train_windows:
-        keep = np.sort(rng.choice(len(train_windows), config.max_train_windows, replace=False))
-        train_windows = [train_windows[i] for i in keep]
+    keep = np.arange(len(train_windows))
+    if config.max_train_windows is not None and len(keep) > config.max_train_windows:
+        keep = np.sort(rng.choice(len(keep), config.max_train_windows, replace=False))
 
     trainable = [p for p in model.parameters().values()
                  if config.freeze_mask is None or config.freeze_mask(p.name)]
@@ -209,7 +211,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     patience_left = config.patience
     loss_curve = []
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_windows))
+        order = keep[rng.permutation(len(keep))]
         epoch_losses, grad_norm = [], 0.0
         epoch_start = time.perf_counter()
         # A diverging step overflows; the finite-loss and finite-validation
@@ -217,7 +219,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         # repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, len(order), config.batch_size):
-                x, y = _stack_batch(train_windows, order[start:start + config.batch_size])
+                x, y = _batch(train_windows, order[start:start + config.batch_size], lookback)
                 pred_norm, stats = model.forecast_normalized(x.astype(model.dtype), horizon)
                 y_norm, _ = instance_normalize(y, stats)
                 loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
@@ -234,7 +236,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
             seconds = time.perf_counter() - epoch_start
             loss_curve.append(float(np.mean(epoch_losses)))
 
-            if val_windows:
+            if len(val_windows):
                 val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
             else:
                 val_mse = loss_curve[-1]
@@ -264,7 +266,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
             p.data = best_state[p.name]
 
     report = MetricReport()
-    if test_windows:
+    if len(test_windows):
         test_mse, test_mae = evaluate(model, test_windows, horizon, config.batch_size)
         report.add(series.name, horizon, test_mse, test_mae)
     return model, report, loss_curve
@@ -275,16 +277,10 @@ def beta_and_head_mask(name: str) -> bool:
     return name.startswith("head.") or name.endswith(".beta")
 
 
-def head_only_mask(name: str) -> bool:
-    return name.startswith("head.")
-
-
 def finetune_beta_and_head(model: ForecastEncoder, series: MultivariateSeries,
-                           config: TrainConfig, horizon: int,
-                           tune_beta: bool = True, log=None):
-    """Fine-tune the forecasting head (and optionally the gate scalars) only."""
-    mask = beta_and_head_mask if tune_beta else head_only_mask
-    cfg = TrainConfig(**{**config.__dict__, "freeze_mask": mask})
+                           config: TrainConfig, horizon: int, log=None):
+    """Fine-tune the forecasting heads and the gate scalars only."""
+    cfg = TrainConfig(**{**config.__dict__, "freeze_mask": beta_and_head_mask})
     return train_supervised(model, series, cfg, horizon, log=log)
 
 

@@ -3,14 +3,31 @@
 These are the forms ``dot_attention``, ``accumulate_memory`` and
 ``retrieve_memory`` had before each became one graph node with a
 hand-written backward. Built from ``matmul``, ``+``, ``*``, ``/``, ``sum``,
-``reshape``, ``swapaxes``, ``Tensor.softmax`` (numpy's reductions) and
-``sigma``, and differentiated by the autodiff engine node by node, they are
-the oracles for the fused nodes' values and gradients.
+``reshape``, ``swapaxes``, ``softmax`` (numpy's reductions) and ``sigma``,
+and differentiated by the autodiff engine node by node, they are the
+oracles for the fused nodes' values and gradients.
 """
 
 import math
 
+import numpy as np
+
 from icmixer.attention import sigma
+from icmixer.tensor import Tensor
+
+
+def softmax(t, axis=-1):
+    """Softmax over any axis as one node, bitwise numpy's in-place formula."""
+    out_data = t.data - t.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        if t.requires_grad:
+            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            t._accumulate(out_data * (g - dot))
+
+    return Tensor._make(out_data, (t,), bwd)
 
 
 def attention_scores(q, k):
@@ -22,7 +39,7 @@ def dot_attention_chain(q, k, v, bias=None):
     scores = attention_scores(q, k)
     if bias is not None:
         scores = scores + bias
-    return scores.softmax(axis=-1) @ v
+    return softmax(scores, axis=-1) @ v
 
 
 def accumulate_memory_chain(k, v):

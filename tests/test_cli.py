@@ -148,7 +148,7 @@ class TestTrainCommand:
         ({"train": {"epochz": 1}}, "unknown train config key(s): epochz"),
         ({"trian": {"epochs": 1}}, "unknown config section(s): trian"),
         ({"model": {"mixer": "bogus"}}, "invalid config value"),
-        ({"model": {"patch_len": 0}}, "patch_len must be positive"),
+        ({"model": {"patch_len": 0}}, "patch_len must be an integer >= 1, got 0"),
         ({"train": {"max_train_windows": "many"}},
          "max_train_windows must be an integer >= 1, got 'many'"),
     ], ids=["model-key", "train-key", "section", "bad-mixer", "zero-size", "window-cap"])
@@ -173,6 +173,18 @@ class TestTrainCommand:
         assert rc == 2
         assert capsys.readouterr().err == \
             f"error: invalid config value: {key} must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize("key, value, name", [("d_model", 16.9, "d_model"),
+                                                  ("horizons", [96.5], "horizons[0]")])
+    def test_config_file_sizes_are_not_converted(self, tmp_path, capsys, key, value, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {key: value}}))
+        rc = main(["train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        got = value[0] if isinstance(value, list) else value
+        assert capsys.readouterr().err == \
+            f"error: invalid config value: {name} must be an integer >= 1, got {got!r}\n"
+        assert not list(tmp_path.glob("*/metrics.jsonl"))
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--train-stride", "0"), ("--max-train-windows", "-3"),

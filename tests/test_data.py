@@ -7,7 +7,6 @@ import pytest
 
 from icmixer.attention import ConfigError
 from icmixer.data import (
-    MultivariateWindow,
     ParseError,
     cap_channels,
     generate_lagged_copy,
@@ -119,59 +118,67 @@ class TestMakeWindows:
 
     def test_window_content_matches_offsets(self):
         windows = make_windows(self.series, lookback=256, horizon=96, split="train")
-        w = windows[17]
-        np.testing.assert_array_equal(w.input, self.series.values[17:273].T)
-        np.testing.assert_array_equal(w.target, self.series.values[273:369].T)
+        np.testing.assert_array_equal(windows[17, :, :256], self.series.values[17:273].T)
+        np.testing.assert_array_equal(windows[17, :, 256:], self.series.values[273:369].T)
+
+    def test_windows_are_read_only(self):
+        windows = make_windows(self.series, lookback=256, horizon=96, split="train")
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0, 0, 0] = 1.0
 
     def test_too_short_region_warns_and_returns_empty(self):
         series = generate_lagged_copy(m=2, T=300, lag=4, noise_std=0.0, seed=0)
         with pytest.warns(UserWarning, match="too short"):
             out = make_windows(series, lookback=256, horizon=96, split="val")
-        assert out == []
+        assert out.shape == (0, 2, 256 + 96)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_non_positive_stride_raises(self, stride):
         with pytest.raises(ConfigError, match="stride must be >= 1"):
             make_windows(self.series, 256, 96, stride=stride)
 
-    def test_no_split_leakage(self):
-        train_end, val_end = self.series.split_bounds
-        for split, hi in [("train", train_end), ("val", val_end), ("test", len(self.series))]:
-            for w in make_windows(self.series, 256, 96, split=split):
-                assert w.offset + 256 + 96 <= hi
-
     def test_val_windows_start_after_train(self):
         train_end, _ = self.series.split_bounds
-        for w in make_windows(self.series, 256, 96, split="val"):
-            assert w.offset >= train_end
+        values = self.series.values
+        windows = make_windows(self.series, 256, 96, split="val")
+        assert len(windows) > 0
+        for i, w in enumerate(windows):
+            np.testing.assert_array_equal(w, values[train_end + i:train_end + i + 352].T)
+
+    def test_no_split_leakage(self):
+        """Each split's first window starts at its first row, its last ends inside it."""
+        train_end, val_end = self.series.split_bounds
+        values = self.series.values
+        for split, lo, hi in [("train", 0, train_end), ("val", train_end, val_end),
+                              ("test", val_end, len(self.series))]:
+            for stride in (1, 7):
+                windows = make_windows(self.series, 256, 96, stride=stride, split=split)
+                last = lo + (hi - lo - 352) // stride * stride
+                assert len(windows) == (last - lo) // stride + 1
+                assert last + 352 <= hi and (stride > 1 or last + 352 == hi)
+                np.testing.assert_array_equal(windows[0], values[lo:lo + 352].T)
+                np.testing.assert_array_equal(windows[-1], values[last:last + 352].T)
 
 
 class TestCapChannels:
-    def make_window(self, m):
-        rng = np.random.default_rng(m)
-        return MultivariateWindow(input=rng.standard_normal((m, 16)),
-                                  target=rng.standard_normal((m, 4)), offset=0)
-
     def test_under_cap_identity(self):
-        w = self.make_window(7)
-        assert cap_channels(w, cap=8, seed=0) is w
+        np.testing.assert_array_equal(cap_channels(7, cap=8, seed=0), np.arange(7))
+        np.testing.assert_array_equal(cap_channels(8, cap=8, seed=0), np.arange(8))
 
     def test_over_cap_samples_distinct(self):
-        w = self.make_window(16)
-        out = cap_channels(w, cap=8, seed=0)
-        assert out.input.shape[0] == 8
-        rows = {tuple(r) for r in out.input}
-        assert len(rows) == 8
+        pick = cap_channels(16, cap=8, seed=0)
+        assert len(pick) == 8 and len(set(pick.tolist())) == 8
+        assert np.all(np.diff(pick) > 0) and 0 <= pick[0] and pick[-1] < 16
 
     def test_deterministic_under_seed(self):
-        w = self.make_window(16)
-        a = cap_channels(w, cap=8, seed=5)
-        b = cap_channels(w, cap=8, seed=5)
-        np.testing.assert_array_equal(a.input, b.input)
+        np.testing.assert_array_equal(cap_channels(16, cap=8, seed=5),
+                                      cap_channels(16, cap=8, seed=5))
+        expected = np.sort(np.random.default_rng(5).choice(16, size=8, replace=False))
+        np.testing.assert_array_equal(cap_channels(16, cap=8, seed=5), expected)
 
     def test_bad_cap_raises(self):
         with pytest.raises(ConfigError):
-            cap_channels(self.make_window(4), cap=0)
+            cap_channels(4, cap=0)
 
 
 class TestPartitionChannels:

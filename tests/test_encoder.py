@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("d_model", 16.9), ("n_heads", True), ("lookback", "32"), ("patch_len", 8.0),
+        ("horizons", (8, 96.5)), ("horizons", (False,)),
+    ])
+    def test_non_integer_sizes_raise(self, field, value):
+        with pytest.raises(ConfigError, match=rf"{field}(\[\d\])? must be an integer >= 1"):
+            tiny_config(**{field: value})
+
 
 class TestInstanceNormalize:
     def test_constant_channel(self):

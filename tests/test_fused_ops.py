@@ -1,11 +1,11 @@
 """Property tests of the single-node nonlinearities against slow transcriptions.
 
-``relu``, ``sigma``, ``layer_norm`` and ``softmax`` each run as one graph
-node with a hand-written backward. The oracles below compute the same
-values and gradients another way: ``relu`` and ``sigma`` element by element
-in Python, ``layer_norm`` as the chain of primitive ops it used to be
-(differentiated step by step in numpy), and ``softmax`` as the out-of-place
-formula.
+``relu``, ``sigma`` and ``layer_norm`` each run as one graph node with a
+hand-written backward, and so does the ``softmax`` oracle of the attention
+chains. The oracles below compute the same values and gradients another
+way: ``relu`` and ``sigma`` element by element in Python, ``layer_norm`` as
+the chain of primitive ops it used to be (differentiated step by step in
+numpy), and ``softmax`` as the out-of-place formula.
 
 Tolerances were fixed before any result was seen. Each error is measured
 relative to the largest magnitude of the checked array, taken over the
@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from composite_chains import softmax
 from icmixer.attention import sigma
 from icmixer.tensor import Parameter, Tensor, layer_norm
 
@@ -92,7 +93,7 @@ def test_sigma_matches_elementwise_oracle(xg):
 def test_softmax_matches_out_of_place_formula(xg, data):
     x, g = xg
     axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
-    value, grad, _ = run(lambda t: t.softmax(axis=axis), x, g)
+    value, grad, _ = run(lambda t: softmax(t, axis=axis), x, g)
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     expected = e / e.sum(axis=axis, keepdims=True)
     # Same operations in the same order, on a reused buffer: bitwise equal.

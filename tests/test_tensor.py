@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from composite_chains import softmax
 from icmixer.attention import sigma
 from icmixer.tensor import (
     DimensionError,
@@ -71,12 +72,12 @@ class TestMatmul:
 
 class TestElementwise:
     def test_softmax_symmetry(self):
-        np.testing.assert_allclose(Tensor([0.0, 0.0]).softmax().data, [0.5, 0.5])
+        np.testing.assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((4, 7)) * 10)
-        np.testing.assert_allclose(x.softmax().data.sum(axis=-1), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(softmax(x).data.sum(axis=-1), np.ones(4), atol=1e-12)
 
     def test_sigmoid_at_zero(self):
         assert Tensor(0.0).sigmoid().item() == 0.5
@@ -177,7 +178,7 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2, 2, (3, 4))
         cases = [
-            lambda t: t.softmax(),
+            softmax,
             lambda t: t.sigmoid(),
             sigma,
             lambda t: layer_norm(t),
@@ -274,8 +275,8 @@ class TestInvariants:
         rng2 = np.random.default_rng(42)
         a = Tensor(rng1.standard_normal((4, 4)))
         b = Tensor(rng2.standard_normal((4, 4)))
-        out1 = (a @ a).softmax().data
-        out2 = (b @ b).softmax().data
+        out1 = softmax(a @ a).data
+        out2 = softmax(b @ b).data
         assert np.array_equal(out1, out2)
 
     @pytest.mark.parametrize("key", [

@@ -3,11 +3,13 @@ import resource
 import numpy as np
 import pytest
 
+from icmixer import training
 from icmixer.attention import ConfigError
 from icmixer.data import generate_lagged_copy, generate_linear_trend, standardized
+from icmixer.data import make_windows
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError
+from icmixer.tensor import DimensionError, no_grad
 from icmixer.training import (
     Adam,
     MetricReport,
@@ -121,6 +123,90 @@ class TestTrainSupervised:
             train_supervised(model, series, cfg, horizon=8)
 
 
+def window_list(series, lookback, horizon, stride=1, split="train"):
+    """Oracle: one (input, target) pair per window start, by a loop over rows."""
+    lo, hi = series.region(split)
+    return [(series.values[s:s + lookback].T,
+             series.values[s + lookback:s + lookback + horizon].T)
+            for s in range(lo, hi - lookback - horizon + 1, stride)]
+
+
+def stack_batch(windows, idx):
+    return (np.stack([windows[i][0] for i in idx]),
+            np.stack([windows[i][1] for i in idx]))
+
+
+def evaluate_oracle(model, windows, horizon, batch_size):
+    """(MSE, MAE) over a window_list, batch by batch as evaluate sums them."""
+    sq_sum = abs_sum = count = 0.0
+    with no_grad():
+        for start in range(0, len(windows), batch_size):
+            x, y = stack_batch(windows, range(start, min(start + batch_size, len(windows))))
+            err = model.forecast(x, horizon).data.astype(np.float64) - y
+            sq_sum += float((err * err).sum())
+            abs_sum += float(np.abs(err).sum())
+            count += err.size
+    return sq_sum / count, abs_sum / count
+
+
+class TestWindowOracle:
+    """Training and evaluation on the window array see what a per-window loop gives."""
+
+    def setup_method(self):
+        self.series = standardized(
+            generate_lagged_copy(m=3, T=800, lag=4, noise_std=0.1, seed=0))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_train_supervised_batches_and_metrics_match(self, precision, monkeypatch):
+        config = small_train_config(epochs=2, batch_size=16, train_stride=3,
+                                    max_train_windows=40, precision=precision)
+        model = ForecastEncoder(small_config(), seed=1, dtype=config.dtype)
+        trained = []
+        forecast_normalized = ForecastEncoder.forecast_normalized
+        instance_normalize = training.instance_normalize
+
+        def recording_forecast(self, x, horizon):
+            trained.append([x])
+            return forecast_normalized(self, x, horizon)
+
+        def recording_normalize(y, stats):  # called by the training step only
+            trained[-1].append(y)
+            return instance_normalize(y, stats)
+
+        monkeypatch.setattr(ForecastEncoder, "forecast_normalized", recording_forecast)
+        monkeypatch.setattr(training, "instance_normalize", recording_normalize)
+        _, report, _ = train_supervised(model, self.series, config, horizon=8)
+        monkeypatch.undo()
+
+        windows = window_list(self.series, 32, 8, stride=3)
+        rng = np.random.default_rng(config.seed)
+        keep = np.sort(rng.choice(len(windows), 40, replace=False))
+        windows = [windows[i] for i in keep]
+        expected = []
+        for _ in range(config.epochs):
+            order = rng.permutation(len(windows))
+            for start in range(0, len(order), 16):
+                x, y = stack_batch(windows, order[start:start + 16])
+                expected.append((x.astype(config.dtype), y))
+        steps = [batch for batch in trained if len(batch) == 2]
+        assert len(steps) == len(expected) == 2 * 3
+        for (x, y), (x_expected, y_expected) in zip(steps, expected):
+            np.testing.assert_array_equal(x, x_expected, strict=True)
+            np.testing.assert_array_equal(y, y_expected, strict=True)
+        test_windows = window_list(self.series, 32, 8, split="test")
+        assert report.entries[(self.series.name, 8)] == dict(
+            zip(("mse", "mae"), evaluate_oracle(model, test_windows, 8, 16)))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_evaluate_matches(self, mixer, precision):
+        model = ForecastEncoder(small_config(mixer), seed=2,
+                                dtype=np.float32 if precision == "f32" else np.float64)
+        for split in ("val", "test"):
+            assert evaluate(model, make_windows(self.series, 32, 8, split=split), 8, 16) == \
+                evaluate_oracle(model, window_list(self.series, 32, 8, split=split), 8, 16)
+
+
 class TestTelemetry:
     def run(self, mixer, log, monkeypatch):
         """(loss curve, report entries, final parameters, validation MSEs) of a 2-epoch run."""
@@ -187,27 +273,18 @@ class TestFinetune:
         assert beta_and_head_mask("block.2.attn.beta")
         assert not beta_and_head_mask("block.0.ffn.w1")
 
-    def test_head_only_keeps_beta_fixed(self):
-        model = ForecastEncoder(small_config(), seed=0)
-        before = {n: p.data.copy() for n, p in model.parameters().items()}
-        finetune_beta_and_head(model, self.series, small_train_config(epochs=1),
-                               horizon=8, tune_beta=False)
-        for block in model.blocks:
-            np.testing.assert_array_equal(block.attn.beta.data,
-                                          before[block.attn.beta.name])
-
     def test_beta_changes_when_admitted(self):
         model = ForecastEncoder(small_config(), seed=0)
         before = model.blocks[0].attn.beta.data.copy()
         finetune_beta_and_head(model, self.series, small_train_config(epochs=1),
-                               horizon=8, tune_beta=True)
+                               horizon=8)
         assert not np.array_equal(model.blocks[0].attn.beta.data, before)
 
     def test_frozen_backbone_bitwise_unchanged(self):
         model = ForecastEncoder(small_config(), seed=0)
         before = {n: p.data.copy() for n, p in model.parameters().items()}
         finetune_beta_and_head(model, self.series, small_train_config(epochs=2),
-                               horizon=8, tune_beta=True)
+                               horizon=8)
         for name, p in model.parameters().items():
             if not beta_and_head_mask(name):
                 assert np.array_equal(p.data, before[name]), name
@@ -254,6 +331,17 @@ class TestTrainConfig:
     ])
     def test_non_positive_or_non_integer_counts_raise(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer >= 1"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be an integer >= 0"), ("seed", 1.5, "seed must be an integer"),
+        ("seed", "3", "seed must be an integer"),
+        ("learning_rate", "1e-3", "learning rate must be positive"),
+        ("learning_rate", float("nan"), "learning rate must be positive"),
+        ("learning_rate", True, "learning rate must be positive"),
+    ])
+    def test_bad_seed_or_learning_rate_raises(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
             TrainConfig(**{field: value})
 
     def test_counts_accept_numpy_integers_and_no_window_cap(self):
