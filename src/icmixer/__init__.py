@@ -1,7 +1,6 @@
 """Compressive-memory channel mixing for encoder-only time-series transformers."""
 
 from .attention import (
-    AttentionConfig,
     ConfigError,
     ICMAttention,
     MultiHeadSelfAttention,
@@ -14,16 +13,15 @@ from .attention import (
 from .encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
 from .mixers import ChannelBias, MixerKind, StaticChannelEmbedding
 from .tensor import DimensionError, Parameter, Tensor, no_grad
-from .training import MetricReport, TrainConfig, gradcheck, mae, mse, train_supervised
+from .training import MetricReport, TrainConfig, gradcheck, mse, train_supervised
 
 __all__ = [
-    "AttentionConfig", "ChannelBias", "ConfigError", "DimensionError",
-    "EncoderConfig", "ForecastEncoder", "ICMAttention",
-    "MetricReport", "MixerKind", "MultiHeadSelfAttention", "Parameter",
-    "StaticChannelEmbedding", "Tensor", "TrainConfig", "accumulate_memory",
-    "dot_attention", "gate_combine", "gradcheck", "load_checkpoint", "mae",
-    "mse", "no_grad", "retrieve_memory", "save_checkpoint", "sigma",
-    "train_supervised",
+    "ChannelBias", "ConfigError", "DimensionError", "EncoderConfig",
+    "ForecastEncoder", "ICMAttention", "MetricReport", "MixerKind",
+    "MultiHeadSelfAttention", "Parameter", "StaticChannelEmbedding", "Tensor",
+    "TrainConfig", "accumulate_memory", "dot_attention", "gate_combine",
+    "gradcheck", "load_checkpoint", "mse", "no_grad", "retrieve_memory",
+    "save_checkpoint", "sigma", "train_supervised",
 ]
 
 __version__ = "0.1.0"

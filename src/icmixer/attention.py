@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,10 +20,12 @@ from .tensor import (
     Parameter,
     Tensor,
     _unbroadcast,
-    concat,
     row_max,
     row_sum,
 )
+
+if TYPE_CHECKING:
+    from .encoder import EncoderConfig
 
 
 class ConfigError(ValueError):
@@ -34,24 +36,6 @@ def check_integer(name: str, value, minimum: int = 1):
     """ConfigError unless ``value`` is an integer >= ``minimum`` (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-@dataclass
-class AttentionConfig:
-    d_model: int
-    n_heads: int
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
 
 
 def _sigma(x: np.ndarray) -> np.ndarray:
@@ -196,7 +180,7 @@ def merge_heads(x: Tensor) -> Tensor:
 class MultiHeadSelfAttention:
     """Vanilla per-sequence attention; leading dims (batch, channel) are batched."""
 
-    def __init__(self, config: AttentionConfig, rng: np.random.Generator,
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator,
                  prefix: str, dtype=np.float64):
         self.config = config
         d = config.d_model
@@ -268,4 +252,4 @@ def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
         a_mem = retrieve_memory(q[i:i + 1], mem, z, layer.config.epsilon)
         a_dot = dot_attention(q[i:i + 1], k[i:i + 1], v[i:i + 1])
         outs.append(merge_heads(gate_combine(a_mem, a_dot, layer.beta)))
-    return concat(outs, axis=0) @ layer.wo
+    return Tensor(np.concatenate([o.data for o in outs])) @ layer.wo

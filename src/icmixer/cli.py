@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .attention import ConfigError
 from .data import (
     ParseError,
@@ -142,9 +140,8 @@ class _MetricsWriter:
             f.write(json.dumps(record) + "\n")
 
 
-def _train_one(model_cfg, train_cfg, series, horizon, log, finetune_beta=False, seed=None):
-    seed = train_cfg.seed if seed is None else seed
-    model = ForecastEncoder(model_cfg, seed=seed, dtype=train_cfg.dtype)
+def _train_one(model_cfg, train_cfg, series, horizon, log, finetune_beta=False):
+    model = ForecastEncoder(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
     model, report, curve = train_supervised(model, series, train_cfg, horizon, log=log)
     if finetune_beta:
         model, report, _ = finetune_beta_and_head(model, series, train_cfg, horizon, log=log)

@@ -52,12 +52,14 @@ ETT_SPLIT = (0.6, 0.2, 0.2)
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
 
-def load_csv(path, name: str | None = None, split_fracs: tuple | None = None) -> MultivariateSeries:
-    """Parse a benchmark CSV: header row, timestamp column, numeric channels."""
+def load_csv(path) -> MultivariateSeries:
+    """Parse a benchmark CSV: header row, timestamp column, numeric channels.
+
+    The series is named after the file's stem, which picks its split.
+    """
     path = Path(path)
-    name = name or path.stem
-    if split_fracs is None:
-        split_fracs = ETT_SPLIT if name.upper().startswith("ETT") else DEFAULT_SPLIT
+    name = path.stem
+    split_fracs = ETT_SPLIT if name.upper().startswith("ETT") else DEFAULT_SPLIT
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -223,12 +225,3 @@ def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,
         values=values,
         channel_names=["driver"] + [f"copy_lag{j * lag}" for j in range(1, m)],
         split_bounds=(train_end, val_end))
-
-
-def generate_linear_trend(T: int, seed: int = 0) -> MultivariateSeries:
-    """Single-channel y_t = t, standardizable sanity-check series."""
-    values = np.arange(float(T))[:, None]
-    train_end = int(T * DEFAULT_SPLIT[0])
-    val_end = train_end + int(T * DEFAULT_SPLIT[1])
-    return MultivariateSeries(name="linear", values=values, channel_names=["y"],
-                              split_bounds=(train_end, val_end))

@@ -10,19 +10,15 @@ head whose outputs are mapped back to the original scale.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    ConfigError,
-    ICMAttention,
-    MultiHeadSelfAttention,
-    check_integer,
-)
+from .attention import ConfigError, ICMAttention, MultiHeadSelfAttention, check_integer
 from .mixers import (
     ChannelBias,
     ConcatAttention,
@@ -62,13 +58,15 @@ class EncoderConfig:
         if self.lookback % self.patch_len != 0:
             raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+            raise ConfigError(f"epsilon must be a finite number > 0, got {eps!r}")
 
     @property
     def n_patches(self) -> int:
         return self.lookback // self.patch_len
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(self.d_model, self.n_heads, self.epsilon)
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -168,13 +166,12 @@ class EncoderBlock:
 
     def __init__(self, config: EncoderConfig, rng, prefix: str,
                  channel_bias: ChannelBias | None, dtype=np.float64):
-        acfg = config.attention_config()
         if config.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC):
-            self.attn = ICMAttention(acfg, rng, f"{prefix}.attn", dtype=dtype)
+            self.attn = ICMAttention(config, rng, f"{prefix}.attn", dtype=dtype)
         elif config.mixer is MixerKind.CONCAT:
-            self.attn = ConcatAttention(acfg, rng, f"{prefix}.attn", channel_bias, dtype=dtype)
+            self.attn = ConcatAttention(config, rng, f"{prefix}.attn", channel_bias, dtype=dtype)
         else:
-            self.attn = MultiHeadSelfAttention(acfg, rng, f"{prefix}.attn", dtype=dtype)
+            self.attn = MultiHeadSelfAttention(config, rng, f"{prefix}.attn", dtype=dtype)
         self.ln1 = LayerNorm(config.d_model, f"{prefix}.ln1", dtype=dtype)
         self.ln2 = LayerNorm(config.d_model, f"{prefix}.ln2", dtype=dtype)
         self.ffn = FeedForward(config.d_model, config.d_ff, rng, f"{prefix}.ffn", dtype=dtype)
@@ -382,7 +379,7 @@ def _read_checkpoint(path):
     return header, body
 
 
-def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ForecastEncoder:
+def load_checkpoint(path) -> ForecastEncoder:
     """Rebuild a model from ``save_checkpoint`` output.
 
     The file must hold exactly the model's parameters, each with its shape,
@@ -394,10 +391,6 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> Forecas
         dtypes = {np.dtype(e["dtype"]).newbyteorder("=") for e in header["params"]}
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
-    if expect_config is not None and expect_config.to_dict() != config.to_dict():
-        raise ConfigError(
-            f"checkpoint config mismatch: file has {config.to_dict()}, "
-            f"expected {expect_config.to_dict()}")
     if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
         raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
                           f"got {sorted(d.str for d in dtypes)}")

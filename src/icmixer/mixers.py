@@ -14,17 +14,15 @@ Four interchangeable designs, all driven by the same encoder backbone:
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    ConfigError,
-    MultiHeadSelfAttention,
-    dot_attention,
-    merge_heads,
-)
+from .attention import ConfigError, MultiHeadSelfAttention, dot_attention, merge_heads
 from .tensor import DimensionError, Parameter, Tensor
+
+if TYPE_CHECKING:
+    from .encoder import EncoderConfig
 
 
 class MixerKind(str, Enum):
@@ -90,7 +88,7 @@ class ConcatAttention(MultiHeadSelfAttention):
     reported among this layer's own parameters.
     """
 
-    def __init__(self, config: AttentionConfig, rng: np.random.Generator,
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator,
                  prefix: str, bias: ChannelBias, dtype=np.float64):
         super().__init__(config, rng, prefix, dtype=dtype)
         self.bias = bias

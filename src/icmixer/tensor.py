@@ -267,15 +267,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a, b), bwd)
 
-    def abs(self):
-        a = self
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * np.sign(a.data))
-
-        return Tensor._make(np.abs(a.data), (a,), bwd)
-
     # -- nonlinearities -------------------------------------------------------
 
     def sigmoid(self):
@@ -304,26 +295,8 @@ class Tensor:
     # -- linear algebra -------------------------------------------------------
 
     def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-        if b.ndim == 2:
-            return linear(a, b)
-        try:
-            out_data = a.data @ b.data
-        except ValueError as err:
-            raise DimensionError(f"matmul batch dims incompatible: {a.shape} vs {b.shape}") from err
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-        return Tensor._make(out_data, (a, b), bwd)
+        """``self @ w`` for a 2-D ``w``: ``linear`` without a bias."""
+        return linear(self, self._coerce(other))
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -368,48 +341,20 @@ class Tensor:
 
         return Tensor._make(a.data[key], (a,), bwd)
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
+        """Sum of all elements, a 0-d tensor."""
         a = self
         in_shape = a.shape
 
         def bwd(g):
-            if not a.requires_grad:
-                return
-            if axis is None:
+            if a.requires_grad:
                 a._accumulate(np.broadcast_to(g, in_shape))
-                return
-            if not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(ax % len(in_shape) for ax in axes):
-                    g = np.expand_dims(g, ax)
-            a._accumulate(np.broadcast_to(g, in_shape))
 
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+        return Tensor._make(a.data.sum(), (a,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[ax] for ax in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat of an empty sequence")
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    def mean(self):
+        """Mean of all elements, a 0-d tensor."""
+        return self.sum() * (1.0 / self.size)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

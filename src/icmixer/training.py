@@ -19,7 +19,7 @@ from .attention import ConfigError, check_integer
 from .data import MultivariateSeries, make_windows
 from .encoder import EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
-from .tensor import DimensionError, Parameter, Tensor, no_grad
+from .tensor import DimensionError, Tensor, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,11 +40,6 @@ def mse(pred, target) -> Tensor:
     pred, target = _paired(pred, target)
     diff = pred - target
     return (diff * diff).mean()
-
-
-def mae(pred, target) -> Tensor:
-    pred, target = _paired(pred, target)
-    return (pred - target).abs().mean()
 
 
 @dataclass

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from icmixer.attention import (
-    AttentionConfig,
     ICMAttention,
     MultiHeadSelfAttention,
     accumulate_memory,
@@ -76,7 +75,7 @@ def test_criterion_2_gate_closure():
     start = time.time()
     worst = 0.0
 
-    acfg = AttentionConfig(d_model=256, n_heads=4)
+    acfg = EncoderConfig(d_model=256, n_heads=4)
     icm_layer = ICMAttention(acfg, np.random.default_rng(0), "attn")
     ref_layer = MultiHeadSelfAttention(acfg, np.random.default_rng(0), "attn")
     icm_layer.beta.data[:] = -40.0
@@ -187,7 +186,7 @@ def test_criterion_7_bounded_reference_reproduction():
 def test_criterion_8_concat_softmax_shift_invariance():
     """Equal same/cross-channel biases cancel in the softmax."""
     start = time.time()
-    acfg = AttentionConfig(d_model=32, n_heads=2)
+    acfg = EncoderConfig(d_model=32, n_heads=2)
     rng = np.random.default_rng(11)
     bias0, biasc = ChannelBias(), ChannelBias()
     biasc.u1.data = biasc.u2.data = np.asarray(1.3)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from icmixer.attention import (
-    AttentionConfig,
     ConfigError,
     ICMAttention,
     MultiHeadSelfAttention,
@@ -15,6 +14,7 @@ from icmixer.attention import (
     retrieve_memory,
     sigma,
 )
+from icmixer.encoder import EncoderConfig
 from icmixer.tensor import DimensionError, Tensor
 
 
@@ -41,16 +41,13 @@ def linear_attention_oracle(q_all, k_all, v_all, eps):
 
 
 class TestConfig:
-    def test_d_k(self):
-        assert AttentionConfig(d_model=256, n_heads=4).d_k == 64
-
     def test_indivisible_raises(self):
         with pytest.raises(ConfigError):
-            AttentionConfig(d_model=10, n_heads=3)
+            EncoderConfig(d_model=10, n_heads=3)
 
     def test_nonpositive_epsilon_raises(self):
         with pytest.raises(ConfigError):
-            AttentionConfig(d_model=8, n_heads=2, epsilon=0.0)
+            EncoderConfig(d_model=8, n_heads=2, epsilon=0.0)
 
 
 class TestSigma:
@@ -187,7 +184,7 @@ class TestGate:
 
 
 def make_layers(d_model=16, n_heads=2, seed=0):
-    cfg = AttentionConfig(d_model=d_model, n_heads=n_heads)
+    cfg = EncoderConfig(d_model=d_model, n_heads=n_heads)
     icm = ICMAttention(cfg, np.random.default_rng(seed), "attn")
     vanilla = MultiHeadSelfAttention(cfg, np.random.default_rng(seed), "attn")
     for dst, src in zip(vanilla.parameters(), icm.parameters()):
@@ -197,7 +194,7 @@ def make_layers(d_model=16, n_heads=2, seed=0):
 
 class TestICMLayer:
     def test_projection_identity_weights(self):
-        cfg = AttentionConfig(d_model=4, n_heads=2)
+        cfg = EncoderConfig(d_model=4, n_heads=2)
         layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a")
         layer.wq.data = np.eye(4)
         x = Tensor(np.arange(8.0).reshape(1, 2, 4))
@@ -205,7 +202,7 @@ class TestICMLayer:
         np.testing.assert_array_equal(q.data, x.data.reshape(1, 2, 2, 2).swapaxes(-3, -2))
 
     def test_projection_zero_weights(self):
-        cfg = AttentionConfig(d_model=4, n_heads=2)
+        cfg = EncoderConfig(d_model=4, n_heads=2)
         layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a")
         for p in (layer.wq, layer.wk, layer.wv):
             p.data = np.zeros((4, 4))
@@ -213,7 +210,7 @@ class TestICMLayer:
         assert not q.data.any() and not k.data.any() and not v.data.any()
 
     def test_projection_matches_matmul_oracle(self):
-        cfg = AttentionConfig(d_model=6, n_heads=2)
+        cfg = EncoderConfig(d_model=6, n_heads=2)
         layer = MultiHeadSelfAttention(cfg, np.random.default_rng(1), "a")
         x = np.random.default_rng(2).standard_normal((2, 5, 6))
         q, _, _ = layer.project_qkv(Tensor(x))

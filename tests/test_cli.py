@@ -17,13 +17,24 @@ COMMON = ["--lookback", "32", "--horizons", "8", "--epochs", "1",
 SYNTH = ["--synthetic", "lagged:m=2,lag=4,noise=0.1,T=700,seed=0"]
 
 
-def drop_first_parameter(raw: bytes) -> bytes:
-    """A checkpoint whose header no longer lists its first parameter."""
+def edit_header(raw: bytes, edit) -> bytes:
+    """The checkpoint ``raw`` with ``edit`` applied in place to its parsed header."""
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8:8 + hlen])
-    del header["params"][0]
+    edit(header)
     new_header = json.dumps(header).encode()
     return raw[:4] + struct.pack("<I", len(new_header)) + new_header + raw[8 + hlen:]
+
+
+def drop_first_parameter(raw: bytes) -> bytes:
+    """A checkpoint whose header no longer lists its first parameter."""
+    return edit_header(raw, lambda header: header["params"].pop(0))
+
+
+def tiny_checkpoint(path):
+    cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
+    save_checkpoint(ForecastEncoder(cfg), path)
+    return path
 
 
 class TestParseSyntheticSpec:
@@ -243,15 +254,9 @@ class TestEvalCommand:
         assert any(r["horizon"] == 8 for r in recs)
 
     def test_unknown_config_key_in_checkpoint_is_config_error(self, tmp_path, capsys):
-        cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
-        path = tmp_path / "extra.icm"
-        save_checkpoint(ForecastEncoder(cfg), path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8:8 + hlen])
-        header["config"]["dropout"] = 0.0
-        new_header = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header + raw[8 + hlen:])
+        path = tiny_checkpoint(tmp_path / "extra.icm")
+        path.write_bytes(edit_header(path.read_bytes(),
+                                     lambda header: header["config"].update(dropout=0.0)))
         rc = main(["eval", "--checkpoint", str(path), *SYNTH])
         err = capsys.readouterr().err
         assert rc == 2
@@ -267,9 +272,7 @@ class TestEvalCommand:
     ], ids=["missing-parameter", "truncated-body", "bad-json-header", "short-prefix",
             "header-past-end"])
     def test_corrupt_checkpoint_is_config_error(self, tmp_path, capsys, corrupt, message):
-        cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
-        path = tmp_path / "model.icm"
-        save_checkpoint(ForecastEncoder(cfg), path)
+        path = tiny_checkpoint(tmp_path / "model.icm")
         path.write_bytes(corrupt(path.read_bytes()))
         rc = main(["eval", "--checkpoint", str(path), *SYNTH])
         err = capsys.readouterr().err
@@ -308,6 +311,18 @@ class TestInspectCommand:
                              "gate sigmoid(beta) block 1: 0.5000 0.7500"]
         else:
             assert gates == []
+
+    @pytest.mark.parametrize("epsilon", ["x", None, float("nan"), float("inf"), True, 0, -1],
+                             ids=["string", "null", "nan", "inf", "true", "zero", "negative"])
+    def test_bad_epsilon_is_one_error_line(self, tmp_path, capsys, epsilon):
+        path = tiny_checkpoint(tmp_path / "model.icm")
+        path.write_bytes(edit_header(path.read_bytes(),
+                                     lambda header: header["config"].update(epsilon=epsilon)))
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "epsilon must be a finite number > 0" in captured.err
 
     def test_malformed_checkpoint_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.icm"

@@ -95,7 +95,7 @@ class TestLoadCsv:
             writer.writerow([t] + [repr(float(v)) for v in row])
         assert path.read_bytes() == expected.getvalue().encode()
 
-        loaded = load_csv(path, name=series.name)
+        loaded = load_csv(path)
         assert loaded.channel_names == series.channel_names
         np.testing.assert_array_equal(loaded.values, series.values, strict=True)
         np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(series.values))

@@ -273,13 +273,6 @@ class TestCheckpoint:
         x = np.random.default_rng(0).standard_normal((1, 2, 32))
         np.testing.assert_array_equal(loaded.forecast(x, 8).data, model.forecast(x, 8).data)
 
-    def test_config_mismatch_raises(self, tmp_path):
-        model = ForecastEncoder(tiny_config(), seed=0)
-        path = tmp_path / "model.icm"
-        save_checkpoint(model, path)
-        with pytest.raises(ConfigError, match="mismatch"):
-            load_checkpoint(path, expect_config=tiny_config(d_model=32, n_heads=2))
-
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "junk.icm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

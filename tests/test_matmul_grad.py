@@ -1,14 +1,17 @@
 """Property tests of matmul and linear against the broadcast-and-reduce formula.
 
 The engine runs ``[..., d] @ [d, e] (+ b)`` as one GEMM over all leading
-dims, forward and backward (``linear``). The oracle below is the direct
-formula: form the per-item products ``a^T g`` and sum them down to the right
+dims, forward and backward (``linear``). Products whose right operand has
+batch dims of its own are the ``matmul`` node of ``composite_chains``,
+which the chain oracles are built on. The formula below is the direct one:
+form the per-item products ``a^T g`` and sum them down to the right
 operand's shape.
 """
 
 import numpy as np
 import pytest
 
+from composite_chains import matmul
 from icmixer.tensor import DimensionError, Tensor, linear
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -52,17 +55,17 @@ def matmul_case(draw):
         b_lead = [draw(st.sampled_from([1, size])) for size in lead[len(lead) - keep:]]
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return (*lead, n, d), (*b_lead, d, e), dtype, seed
+    return kind, (*lead, n, d), (*b_lead, d, e), dtype, seed
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(matmul_case())
 def test_matmul_grads_match_broadcast_oracle(case):
-    a_shape, b_shape, dtype, seed = case
+    kind, a_shape, b_shape, dtype, seed = case
     rng = np.random.default_rng(seed)
     a = Tensor(rng.standard_normal(a_shape), requires_grad=True, dtype=dtype)
     b = Tensor(rng.standard_normal(b_shape), requires_grad=True, dtype=dtype)
-    out = a @ b
+    out = a @ b if kind == "weight" else matmul(a, b)
     g = rng.standard_normal(out.shape).astype(dtype)
     (out * Tensor(g)).sum().backward()
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from icmixer.attention import AttentionConfig, MultiHeadSelfAttention
+from icmixer.attention import MultiHeadSelfAttention
+from icmixer.encoder import EncoderConfig
 from icmixer.mixers import (
     CapacityError,
     ChannelBias,
@@ -18,7 +19,7 @@ def make_concat(d_model=16, n_heads=2, seed=0, u1=0.0, u2=0.0):
     bias = ChannelBias()
     bias.u1.data = np.asarray(u1)
     bias.u2.data = np.asarray(u2)
-    layer = ConcatAttention(AttentionConfig(d_model, n_heads),
+    layer = ConcatAttention(EncoderConfig(d_model=d_model, n_heads=n_heads),
                             np.random.default_rng(seed), "attn", bias)
     return layer, bias
 
@@ -26,7 +27,7 @@ def make_concat(d_model=16, n_heads=2, seed=0, u1=0.0, u2=0.0):
 def concat_attention_oracle(x, layer, u1, u2):
     """Numpy transcription of ConcatAttention for one batch item x [m, n, d]."""
     m, n, d = x.shape
-    h, d_k = layer.config.n_heads, layer.config.d_k
+    h, d_k = layer.config.n_heads, d // layer.config.n_heads
     tokens = x.reshape(m * n, d)
 
     def heads(w):

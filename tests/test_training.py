@@ -5,8 +5,13 @@ import pytest
 
 from icmixer import training
 from icmixer.attention import ConfigError
-from icmixer.data import generate_lagged_copy, generate_linear_trend, standardized
-from icmixer.data import make_windows
+from icmixer.data import (
+    DEFAULT_SPLIT,
+    MultivariateSeries,
+    generate_lagged_copy,
+    make_windows,
+    standardized,
+)
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind
 from icmixer.tensor import DimensionError, no_grad
@@ -19,7 +24,6 @@ from icmixer.training import (
     evaluate,
     finetune_beta_and_head,
     gradcheck,
-    mae,
     mse,
     shrunken_config,
     train_supervised,
@@ -37,15 +41,20 @@ def small_train_config(**overrides):
     return TrainConfig(**base)
 
 
+def generate_linear_trend(T: int) -> MultivariateSeries:
+    """Single-channel y_t = t, standardizable sanity-check series."""
+    train_end = int(T * DEFAULT_SPLIT[0])
+    val_end = train_end + int(T * DEFAULT_SPLIT[1])
+    return MultivariateSeries(name="linear", values=np.arange(float(T))[:, None],
+                              channel_names=["y"], split_bounds=(train_end, val_end))
+
+
 class TestMetrics:
     def test_mse_identical_is_zero(self):
         assert mse([1.0, 2.0], [1.0, 2.0]).item() == 0.0
 
     def test_mse_single(self):
         assert mse([0.0], [2.0]).item() == 4.0
-
-    def test_mae(self):
-        assert mae([0.0, 2.0], [1.0, 1.0]).item() == 1.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
