@@ -8,7 +8,6 @@ from .attention import (
     dot_attention,
     gate_combine,
     retrieve_memory,
-    sigma,
 )
 from .encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
 from .mixers import ChannelBias, MixerKind, StaticChannelEmbedding
@@ -21,7 +20,7 @@ __all__ = [
     "MultiHeadSelfAttention", "Parameter", "StaticChannelEmbedding", "Tensor",
     "TrainConfig", "accumulate_memory", "dot_attention", "gate_combine",
     "gradcheck", "load_checkpoint", "mse", "no_grad", "retrieve_memory",
-    "save_checkpoint", "sigma", "train_supervised",
+    "save_checkpoint", "train_supervised",
 ]
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 The memory path reuses the per-head Q/K/V projections of dot-product
 attention. Keys and values from every channel are folded into a fixed-size
-matrix ``M`` (one d_k x d_k block per head) plus a normalizer ``z``; each
-channel then queries that shared memory and blends the result with its own
-local attention output through a learned per-head gate.
+matrix ``M`` (one d_k x d_k block per head) whose extra last column is the
+normalizer ``z``; each channel then queries that shared memory and blends
+the result with its own local attention output through a learned per-head
+gate.
 """
 
 from __future__ import annotations
@@ -47,79 +48,63 @@ def _sigma(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma(x: Tensor) -> Tensor:
-    """Strictly positive feature map ELU(x) + 1, as one graph node.
-
-    The derivative min(sigma(x), 1) is read from the output, so nothing else
-    is saved for backward.
-    """
-    out_data = _sigma(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * np.minimum(out_data, 1))
-
-    return Tensor._make(out_data, (x,), bwd)
-
-
-def accumulate_memory(k: Tensor, v: Tensor):
+def accumulate_memory(k: Tensor, v: Tensor) -> Tensor:
     """Fold keys/values [..., m, h, n, d_k] of all m channels into one memory.
 
-    Returns ``(M, z)``: M [..., 1, h, d_k, d_k] is sigma(K)^T V summed over
-    channels, z [..., 1, h, d_k, 1] the key sums over channels and tokens.
-    The channel axis is kept so both broadcast against per-channel queries.
-    M and z are one node each on a shared sigma(K) node; M's backward keeps
-    sigma(K) and V, z's keeps nothing.
+    Returns ``[M | z]`` [..., 1, h, d_k, d_k + 1] as one node: M is
+    sigma(K)^T V summed over channels, and its last column z the key sums
+    sigma(K)^T 1 over channels and tokens. The channel axis is kept so the
+    memory broadcasts against per-channel queries. The backward keeps
+    sigma(K) and V.
     """
     if k.shape != v.shape or k.ndim < 4:
         raise DimensionError(
             f"memory accumulation needs equal [..., m, h, n, d_k] K and V, got {k.shape}, {v.shape}")
-    sk = sigma(k)
-    mem_data = (sk.data.swapaxes(-1, -2) @ v.data).sum(axis=-4, keepdims=True)
+    sk = _sigma(k.data)
+    m_data = (sk.swapaxes(-1, -2) @ v.data).sum(axis=-4, keepdims=True)
+    z_data = sk.sum(axis=(-4, -2)).reshape(*m_data.shape[:-1], 1)
 
-    def mem_bwd(g):  # g: [..., 1, h, d_k, d_k], broadcast over the channels
-        if sk.requires_grad:
-            sk._accumulate(v.data @ g.swapaxes(-1, -2))
+    def bwd(g):  # g: [..., 1, h, d_k, d_k + 1], broadcast over the channels
+        g_m = g[..., :-1]
+        if k.requires_grad:
+            g_sk = v.data @ g_m.swapaxes(-1, -2)
+            g_sk += g[..., -1:].swapaxes(-1, -2)  # each key row receives dL/dz^T
+            g_sk *= np.minimum(sk, 1)
+            k._accumulate(g_sk)
         if v.requires_grad:
-            v._accumulate(sk.data @ g)
+            v._accumulate(sk @ g_m)
 
-    z_shape = (*mem_data.shape[:-1], 1)
-    z_data = sk.data.sum(axis=(-4, -2)).reshape(z_shape)
-
-    def z_bwd(g):  # each key row of each channel receives g^T
-        if sk.requires_grad:
-            sk._accumulate(np.broadcast_to(g.swapaxes(-1, -2), sk.shape))
-
-    return Tensor._make(mem_data, (sk, v), mem_bwd), Tensor._make(z_data, (sk,), z_bwd)
+    return Tensor._make(np.concatenate([m_data, z_data], axis=-1), (k, v), bwd)
 
 
-def retrieve_memory(q: Tensor, mem: Tensor, z: Tensor, epsilon: float) -> Tensor:
-    """Query the accumulated memory: sigma(Q) M / (sigma(Q) z + epsilon), as one node.
+def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
+    """Query a memory ``[M | z]``: sigma(Q) M / (sigma(Q) z + epsilon), as one node.
 
-    The backward keeps sigma(Q), the denominator and the output.
+    Numerator and denominator come from one product sigma(Q) [M | z], which
+    is divided in place; the output is a view of its first d_k columns, so
+    no second output-sized array is made. The backward keeps sigma(Q), the
+    denominator and the output.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     sq = _sigma(q.data)
-    den = sq @ z.data
-    den += epsilon
-    out_data = sq @ mem.data
-    out_data /= den
+    num_den = sq @ mem.data
+    den = num_den[..., -1:] + epsilon
+    num_den /= den  # whole rows, unused last column too: a strided divide is slower
+    out_data = num_den[..., :-1]
 
-    def bwd(g):
-        g_num = g / den                            # dL/d(sigma(Q) M)
-        g_den = -row_sum(g_num * out_data)         # dL/d(sigma(Q) z)
+    def bwd(g):  # dL/d(sigma(Q) [M | z]) = [dL/dnum | dL/dden]
+        g_nd = np.empty((*g.shape[:-1], g.shape[-1] + 1), dtype=den.dtype)
+        g_num = np.divide(g, den, out=g_nd[..., :-1])
+        g_nd[..., -1:] = -row_sum(g_num * out_data)
         if mem.requires_grad:
-            mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_num, mem.shape))
-        if z.requires_grad:
-            z._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_den, z.shape))
+            mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_nd, mem.shape))
         if q.requires_grad:
-            g_sq = g_num @ mem.data.swapaxes(-1, -2)
-            g_sq += g_den @ z.data.swapaxes(-1, -2)
+            g_sq = g_nd @ mem.data.swapaxes(-1, -2)
             g_sq *= np.minimum(sq, 1)
             q._accumulate(_unbroadcast(g_sq, q.shape))
 
-    return Tensor._make(out_data, (q, mem, z), bwd)
+    return Tensor._make(out_data, (q, mem), bwd)
 
 
 def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -231,8 +216,7 @@ class ICMAttention(MultiHeadSelfAttention):
         if x.shape[1] == 0:
             raise DimensionError("at least one channel is required")
         q, k, v = self.project_qkv(x)  # [b, m, h, n, d_k]
-        mem, z = accumulate_memory(k, v)
-        a_mem = retrieve_memory(q, mem, z, self.config.epsilon)
+        a_mem = retrieve_memory(q, accumulate_memory(k, v), self.config.epsilon)
         return merge_heads(gate_combine(a_mem, dot_attention(q, k, v), self.beta)) @ self.wo
 
 
@@ -243,13 +227,12 @@ def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
     x is [m, n, d_model]; returns [m, n, d_model].
     """
     q, k, v = layer.project_qkv(x)  # [m, h, n, d_k]
-    mem, z = accumulate_memory(k[0:1], v[0:1])
+    mem = accumulate_memory(k[0:1], v[0:1])
     for i in range(1, x.shape[0]):
-        mem_i, z_i = accumulate_memory(k[i:i + 1], v[i:i + 1])
-        mem, z = mem + mem_i, z + z_i
+        mem = mem + accumulate_memory(k[i:i + 1], v[i:i + 1])
     outs = []
     for i in range(x.shape[0]):
-        a_mem = retrieve_memory(q[i:i + 1], mem, z, layer.config.epsilon)
+        a_mem = retrieve_memory(q[i:i + 1], mem, layer.config.epsilon)
         a_dot = dot_attention(q[i:i + 1], k[i:i + 1], v[i:i + 1])
         outs.append(merge_heads(gate_combine(a_mem, a_dot, layer.beta)))
     return Tensor(np.concatenate([o.data for o in outs])) @ layer.wo

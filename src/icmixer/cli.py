@@ -154,7 +154,7 @@ def cmd_train(ns) -> int:
     run_dir = _run_dir(ns, f"train-{model_cfg.mixer.value}")
     log = _MetricsWriter(run_dir / "metrics.jsonl")
     (run_dir / "config.json").write_text(json.dumps(
-        {"command": "train", "model": model_cfg.to_dict(), "train": train_cfg.__dict__ | {"freeze_mask": None},
+        {"command": "train", "model": model_cfg.to_dict(), "train": train_cfg.__dict__,
          "data": ns.data, "synthetic": ns.synthetic}, indent=2, default=str))
 
     report = MetricReport()

@@ -54,6 +54,8 @@ class EncoderConfig:
             raise ConfigError("horizons must be a non-empty list")
         for i, h in enumerate(horizons):
             check_integer(f"horizons[{i}]", h)
+            if h in horizons[:i]:
+                raise ConfigError(f"horizons[{i}] repeats horizon {h}")
         self.horizons = tuple(map(int, horizons))
         if self.lookback % self.patch_len != 0:
             raise ConfigError(

@@ -113,7 +113,6 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f32"
     patience: int = 3
-    freeze_mask: object = None      # predicate over parameter name paths, or None
     train_stride: int = 1
     max_train_windows: int | None = None  # seeded subsample cap, for desk-scale runs
 
@@ -125,8 +124,8 @@ class TrainConfig:
             check_integer(name, getattr(self, name))
         check_integer("seed", self.seed, minimum=0)
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not lr > 0:
-            raise ConfigError(f"learning rate must be positive, got {lr!r}")
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr!r}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
 
@@ -170,7 +169,7 @@ def _diverged(what: str, model: ForecastEncoder, config: TrainConfig,
 
 def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                      config: TrainConfig, horizon: int, log=None):
-    """Train on MSE, select by validation MSE, report test metrics.
+    """Train the parameters that require grad on MSE, select by validation MSE.
 
     Returns (model, MetricReport, loss_curve) where loss_curve is the list of
     per-epoch mean training losses. `series` should already be standardized.
@@ -195,10 +194,9 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     if config.max_train_windows is not None and len(keep) > config.max_train_windows:
         keep = np.sort(rng.choice(len(keep), config.max_train_windows, replace=False))
 
-    trainable = [p for p in model.parameters().values()
-                 if config.freeze_mask is None or config.freeze_mask(p.name)]
+    trainable = [p for p in model.parameters().values() if p.requires_grad]
     if not trainable:
-        raise ConfigError("freeze mask admits no trainable parameters")
+        raise ConfigError("no trainable parameters: none requires grad")
     optimizer = Adam(trainable, lr=config.learning_rate)
 
     best_val = np.inf
@@ -268,15 +266,22 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
 
 
 def beta_and_head_mask(name: str) -> bool:
-    """Freeze mask admitting only forecasting heads and the memory gate scalars."""
+    """True for the parameters a fine-tune trains: forecasting heads and memory gates."""
     return name.startswith("head.") or name.endswith(".beta")
 
 
 def finetune_beta_and_head(model: ForecastEncoder, series: MultivariateSeries,
                            config: TrainConfig, horizon: int, log=None):
-    """Fine-tune the forecasting heads and the gate scalars only."""
-    cfg = TrainConfig(**{**config.__dict__, "freeze_mask": beta_and_head_mask})
-    return train_supervised(model, series, cfg, horizon, log=log)
+    """Fine-tune heads and gates only: no other parameter requires grad during the run."""
+    frozen = [p for name, p in model.parameters().items()
+              if p.requires_grad and not beta_and_head_mask(name)]
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        return train_supervised(model, series, config, horizon, log=log)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
 
 
 # -- gradient verification ----------------------------------------------------

@@ -3,21 +3,39 @@
 These are the forms ``dot_attention``, ``accumulate_memory`` and
 ``retrieve_memory`` had before each became one graph node with a
 hand-written backward. Built from ``matmul``, ``+``, ``*``, ``/``,
-``reduce_sum``, ``reshape``, ``swapaxes``, ``softmax`` (numpy's reductions)
-and ``sigma``, and differentiated by the autodiff engine node by node, they
-are the oracles for the fused nodes' values and gradients.
+``reduce_sum``, ``reshape``, ``swapaxes``, basic indexing, ``join``,
+``softmax`` (numpy's reductions) and ``sigma``, and differentiated by the
+autodiff engine node by node, they are the oracles for the fused nodes'
+values and gradients.
 
 The package's own ``@`` multiplies by a 2-D weight only and its ``sum``
 reduces fully, so the batched product and the axis sum the chains need are
-nodes of their own here.
+nodes of their own here. So are the feature map ``sigma``, which the fused
+memory nodes apply to arrays, and ``join``, which lays out the memory
+``[M | z]``.
 """
 
 import math
 
 import numpy as np
 
-from icmixer.attention import sigma
+from icmixer.attention import _sigma
 from icmixer.tensor import DimensionError, Tensor, _unbroadcast
+
+
+def sigma(x):
+    """Strictly positive feature map ELU(x) + 1, as one graph node.
+
+    The derivative min(sigma(x), 1) is read from the output, so nothing else
+    is saved for backward.
+    """
+    out_data = _sigma(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * np.minimum(out_data, 1))
+
+    return Tensor._make(out_data, (x,), bwd)
 
 
 def matmul(a, b):
@@ -47,6 +65,19 @@ def reduce_sum(t, axis=None, keepdims=False):
             t._accumulate(np.broadcast_to(g, in_shape))
 
     return Tensor._make(t.data.sum(axis=axis, keepdims=keepdims), (t,), bwd)
+
+
+def join(a, b):
+    """``[a | b]``, the two operands side by side along the last axis, as one node."""
+    split = a.shape[-1]
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(g[..., :split])
+        if b.requires_grad:
+            b._accumulate(g[..., split:])
+
+    return Tensor._make(np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
 
 
 def softmax(t, axis=-1):
@@ -79,9 +110,9 @@ def accumulate_memory_chain(k, v):
     sk = sigma(k)
     mem = reduce_sum(matmul(sk.swapaxes(-1, -2), v), axis=-4, keepdims=True)
     z = reduce_sum(sk, axis=(-4, -2), keepdims=True).reshape(*mem.shape[:-1], 1)
-    return mem, z
+    return join(mem, z)
 
 
-def retrieve_memory_chain(q, mem, z, epsilon):
+def retrieve_memory_chain(q, mem, epsilon):
     sq = sigma(q)
-    return matmul(sq, mem) / (matmul(sq, z) + epsilon)
+    return matmul(sq, mem[..., :-1]) / (matmul(sq, mem[..., -1:]) + epsilon)

@@ -7,12 +7,12 @@ from icmixer.attention import (
     ConfigError,
     ICMAttention,
     MultiHeadSelfAttention,
+    _sigma,
     accumulate_memory,
     dot_attention,
     gate_combine,
     icm_attention_reference,
     retrieve_memory,
-    sigma,
 )
 from icmixer.encoder import EncoderConfig
 from icmixer.tensor import DimensionError, Tensor
@@ -52,50 +52,47 @@ class TestConfig:
 
 class TestSigma:
     def test_zero(self):
-        assert sigma(Tensor(0.0)).item() == 1.0
+        assert _sigma(np.float64(0.0)) == 1.0
 
     def test_one(self):
-        assert sigma(Tensor(1.0)).item() == 2.0
+        assert _sigma(np.float64(1.0)) == 2.0
 
     def test_large_negative(self):
-        assert sigma(Tensor(-20.0)).item() == pytest.approx(math.exp(-20.0), rel=1e-12)
+        assert _sigma(np.float64(-20.0)) == pytest.approx(math.exp(-20.0), rel=1e-12)
 
     def test_strictly_positive(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal(100) * 5)
-        assert (sigma(x).data > 0).all()
+        assert (_sigma(rng.standard_normal(100) * 5) > 0).all()
 
 
 class TestMemory:
     def test_initial_state_is_zero(self):
         # A memory built from no channels holds nothing.
-        mem, z = accumulate_memory(Tensor(np.ones((0, 2, 5, 3))), Tensor(np.ones((0, 2, 5, 3))))
-        assert mem.shape == (1, 2, 3, 3) and z.shape == (1, 2, 3, 1)
-        assert not mem.data.any() and not z.data.any()
+        mem = accumulate_memory(Tensor(np.ones((0, 2, 5, 3))), Tensor(np.ones((0, 2, 5, 3))))
+        assert mem.shape == (1, 2, 3, 4)
+        assert not mem.data.any()
 
     def test_single_outer_product(self):
         # One channel, one head, one token: k is chosen so sigma(k) is [1, ~0].
         k = np.array([[[[0.0, -745.0]]]])  # sigma -> [1.0, ~5e-324]
         v = np.array([[[[2.0, 3.0]]]])
-        mem, z = accumulate_memory(Tensor(k), Tensor(v))
-        np.testing.assert_allclose(mem.data[0, 0], [[2.0, 3.0], [0.0, 0.0]], atol=1e-300)
-        np.testing.assert_allclose(z.data[0, 0], [[1.0], [0.0]], atol=1e-300)
+        mem = accumulate_memory(Tensor(k), Tensor(v))  # [M | z]
+        np.testing.assert_allclose(mem.data[0, 0], [[2.0, 3.0, 1.0], [0.0, 0.0, 0.0]], atol=1e-300)
 
     def test_accumulation_commutes_over_channels(self):
-        # (M, z) is invariant to any permutation of the channel axis.
+        # [M | z] is invariant to any permutation of the channel axis.
         rng = np.random.default_rng(1)
         k, v = rng.standard_normal((5, 2, 4, 3)), rng.standard_normal((5, 2, 4, 3))
         perm = rng.permutation(5)
-        mem, z = accumulate_memory(Tensor(k), Tensor(v))
-        mem_p, z_p = accumulate_memory(Tensor(k[perm]), Tensor(v[perm]))
+        mem = accumulate_memory(Tensor(k), Tensor(v))
+        mem_p = accumulate_memory(Tensor(k[perm]), Tensor(v[perm]))
         np.testing.assert_allclose(mem_p.data, mem.data, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(z_p.data, z.data, rtol=0, atol=1e-13)
 
     def test_z_strictly_positive_after_accumulation(self):
         rng = np.random.default_rng(2)
-        _, z = accumulate_memory(
+        mem = accumulate_memory(
             Tensor(rng.standard_normal((3, 2, 6, 4))), Tensor(rng.standard_normal((3, 2, 6, 4))))
-        assert z.data.min() > 0
+        assert mem.data[..., -1].min() > 0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -106,21 +103,22 @@ class TestRetrieve:
     def test_one_row_product(self):
         k = np.array([[[[0.0, -745.0]]]])
         v = np.array([[[[2.0, 3.0]]]])
-        mem, z = accumulate_memory(Tensor(k), Tensor(v))
+        mem = accumulate_memory(Tensor(k), Tensor(v))
         q = Tensor(np.array([[[[0.0, -745.0]]]]))  # sigma(q) ~ [1, 0]
-        out = retrieve_memory(q, mem, z, epsilon=1e-6)
+        out = retrieve_memory(q, mem, epsilon=1e-6)
         np.testing.assert_allclose(out.data[0, 0, 0], np.array([2.0, 3.0]) / (1 + 1e-6), rtol=1e-12)
 
     def test_epsilon_floor(self):
-        mem, z = accumulate_memory(Tensor(np.ones((1, 1, 3, 2))), Tensor(np.ones((1, 1, 3, 2))))
+        mem = accumulate_memory(Tensor(np.ones((1, 1, 3, 2))), Tensor(np.ones((1, 1, 3, 2))))
         q = Tensor(np.full((1, 1, 2, 2), -600.0))  # sigma(q) ~ 0 everywhere
-        out = retrieve_memory(q, mem, z, epsilon=1e-6)
+        out = retrieve_memory(q, mem, epsilon=1e-6)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-250)
 
     def test_bad_epsilon_raises(self):
-        mem, z = accumulate_memory(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2))))
-        with pytest.raises(ConfigError):
-            retrieve_memory(Tensor(np.ones((1, 1, 2, 2))), mem, z, epsilon=-1.0)
+        mem = accumulate_memory(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2))))
+        for epsilon in (-1.0, 0.0, math.nan):
+            with pytest.raises(ConfigError):
+                retrieve_memory(Tensor(np.ones((1, 1, 2, 2))), mem, epsilon=epsilon)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_concatenated_token_oracle(self, seed):
@@ -133,8 +131,8 @@ class TestRetrieve:
         k = rng.uniform(-2, 2, (m, h, n, d_k))
         v = rng.uniform(-2, 2, (m, h, n, d_k))
         eps = 1e-6
-        mem, z = accumulate_memory(Tensor(k), Tensor(v))
-        got = retrieve_memory(Tensor(q), mem, z, eps).data
+        mem = accumulate_memory(Tensor(k), Tensor(v))
+        got = retrieve_memory(Tensor(q), mem, eps).data
         expected = linear_attention_oracle(q, k, v, eps)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 

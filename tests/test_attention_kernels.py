@@ -200,10 +200,10 @@ def test_accumulate_memory_matches_chain(case, data):
     sk, v64 = sigma64(k), np.abs(v.astype(np.float64))
 
     def scales(gs):
-        g_mem, g_z = gs
-        g_sk = v64 @ swap(g_mem) + swap(g_z)
-        return ([(swap(sk) @ v64).sum(axis=-4, keepdims=True),
-                 swap(sk.sum(axis=(-4, -2), keepdims=True))],
+        g_mem = gs[0][..., :-1]
+        g_sk = v64 @ swap(g_mem) + swap(gs[0][..., -1:])
+        return ([np.concatenate([(swap(sk) @ v64).sum(axis=-4, keepdims=True),
+                                 swap(sk.sum(axis=(-4, -2), keepdims=True))], axis=-1)],
                 [g_sk * np.minimum(sk, 1.0), sk @ g_mem])
 
     check_against_chain(accumulate_memory, accumulate_memory_chain, [k, v], scales)
@@ -231,8 +231,9 @@ def test_retrieve_memory_matches_chain(case, data):
     def scales(gs):
         g_num = gs[0] / den
         g_den = (g_num * np.abs(out)).sum(axis=-1, keepdims=True)
+        g_mem = np.concatenate([reduce_to(swap(sq) @ g_num, mem.shape),
+                                reduce_to(swap(sq) @ g_den, z.shape)], axis=-1)
         return ([(sq @ mem64) / den],
-                [(g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0),
-                 reduce_to(swap(sq) @ g_num, mem.shape), reduce_to(swap(sq) @ g_den, z.shape)])
+                [(g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0), g_mem])
 
-    check_against_chain(fused, chain, [q, mem, z], scales)
+    check_against_chain(fused, chain, [q, np.concatenate([mem, z], axis=-1)], scales)

@@ -210,6 +210,18 @@ class TestTrainCommand:
         assert err == f"error: invalid config value: {name} must be an integer >= 1, got {value}\n"
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--horizons", "8,8", "horizons[1] repeats horizon 8"),
+        ("--learning-rate", "inf", "learning rate must be positive and finite, got inf"),
+    ])
+    def test_repeated_horizon_or_infinite_rate_is_one_error_line(self, tmp_path, capsys,
+                                                                 flag, value, message):
+        rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, flag, value,
+                   "--out", str(tmp_path), "--name", "bad"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid config value: {message}\n"
+        assert not (tmp_path / "bad").exists()
+
     def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"model": {"d_model": 16,}}')

@@ -41,6 +41,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_blocks", 0), ("d_model", 0), ("n_heads", -2), ("d_ff", 0), ("patch_len", 0),
         ("lookback", -32), ("max_channels", 0), ("horizons", (8, 0)), ("horizons", ()),
+        ("horizons", (8, 16, 8)),
     ])
     def test_non_positive_sizes_raise(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -1,7 +1,7 @@
 """Property tests of the single-node nonlinearities against slow transcriptions.
 
-``relu``, ``sigma`` and ``layer_norm`` each run as one graph node with a
-hand-written backward, and so does the ``softmax`` oracle of the attention
+``relu`` and ``layer_norm`` each run as one graph node with a hand-written
+backward, and so do the ``sigma`` and ``softmax`` oracles of the attention
 chains. The oracles below compute the same values and gradients another
 way: ``relu`` and ``sigma`` element by element in Python, ``layer_norm`` as
 the chain of primitive ops it used to be (differentiated step by step in
@@ -19,8 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from composite_chains import softmax
-from icmixer.attention import sigma
+from composite_chains import sigma, softmax
 from icmixer.tensor import Parameter, Tensor, layer_norm
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import icmixer
-from icmixer import tensor
-from icmixer.attention import icm_attention_reference
+from icmixer import attention, mixers, tensor
 from icmixer.data import generate_lagged_copy, make_windows, standardized
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind
@@ -41,7 +40,8 @@ ENGINE_EXEMPT = {"shape", "ndim", "size", "dtype", "__repr__"}
 
 
 def engine_ops():
-    """{function: [(owner, name), ...]} of every public Tensor method and tensor function.
+    """{function: [(owner, name), ...]} of every public Tensor method and every
+    public function of the engine and of the layer modules built on it.
 
     Aliases such as ``__radd__ = __add__`` are one function under two names.
     """
@@ -50,23 +50,25 @@ def engine_ops():
         public = not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
         if public and name not in ENGINE_EXEMPT and inspect.isfunction(attr):
             ops.setdefault(attr, []).append((tensor.Tensor, name))
-    for name, attr in vars(tensor).items():
-        if (not name.startswith("_") and inspect.isfunction(attr)
-                and attr.__module__ == tensor.__name__):
-            # Every package module that imported the function binds it too.
-            ops[attr] = [(module, name) for module_name, module in sys.modules.items()
-                         if module_name.split(".")[0] == "icmixer"
-                         and vars(module).get(name) is attr]
+    for owner in (tensor, attention, mixers):
+        for name, attr in vars(owner).items():
+            if (not name.startswith("_") and inspect.isfunction(attr)
+                    and attr.__module__ == owner.__name__):
+                # Every package module that imported the function binds it too.
+                ops[attr] = [(module, name) for module_name, module in sys.modules.items()
+                             if module_name.split(".")[0] == "icmixer"
+                             and vars(module).get(name) is attr]
     return ops
 
 
 def test_engine_ops_are_all_reached(monkeypatch):
-    """Each op of the autodiff engine is called by training, evaluation or the reference.
+    """Each op of the engine and of the layers is called by training, evaluation or the reference.
 
     One f32 train step and one ``evaluate`` per mixer, plus the
     channel-at-a-time ``icm_attention_reference``, must reach every public
-    member of ``icmixer.tensor``: an op that nothing reaches belongs beside
-    the test oracles, not in the package.
+    member of ``icmixer.tensor`` and every public function of
+    ``icmixer.attention`` and ``icmixer.mixers``: an op that nothing reaches
+    belongs beside the test oracles, not in the package.
     """
     ops, calls = engine_ops(), {}
     for fn, bindings in ops.items():
@@ -87,6 +89,6 @@ def test_engine_ops_are_all_reached(monkeypatch):
         evaluate(model, make_windows(series, 32, 8, split="test"), 8)
         if kind is MixerKind.ICM:
             x = np.random.default_rng(0).standard_normal((3, 4, 16)).astype(np.float32)
-            icm_attention_reference(tensor.Tensor(x), model.blocks[0].attn)
+            attention.icm_attention_reference(tensor.Tensor(x), model.blocks[0].attn)
 
     assert not sorted(fn.__qualname__ for fn in ops if fn not in calls)

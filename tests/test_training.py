@@ -127,9 +127,10 @@ class TestTrainSupervised:
     def test_empty_trainable_set_raises(self):
         series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
         model = ForecastEncoder(small_config(), seed=0)
-        cfg = small_train_config(freeze_mask=lambda name: False)
+        for p in model.parameters().values():
+            p.requires_grad = False
         with pytest.raises(ConfigError, match="no trainable"):
-            train_supervised(model, series, cfg, horizon=8)
+            train_supervised(model, series, small_train_config(), horizon=8)
 
 
 def window_list(series, lookback, horizon, stride=1, split="train"):
@@ -295,8 +296,10 @@ class TestFinetune:
         finetune_beta_and_head(model, self.series, small_train_config(epochs=2),
                                horizon=8)
         for name, p in model.parameters().items():
+            assert p.requires_grad, name  # restored after the run
             if not beta_and_head_mask(name):
                 assert np.array_equal(p.data, before[name]), name
+                assert p.grad is None, name  # never computed
 
 
 class TestGradcheck:
@@ -348,6 +351,7 @@ class TestTrainConfig:
         ("learning_rate", "1e-3", "learning rate must be positive"),
         ("learning_rate", float("nan"), "learning rate must be positive"),
         ("learning_rate", True, "learning rate must be positive"),
+        ("learning_rate", float("inf"), "learning rate must be positive and finite"),
     ])
     def test_bad_seed_or_learning_rate_raises(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
