@@ -39,6 +39,12 @@ def check_integer(name: str, value, minimum: int = 1):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_positive(name: str, value):
+    """ConfigError unless ``value`` is a finite real number > 0 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _sigma(x: np.ndarray) -> np.ndarray:
     """ELU(x) + 1 on an array: x + 1 for x >= 0, else exp(x); branch-free."""
     # asarray: a ufunc on a 0-d input returns a numpy scalar, which `out=` rejects.
@@ -166,18 +172,15 @@ class MultiHeadSelfAttention:
     """Vanilla per-sequence attention; leading dims (batch, channel) are batched."""
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator,
-                 prefix: str, dtype=np.float64):
+                 prefix: str, param=Parameter):
         self.config = config
         d = config.d_model
         scale = 1.0 / math.sqrt(d)
 
         def lin(name):
-            return Parameter(rng.standard_normal((d, d)) * scale, f"{prefix}.{name}", dtype=dtype)
+            return param(rng.standard_normal((d, d)) * scale, f"{prefix}.{name}")
 
         self.wq, self.wk, self.wv, self.wo = lin("wq"), lin("wk"), lin("wv"), lin("wo")
-
-    def parameters(self):
-        return [self.wq, self.wk, self.wv, self.wo]
 
     def project_qkv(self, x: Tensor):
         """[..., n, d_model] -> per-head Q, K, V each [..., h, n, d_k]."""
@@ -203,12 +206,9 @@ class ICMAttention(MultiHeadSelfAttention):
     before any retrieval, so channel order cannot matter.
     """
 
-    def __init__(self, config, rng, prefix, dtype=np.float64):
-        super().__init__(config, rng, prefix, dtype=dtype)
-        self.beta = Parameter(np.zeros(config.n_heads), f"{prefix}.beta", dtype=dtype)
-
-    def parameters(self):
-        return super().parameters() + [self.beta]
+    def __init__(self, config, rng, prefix, param=Parameter):
+        super().__init__(config, rng, prefix, param)
+        self.beta = param(np.zeros(config.n_heads), f"{prefix}.beta")
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4:

@@ -179,21 +179,27 @@ def _write_summary(run_dir: Path, report: MetricReport):
 
 def cmd_compare(ns) -> int:
     model_cfg, train_cfg, _ = _build_configs(ns)
-    mixers = [MixerKind(m) for m in (ns.mixers or "").split(",") if m]
+    mixers = [m for m in (ns.mixers or "").split(",") if m]
     if not mixers:
         raise ConfigError("--mixers requires a non-empty comma-separated list")
+    for i, name in enumerate(mixers):
+        if name not in MIXER_CHOICES:
+            raise ConfigError(f"--mixers: unknown mixer {name!r} "
+                              f"(choices: {', '.join(MIXER_CHOICES)})")
+        if name in mixers[:i]:
+            raise ConfigError(f"--mixers repeats mixer {name!r}")
     series = _load_series(ns)
     run_dir = _run_dir(ns, "compare")
     log = _MetricsWriter(run_dir / "metrics.jsonl")
 
     averages = {}
     for kind in mixers:
-        cfg = EncoderConfig(**{**model_cfg.to_dict(), "mixer": kind.value})
+        cfg = EncoderConfig(**{**model_cfg.to_dict(), "mixer": kind})
         report = MetricReport()
         for horizon in cfg.horizons:
             _, part, _ = _train_one(cfg, train_cfg, series, horizon, log)
             report.merge(part)
-        averages[kind.value] = report.average(series.name)["mse"]
+        averages[kind] = report.average(series.name)["mse"]
 
     width = max(len(k) for k in averages) + 2
     lines = [f"{'variant':<{width}}{series.name:>24}"]
@@ -321,7 +327,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing file, a directory given as a file, ...
         print(f"error: {err}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:

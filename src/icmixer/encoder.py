@@ -10,15 +10,14 @@ head whose outputs are mapped back to the original scale.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .attention import ConfigError, ICMAttention, MultiHeadSelfAttention, check_integer
+from .attention import (ConfigError, ICMAttention, MultiHeadSelfAttention, check_integer,
+                        check_positive)
 from .mixers import (
     ChannelBias,
     ConcatAttention,
@@ -62,9 +61,7 @@ class EncoderConfig:
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
-            raise ConfigError(f"epsilon must be a finite number > 0, got {eps!r}")
+        check_positive("epsilon", self.epsilon)
 
     @property
     def n_patches(self) -> int:
@@ -98,16 +95,15 @@ def instance_normalize(x: Tensor | np.ndarray, stats=None):
 
     ``stats`` defaults to the series' own ``instance_stats``; passing the
     statistics of the input window maps a target into the model's normalized
-    space. Statistics are plain arrays; forecasts are mapped back with the
-    exact inverse affine map. A near-constant series is kept finite by the
-    epsilon added to the divisor.
+    space. The input is data: this is array arithmetic, so no gradient reaches
+    ``x``. Forecasts are mapped back with the exact inverse affine map; the
+    epsilon added to the divisor keeps a near-constant series finite.
     """
+    x = x.data if isinstance(x, Tensor) else np.asarray(x)
     if stats is None:
-        stats = instance_stats(x.data if isinstance(x, Tensor) else np.asarray(x))
+        stats = instance_stats(x)
     mean, std = stats
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    x_norm = (x_t - Tensor(mean)) / (std + INSTANCE_NORM_EPS)
-    return x_norm, stats
+    return Tensor((x - mean) / (std + INSTANCE_NORM_EPS)), stats
 
 
 def denormalize(pred: Tensor, stats) -> Tensor:
@@ -135,56 +131,43 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
 
 
 class LayerNorm:
-    def __init__(self, d_model: int, prefix: str, dtype=np.float64, eps: float = 1e-5):
-        self.eps = eps
-        self.gain = Parameter(np.ones(d_model), f"{prefix}.gain", dtype=dtype)
-        self.bias = Parameter(np.zeros(d_model), f"{prefix}.bias", dtype=dtype)
+    def __init__(self, d_model: int, prefix: str, param=Parameter):
+        self.gain = param(np.ones(d_model), f"{prefix}.gain")
+        self.bias = param(np.zeros(d_model), f"{prefix}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, eps=self.eps)
-
-    def parameters(self):
-        return [self.gain, self.bias]
+        return layer_norm(x, self.gain, self.bias)
 
 
 class FeedForward:
-    def __init__(self, d_model: int, d_ff: int, rng, prefix: str, dtype=np.float64):
-        self.w1 = Parameter(rng.standard_normal((d_model, d_ff)) / np.sqrt(d_model),
-                            f"{prefix}.w1", dtype=dtype)
-        self.b1 = Parameter(np.zeros(d_ff), f"{prefix}.b1", dtype=dtype)
-        self.w2 = Parameter(rng.standard_normal((d_ff, d_model)) / np.sqrt(d_ff),
-                            f"{prefix}.w2", dtype=dtype)
-        self.b2 = Parameter(np.zeros(d_model), f"{prefix}.b2", dtype=dtype)
+    def __init__(self, d_model: int, d_ff: int, rng, prefix: str, param=Parameter):
+        self.w1 = param(rng.standard_normal((d_model, d_ff)) / np.sqrt(d_model), f"{prefix}.w1")
+        self.b1 = param(np.zeros(d_ff), f"{prefix}.b1")
+        self.w2 = param(rng.standard_normal((d_ff, d_model)) / np.sqrt(d_ff), f"{prefix}.w2")
+        self.b2 = param(np.zeros(d_model), f"{prefix}.b2")
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 class EncoderBlock:
     """Pre-norm residual block: attention sublayer then ReLU feed-forward."""
 
     def __init__(self, config: EncoderConfig, rng, prefix: str,
-                 channel_bias: ChannelBias | None, dtype=np.float64):
+                 channel_bias: ChannelBias | None, param=Parameter):
+        self.ln1 = LayerNorm(config.d_model, f"{prefix}.ln1", param)
         if config.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC):
-            self.attn = ICMAttention(config, rng, f"{prefix}.attn", dtype=dtype)
+            self.attn = ICMAttention(config, rng, f"{prefix}.attn", param)
         elif config.mixer is MixerKind.CONCAT:
-            self.attn = ConcatAttention(config, rng, f"{prefix}.attn", channel_bias, dtype=dtype)
+            self.attn = ConcatAttention(config, rng, f"{prefix}.attn", channel_bias, param)
         else:
-            self.attn = MultiHeadSelfAttention(config, rng, f"{prefix}.attn", dtype=dtype)
-        self.ln1 = LayerNorm(config.d_model, f"{prefix}.ln1", dtype=dtype)
-        self.ln2 = LayerNorm(config.d_model, f"{prefix}.ln2", dtype=dtype)
-        self.ffn = FeedForward(config.d_model, config.d_ff, rng, f"{prefix}.ffn", dtype=dtype)
+            self.attn = MultiHeadSelfAttention(config, rng, f"{prefix}.attn", param)
+        self.ln2 = LayerNorm(config.d_model, f"{prefix}.ln2", param)
+        self.ffn = FeedForward(config.d_model, config.d_ff, rng, f"{prefix}.ffn", param)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         return x + self.ffn(self.ln2(x))
-
-    def parameters(self):
-        return self.ln1.parameters() + self.attn.parameters() + \
-            self.ln2.parameters() + self.ffn.parameters()
 
 
 class _ZeroDraws:
@@ -215,49 +198,38 @@ class ForecastEncoder:
     def _build(self, config: EncoderConfig, rng, dtype):
         self.config = config
         self.dtype = np.dtype(dtype)
+        self._params = {}
         d = config.d_model
 
-        self.embed_w = Parameter(rng.standard_normal((config.patch_len, d)) / np.sqrt(config.patch_len),
-                                 "embed.w", dtype=dtype)
-        self.embed_b = Parameter(np.zeros(d), "embed.b", dtype=dtype)
+        def param(value, name):
+            """The one place a parameter is made: named, cast to the model dtype, registered."""
+            p = self._params[name] = Parameter(value, name, dtype=dtype)
+            return p
+
+        self.embed_w = param(rng.standard_normal((config.patch_len, d)) / np.sqrt(config.patch_len),
+                             "embed.w")
+        self.embed_b = param(np.zeros(d), "embed.b")
         self._positions = sinusoidal_positions(config.n_patches, d).astype(dtype)
 
-        self.channel_bias = ChannelBias(dtype=dtype) if config.mixer is MixerKind.CONCAT else None
-        self.channel_embed = (StaticChannelEmbedding(config.max_channels, d, rng, dtype=dtype)
+        self.channel_bias = ChannelBias(param) if config.mixer is MixerKind.CONCAT else None
+        self.channel_embed = (StaticChannelEmbedding(config.max_channels, d, rng, param)
                               if config.mixer is MixerKind.ICM_STATIC else None)
 
-        self.blocks = [EncoderBlock(config, rng, f"block.{i}", self.channel_bias, dtype=dtype)
+        self.blocks = [EncoderBlock(config, rng, f"block.{i}", self.channel_bias, param)
                        for i in range(config.n_blocks)]
-        self.final_ln = LayerNorm(d, "final_ln", dtype=dtype)
+        self.final_ln = LayerNorm(d, "final_ln", param)
 
         flat = config.n_patches * d
-        self.heads = {}
-        for horizon in config.horizons:
-            self.heads[horizon] = (
-                Parameter(rng.standard_normal((flat, horizon)) / np.sqrt(flat),
-                          f"head.{horizon}.w", dtype=dtype),
-                Parameter(np.zeros(horizon), f"head.{horizon}.b", dtype=dtype),
-            )
+        self.heads = {horizon: (param(rng.standard_normal((flat, horizon)) / np.sqrt(flat),
+                                      f"head.{horizon}.w"),
+                                param(np.zeros(horizon), f"head.{horizon}.b"))
+                      for horizon in config.horizons}
 
     # -- parameter registry ---------------------------------------------------
 
     def parameters(self) -> dict:
-        params = [self.embed_w, self.embed_b]
-        if self.channel_bias is not None:
-            params += self.channel_bias.parameters()
-        if self.channel_embed is not None:
-            params += self.channel_embed.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        params += self.final_ln.parameters()
-        for w, b in self.heads.values():
-            params += [w, b]
-        registry = {}
-        for p in params:
-            if p.name in registry:
-                raise ConfigError(f"duplicate parameter name {p.name!r}")
-            registry[p.name] = p
-        return registry
+        """Every parameter by name, in the order the model made them."""
+        return self._params
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters().values())

@@ -44,25 +44,18 @@ class ChannelBias:
     and heads.
     """
 
-    def __init__(self, prefix: str = "channel_bias", dtype=np.float64):
-        self.u1 = Parameter(np.zeros(()), f"{prefix}.u1", dtype=dtype)
-        self.u2 = Parameter(np.zeros(()), f"{prefix}.u2", dtype=dtype)
-
-    def parameters(self):
-        return [self.u1, self.u2]
+    def __init__(self, param=Parameter):
+        self.u1 = param(np.zeros(()), "channel_bias.u1")
+        self.u2 = param(np.zeros(()), "channel_bias.u2")
 
 
 class StaticChannelEmbedding:
     """One learned d_model-vector per channel slot, added to patch embeddings."""
 
-    def __init__(self, max_channels: int, d_model: int,
-                 rng: np.random.Generator, prefix: str = "channel_embed", dtype=np.float64):
+    def __init__(self, max_channels: int, d_model: int, rng, param=Parameter):
         self.max_channels = max_channels
-        self.table = Parameter(
-            rng.standard_normal((max_channels, d_model)) * 0.02, f"{prefix}.table", dtype=dtype)
-
-    def parameters(self):
-        return [self.table]
+        self.table = param(rng.standard_normal((max_channels, d_model)) * 0.02,
+                           "channel_embed.table")
 
 
 def add_static_channel_embedding(x: Tensor, embedding: StaticChannelEmbedding) -> Tensor:
@@ -84,13 +77,12 @@ def same_channel_mask(m: int, n: int, dtype=np.float64) -> np.ndarray:
 class ConcatAttention(MultiHeadSelfAttention):
     """Attention over the flattened channel-token sequence with channel-relative bias.
 
-    The bias object is owned by the model (shared across layers) and is not
-    reported among this layer's own parameters.
+    The bias object is owned by the model and shared across layers.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator,
-                 prefix: str, bias: ChannelBias, dtype=np.float64):
-        super().__init__(config, rng, prefix, dtype=dtype)
+                 prefix: str, bias: ChannelBias, param=Parameter):
+        super().__init__(config, rng, prefix, param)
         self.bias = bias
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -254,19 +254,6 @@ class Tensor:
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        out_data = a.data / b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
-
-        return Tensor._make(out_data, (a, b), bwd)
-
     # -- nonlinearities -------------------------------------------------------
 
     def sigmoid(self):
@@ -394,30 +381,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._make(out_data, parents, bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis, optionally affine, as one node.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Affine layer normalization over the last axis (variance epsilon 1e-5), as one node.
 
     The backward is analytic and saves only the normalized input ``xhat`` and
     the reciprocal standard deviation ``rstd``.
     """
     d = x.shape[-1]
     xhat = x.data - row_sum(x.data) / d
-    rstd = 1.0 / np.sqrt(row_sum(xhat * xhat) / d + eps)
+    rstd = 1.0 / np.sqrt(row_sum(xhat * xhat) / d + 1e-5)
     xhat *= rstd
-    out_data = xhat if gain is None else xhat * gain.data
-    if bias is not None:
-        out_data = out_data + bias.data
-    if out_data is xhat:  # the output must never alias the saved xhat
-        out_data = xhat.copy()
+    out_data = xhat * gain.data + bias.data
 
     def bwd(g):
-        if gain is not None and gain.requires_grad:
+        if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
-            gx = g * gain.data if gain is not None else g
+            gx = g * gain.data
             # With gx = dL/dxhat: dL/dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)).
             dx = xhat * (row_sum(gx * xhat) / d)
             dx += row_sum(gx) / d
@@ -425,8 +407,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
             dx *= rstd
             x._accumulate(_unbroadcast(dx, x.shape))
 
-    parents = tuple(t for t in (x, gain, bias) if t is not None)
-    return Tensor._make(out_data, parents, bwd)
+    return Tensor._make(out_data, (x, gain, bias), bwd)
 
 
 class Parameter(Tensor):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import ConfigError, check_integer
+from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
 from .encoder import EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
@@ -319,7 +319,10 @@ def gradcheck(config: EncoderConfig | None = None, tolerance: float = 1e-4,
 
     Every parameter tensor is checked; within large tensors a seeded sample of
     at most `max_coords` coordinates is probed (exhaustive for small tensors).
+    ``tolerance`` must be finite and > 0: a NaN or infinite one passes anything.
     """
+    check_integer("seed", seed, minimum=0)
+    check_positive("tolerance", tolerance)
     if config is None:
         config = shrunken_config(MixerKind.ICM)
     model = ForecastEncoder(config, seed=seed, dtype=np.float64)

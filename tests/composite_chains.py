@@ -2,17 +2,17 @@
 
 These are the forms ``dot_attention``, ``accumulate_memory`` and
 ``retrieve_memory`` had before each became one graph node with a
-hand-written backward. Built from ``matmul``, ``+``, ``*``, ``/``,
+hand-written backward. Built from ``matmul``, ``+``, ``*``, ``truediv``,
 ``reduce_sum``, ``reshape``, ``swapaxes``, basic indexing, ``join``,
 ``softmax`` (numpy's reductions) and ``sigma``, and differentiated by the
 autodiff engine node by node, they are the oracles for the fused nodes'
 values and gradients.
 
-The package's own ``@`` multiplies by a 2-D weight only and its ``sum``
-reduces fully, so the batched product and the axis sum the chains need are
-nodes of their own here. So are the feature map ``sigma``, which the fused
-memory nodes apply to arrays, and ``join``, which lays out the memory
-``[M | z]``.
+The package's own ``@`` multiplies by a 2-D weight only, its ``sum``
+reduces fully and it has no division, so the batched product, the axis sum
+and the quotient the chains need are nodes of their own here. So are the
+feature map ``sigma``, which the fused memory nodes apply to arrays, and
+``join``, which lays out the memory ``[M | z]``.
 """
 
 import math
@@ -49,6 +49,20 @@ def matmul(a, b):
             a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+
+    return Tensor._make(out_data, (a, b), bwd)
+
+
+def truediv(a, b):
+    """``a / b`` under broadcasting, as one node; a constant ``b`` takes a's dtype."""
+    b = a._coerce(b)
+    out_data = a.data / b.data
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
 
     return Tensor._make(out_data, (a, b), bwd)
 
@@ -115,4 +129,4 @@ def accumulate_memory_chain(k, v):
 
 def retrieve_memory_chain(q, mem, epsilon):
     sq = sigma(q)
-    return matmul(sq, mem[..., :-1]) / (matmul(sq, mem[..., -1:]) + epsilon)
+    return truediv(matmul(sq, mem[..., :-1]), matmul(sq, mem[..., -1:]) + epsilon)

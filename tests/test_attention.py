@@ -15,7 +15,7 @@ from icmixer.attention import (
     retrieve_memory,
 )
 from icmixer.encoder import EncoderConfig
-from icmixer.tensor import DimensionError, Tensor
+from icmixer.tensor import DimensionError, Parameter, Tensor
 
 
 def elu1(x):
@@ -185,9 +185,21 @@ def make_layers(d_model=16, n_heads=2, seed=0):
     cfg = EncoderConfig(d_model=d_model, n_heads=n_heads)
     icm = ICMAttention(cfg, np.random.default_rng(seed), "attn")
     vanilla = MultiHeadSelfAttention(cfg, np.random.default_rng(seed), "attn")
-    for dst, src in zip(vanilla.parameters(), icm.parameters()):
-        dst.data = src.data.copy()
+    for name in ("wq", "wk", "wv", "wo"):
+        getattr(vanilla, name).data = getattr(icm, name).data.copy()
     return icm, vanilla
+
+
+def registered_parameters(layer_cls):
+    """{name: Parameter} of every weight a layer makes through its ``param`` factory."""
+    params = {}
+
+    def param(value, name):
+        params[name] = Parameter(value, name)
+        return params[name]
+
+    layer_cls(EncoderConfig(d_model=16, n_heads=2), np.random.default_rng(0), "attn", param)
+    return params
 
 
 class TestICMLayer:
@@ -285,6 +297,8 @@ class TestICMLayer:
             assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i])) < 1e-4
 
     def test_parameter_count_delta_is_heads(self):
-        icm, vanilla = make_layers()
-        extra = sum(p.size for p in icm.parameters()) - sum(p.size for p in vanilla.parameters())
+        icm = registered_parameters(ICMAttention)
+        vanilla = registered_parameters(MultiHeadSelfAttention)
+        assert sorted(set(icm) - set(vanilla)) == ["attn.beta"]
+        extra = sum(p.size for p in icm.values()) - sum(p.size for p in vanilla.values())
         assert extra == 2  # one gate scalar per head

@@ -241,14 +241,16 @@ class TestCompareCommand:
         assert "independent" in table and "icm" in table
         assert len(table.strip().splitlines()) == 3  # header + two variant rows
 
-    def test_duplicate_variant_rows_identical(self, tmp_path):
-        rc = main(["compare", "--mixers", "icm,icm", *SYNTH, *COMMON,
-                   "--out", str(tmp_path), "--name", "dup"])
-        assert rc == 0
-        lines = (tmp_path / "dup" / "summary.txt").read_text().strip().splitlines()
-        # same variant listed twice collapses to one deterministic row
-        values = {line.split()[-1] for line in lines[1:]}
-        assert len(values) == 1
+    @pytest.mark.parametrize("mixers, message", [
+        ("bogus", "--mixers: unknown mixer 'bogus' (choices: independent, concat, icm, icm-static)"),
+        ("icm,icm", "--mixers repeats mixer 'icm'"),
+    ], ids=["unknown", "repeated"])
+    def test_bad_mixer_list_is_one_error_line(self, tmp_path, capsys, mixers, message):
+        rc = main(["compare", "--mixers", mixers, *SYNTH, *COMMON,
+                   "--out", str(tmp_path), "--name", "bad"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bad").exists()
 
     def test_empty_variant_list_is_error(self, capsys):
         assert main(["compare", "--mixers", "", *SYNTH]) == 2
@@ -350,6 +352,18 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--mixer", "independent"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("--tolerance", "nan", "tolerance must be a finite number > 0, got nan"),
+        ("--tolerance", "inf", "tolerance must be a finite number > 0, got inf"),
+        ("--tolerance", "0", "tolerance must be a finite number > 0, got 0.0"),
+    ], ids=["negative-seed", "nan-tolerance", "inf-tolerance", "zero-tolerance"])
+    def test_bad_argument_is_one_error_line(self, capsys, flag, value, message):
+        assert main(["gradcheck", "--mixer", "independent", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestSynthCommand:
     def test_synth_then_train_matches_in_memory(self, tmp_path, capsys):
@@ -380,3 +394,14 @@ class TestSynthCommand:
         main(["train", "--mixer", "icm", "--data", str(csv_path), *COMMON,
               "--out", str(tmp_path), "--name", "nm"])
         assert csv_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["inspect", "train"])
+def test_directory_as_input_file_is_one_error_line(tmp_path, capsys, command):
+    argv = {"inspect": ["inspect", str(tmp_path)],
+            "train": ["train", "--data", str(tmp_path), *COMMON, "--out", str(tmp_path)]}
+    assert main(argv[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err

@@ -13,7 +13,7 @@ from icmixer.encoder import (
     sinusoidal_positions,
 )
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError, Tensor
+from icmixer.tensor import DimensionError, Parameter, Tensor
 from icmixer.training import mse, shrunken_config
 
 
@@ -236,7 +236,52 @@ class TestForecast:
             assert abs(fd - w.grad[i, j]) / max(abs(fd), abs(w.grad[i, j]), 1e-8) < 1e-4
 
 
+def reachable_parameters(obj, seen):
+    """Every Parameter reachable from ``obj`` through package objects' attributes,
+    lists, tuples and dicts, each once."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Parameter):
+        return [obj]
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif type(obj).__module__.startswith("icmixer.") and hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return []
+    return [p for child in children for p in reachable_parameters(child, seen)]
+
+
 class TestParameters:
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_every_reachable_parameter_is_registered_in_the_model_dtype(self, mixer):
+        """A layer that built a Parameter itself, not through the model's factory, fails here."""
+        model = ForecastEncoder(tiny_config(mixer, n_blocks=2), seed=0, dtype=np.float32)
+        params = model.parameters()
+        # Walk the layers, not the registry itself.
+        seen = {id(params)}
+        reachable = reachable_parameters(model, seen)
+        assert sorted(p.name for p in reachable) == sorted(params)
+        for p in reachable:
+            assert params[p.name] is p and p.dtype == np.float32, p.name
+
+    @pytest.mark.parametrize("mixer, extra, attn", [
+        (MixerKind.CONCAT, ["channel_bias.u1", "channel_bias.u2"], ["wq", "wk", "wv", "wo"]),
+        (MixerKind.ICM_STATIC, ["channel_embed.table"], ["wq", "wk", "wv", "wo", "beta"]),
+    ], ids=["concat", "icm-static"])
+    def test_name_order_is_pinned(self, mixer, extra, attn):
+        """The order is the checkpoint layout and gradcheck's coordinate-draw order."""
+        model = ForecastEncoder(tiny_config(mixer), seed=0)
+        assert list(model.parameters()) == [
+            "embed.w", "embed.b", *extra,
+            "block.0.ln1.gain", "block.0.ln1.bias", *(f"block.0.attn.{w}" for w in attn),
+            "block.0.ln2.gain", "block.0.ln2.bias",
+            "block.0.ffn.w1", "block.0.ffn.b1", "block.0.ffn.w2", "block.0.ffn.b2",
+            "final_ln.gain", "final_ln.bias", "head.8.w", "head.8.b", "head.16.w", "head.16.b"]
+
     def test_registry_unique_and_complete(self):
         model = ForecastEncoder(tiny_config(MixerKind.ICM_STATIC), seed=0)
         params = model.parameters()

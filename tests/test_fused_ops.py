@@ -56,7 +56,7 @@ def run(op, x, g, *params):
     xt = Tensor(x.copy(), requires_grad=True)
     out = op(xt, *params)
     (out * Tensor(g)).sum().backward()
-    return out.data, xt.grad, [p.grad for p in params if p is not None]
+    return out.data, xt.grad, [p.grad for p in params]
 
 
 def elementwise(fn, x):
@@ -102,8 +102,8 @@ def test_softmax_matches_out_of_place_formula(xg, data):
     assert_close(grad, expected * (g - dot), TOLERANCE[x.dtype.type], scale)
 
 
-def layer_norm_chain(x, g, gain=None, bias=None, eps=1e-5):
-    """(value, dL/dx, dL/dparams) of the former layer_norm node chain, in numpy.
+def layer_norm_chain(x, g, gain, bias, eps=1e-5):
+    """(value, dL/dx, [dL/dgain, dL/dbias]) of the former layer_norm node chain, in numpy.
 
     The forward is ``(x - mean) / sqrt(var + eps) * gain + bias`` with
     ``mean`` and ``var`` as a sum times ``1/d``; the backward runs the
@@ -113,22 +113,15 @@ def layer_norm_chain(x, g, gain=None, bias=None, eps=1e-5):
     centered = x - x.sum(axis=-1, keepdims=True) * inv_d
     std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps)
     normed = centered / std
-    out = normed if gain is None else normed * gain
-    if bias is not None:
-        out = out + bias
+    out = normed * gain + bias
 
-    d_normed = g if gain is None else g * gain
+    d_normed = g * gain
     d_centered = d_normed / std                                       # centered / std
     d_std = (-d_normed * normed / std).sum(axis=-1, keepdims=True)
     d_square = (d_std * 0.5 / std) * inv_d                            # sqrt, then mean
     d_centered = d_centered + d_square * centered + d_square * centered  # centered * centered
     d_x = d_centered - d_centered.sum(axis=-1, keepdims=True) * inv_d    # x - mean(x)
-    param_grads = []
-    if gain is not None:
-        param_grads.append(sum_to_last_axis(g * normed))
-    if bias is not None:
-        param_grads.append(sum_to_last_axis(g))
-    return out, d_x, param_grads
+    return out, d_x, [sum_to_last_axis(g * normed), sum_to_last_axis(g)]
 
 
 def sum_to_last_axis(a):
@@ -136,17 +129,16 @@ def sum_to_last_axis(a):
 
 
 @hypothesis.settings(max_examples=300)
-@hypothesis.given(case(), st.booleans(), st.booleans(), st.data())
-def test_layer_norm_matches_node_chain(xg, with_gain, with_bias, data):
+@hypothesis.given(case(), st.data())
+def test_layer_norm_matches_node_chain(xg, data):
     x, g = xg
     dtype, d = x.dtype.type, x.shape[-1]
     affine = hnp.arrays(dtype, (d,), elements=st.floats(-10.0, 10.0, width=x.dtype.itemsize * 8))
-    gain = Parameter(data.draw(affine), "gain") if with_gain else None
-    bias = Parameter(data.draw(affine), "bias") if with_bias else None
+    gain = Parameter(data.draw(affine), "gain")
+    bias = Parameter(data.draw(affine), "bias")
 
     value, grad, param_grads = run(layer_norm, x, g, gain, bias)
-    expected, expected_grad, expected_param_grads = layer_norm_chain(
-        x, g, *(p.data if p is not None else None for p in (gain, bias)))
+    expected, expected_grad, expected_param_grads = layer_norm_chain(x, g, gain.data, bias.data)
 
     # Term magnitudes: xhat = (x - mean) * rstd is formed from terms up to
     # (|x| + |mean|) * rstd, and the gradients are sums of products of those.
@@ -154,8 +146,7 @@ def test_layer_norm_matches_node_chain(xg, with_gain, with_bias, data):
     mean = x64.mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(((x64 - mean) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
     xmag = (np.abs(x64) + np.abs(mean)) * rstd
-    gain_mag = np.abs(gain.data) if gain is not None else 1.0
-    bias_mag = np.abs(bias.data) if bias is not None else 0.0
+    gain_mag, bias_mag = np.abs(gain.data), np.abs(bias.data)
     gx = np.abs(g64) * gain_mag
     tol = TOLERANCE[dtype]
 
@@ -163,11 +154,7 @@ def test_layer_norm_matches_node_chain(xg, with_gain, with_bias, data):
     x_grad_scale = rstd * (gx + gx.mean(axis=-1, keepdims=True)
                            + xmag * (gx * xmag).mean(axis=-1, keepdims=True))
     assert_close(grad, expected_grad, LN_INPUT_GRAD_TOLERANCE[dtype], x_grad_scale)
-    scales = []
-    if gain is not None:
-        scales.append(sum_to_last_axis(np.abs(g64) * xmag))
-    if bias is not None:
-        scales.append(sum_to_last_axis(np.abs(g64)))
+    scales = [sum_to_last_axis(np.abs(g64) * xmag), sum_to_last_axis(np.abs(g64))]
     for got, want, scale in zip(param_grads, expected_param_grads, scales):
         assert_close(got, want, tol, scale)
 
@@ -177,15 +164,17 @@ def test_relu_propagates_nan():
     assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
 
-@pytest.mark.parametrize("with_bias", [False, True])
-def test_layer_norm_output_does_not_alias_saved_state(with_bias):
+@pytest.mark.parametrize("drawn_affine", [False, True])
+def test_layer_norm_output_does_not_alias_saved_state(drawn_affine):
     rng = np.random.default_rng(0)
     x, g = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-    bias = Parameter(rng.standard_normal(6), "bias") if with_bias else None
-    _, expected_grad, _ = run(layer_norm, x, g, None, bias)
+    gain, bias = Tensor(np.ones(6)), Tensor(np.zeros(6))
+    if drawn_affine:
+        gain, bias = (Parameter(rng.standard_normal(6), name) for name in ("gain", "bias"))
+    _, expected_grad, _ = run(layer_norm, x, g, gain, bias)
 
     xt = Tensor(x, requires_grad=True)
-    out = layer_norm(xt, None, bias)
+    out = layer_norm(xt, gain, bias)
     out.data[...] = 0.0  # would corrupt the backward if the output aliased xhat
     (out * Tensor(g)).sum().backward()
     np.testing.assert_array_equal(xt.grad, expected_grad)

@@ -1,7 +1,8 @@
 """Property tests of the primitive autodiff ops across broadcast shapes.
 
-``+``, ``*``, ``/``, ``-`` (add of a negation), ``sum``, ``mean``,
-``reshape`` and ``swapaxes`` are checked in float32 and float64 against
+``+``, ``*``, ``-`` (add of a negation), ``sum``, ``mean``, ``reshape``
+and ``swapaxes``, and the ``truediv`` node the chain oracles divide with
+(see ``composite_chains``), are checked in float32 and float64 against
 numpy: values against the numpy expression, gradients of
 ``L = sum(g * op(...))`` against the closed-form derivative, reduced to each
 operand's shape by summing every broadcast axis in one call. A tensor's
@@ -24,7 +25,7 @@ over some axes, or one that keeps them, is the ``reduce_sum`` node of
 import numpy as np
 import pytest
 
-from composite_chains import reduce_sum
+from composite_chains import reduce_sum, truediv
 from icmixer.tensor import Tensor
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -83,7 +84,7 @@ BINARY = {
             lambda a, b, g: (g, -g), lambda a, b, g: (np.abs(g), np.abs(g))),
     "mul": (lambda a, b: a * b, np.multiply,
             lambda a, b, g: (g * b, g * a), lambda a, b, g: (np.abs(g * b), np.abs(g * a))),
-    "truediv": (lambda a, b: a / b, np.divide,
+    "truediv": (truediv, np.divide,
                 lambda a, b, g: (g / b, -g * a / (b * b)),
                 lambda a, b, g: (np.abs(g / b), np.abs(g * a / (b * b)))),
 }

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from composite_chains import sigma, softmax
+from composite_chains import sigma, softmax, truediv
 from icmixer.attention import _sigma
 from icmixer.tensor import (
     DimensionError,
@@ -119,7 +119,7 @@ class TestElementwise:
         assert err.max() <= 2.0, (x[err.argmax()], err.max())
 
     def test_layer_norm_constant_vector_is_zero(self):
-        out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]))
+        out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-12)
 
     def test_sigma_values(self):
@@ -178,7 +178,7 @@ class TestBackward:
             softmax,
             lambda t: t.sigmoid(),
             sigma,
-            lambda t: layer_norm(t),
+            lambda t: layer_norm(t, Tensor(np.ones(4)), Tensor(np.zeros(4))),
             lambda t: (t * t + 2.0 * t).swapaxes(0, 1),
             lambda t: t.reshape(2, 6),
             lambda t: t[1:, ::2],
@@ -304,7 +304,7 @@ class TestPrecision:
     @pytest.mark.parametrize("op", [
         lambda t: t + 1.0,
         lambda t: 1.0 - t,
-        lambda t: t / 3,
+        lambda t: truediv(t, 3),
         lambda t: 2.0 * t,
         lambda t: t.mean(),
         lambda t: t - np.float64(0.5),

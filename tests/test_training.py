@@ -321,6 +321,14 @@ class TestGradcheck:
         report = gradcheck(shrunken_config(MixerKind.ICM_STATIC))
         assert "channel_embed.table" in report.max_rel_err
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(seed=1.5), dict(tolerance=float("nan")), dict(tolerance=float("inf")),
+        dict(tolerance=0.0), dict(tolerance=-1e-4), dict(tolerance=True),
+    ], ids=["negative-seed", "float-seed", "nan", "inf", "zero", "negative", "bool"])
+    def test_bad_arguments_raise_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            gradcheck(shrunken_config(MixerKind.ICM), **kwargs)
+
     def test_failure_reported_for_impossible_tolerance(self):
         report = gradcheck(shrunken_config(MixerKind.ICM), tolerance=1e-16)
         assert not report.passed
