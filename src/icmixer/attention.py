@@ -21,6 +21,7 @@ from .tensor import (
     Parameter,
     Tensor,
     _unbroadcast,
+    expit,
     row_max,
     row_sum,
 )
@@ -57,18 +58,21 @@ def _sigma(x: np.ndarray) -> np.ndarray:
 def accumulate_memory(k: Tensor, v: Tensor) -> Tensor:
     """Fold keys/values [..., m, h, n, d_k] of all m channels into one memory.
 
-    Returns ``[M | z]`` [..., 1, h, d_k, d_k + 1] as one node: M is
-    sigma(K)^T V summed over channels, and its last column z the key sums
-    sigma(K)^T 1 over channels and tokens. The channel axis is kept so the
-    memory broadcasts against per-channel queries. The backward keeps
+    Returns ``[M | z]`` [..., 1, h, d_k, d_k + 1] as one node and one array:
+    M = sigma(K)^T V is one GEMM per (batch, head) over all m*n channel-tokens
+    (views of ``split_heads`` output), z its last column, the key sums. The
+    channel axis broadcasts against per-channel queries. The backward keeps
     sigma(K) and V.
     """
     if k.shape != v.shape or k.ndim < 4:
         raise DimensionError(
             f"memory accumulation needs equal [..., m, h, n, d_k] K and V, got {k.shape}, {v.shape}")
+    *lead, m, h, n, d_k = k.shape
     sk = _sigma(k.data)
-    m_data = (sk.swapaxes(-1, -2) @ v.data).sum(axis=-4, keepdims=True)
-    z_data = sk.sum(axis=(-4, -2)).reshape(*m_data.shape[:-1], 1)
+    sk_tok, v_tok = (a.swapaxes(-4, -3).reshape(*lead, h, m * n, d_k) for a in (sk, v.data))
+    mem = np.empty((*lead, 1, h, d_k, d_k + 1), dtype=np.result_type(sk, v.data))
+    np.matmul(sk_tok.swapaxes(-1, -2), v_tok, out=mem[..., 0, :, :, :-1])
+    np.sum(sk_tok, axis=-2, out=mem[..., 0, :, :, -1])
 
     def bwd(g):  # g: [..., 1, h, d_k, d_k + 1], broadcast over the channels
         g_m = g[..., :-1]
@@ -80,7 +84,7 @@ def accumulate_memory(k: Tensor, v: Tensor) -> Tensor:
         if v.requires_grad:
             v._accumulate(sk @ g_m)
 
-    return Tensor._make(np.concatenate([m_data, z_data], axis=-1), (k, v), bwd)
+    return Tensor._make(mem, (k, v), bwd)
 
 
 def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
@@ -150,9 +154,31 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -
 
 
 def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
-    """Per-head convex combination: sigmoid(beta) memory + (1 - sigmoid(beta)) local."""
-    g = beta.sigmoid().reshape(beta.shape[0], 1, 1)
-    return g * a_mem + (1.0 - g) * a_dot
+    """Per-head convex combination g a_mem + (1 - g) a_dot, g = sigmoid(beta), as one node.
+
+    ``a_mem`` and ``a_dot`` are [..., h, n, d_k]; the result, written through
+    a head-major view with one temporary, is merged: [..., n, h*d_k].
+    """
+    *lead, h, n, d_k = a_mem.shape
+    s = expit(beta.data)
+    g = s.reshape(h, 1, 1)
+    out = np.empty((*lead, n, h, d_k), dtype=np.result_type(g, a_mem.data, a_dot.data))
+    heads = out.swapaxes(-3, -2)
+    np.multiply(g, a_mem.data, out=heads)
+    heads += (1.0 - g) * a_dot.data
+
+    def bwd(grad):
+        grad = grad.reshape(out.shape).swapaxes(-3, -2)
+        if a_mem.requires_grad:
+            a_mem._accumulate(grad * g)
+        if a_dot.requires_grad:
+            a_dot._accumulate(grad * (1.0 - g))
+        if beta.requires_grad:
+            diff = a_mem.data - a_dot.data
+            diff *= grad
+            beta._accumulate(_unbroadcast(diff, g.shape).reshape(h) * s * (1.0 - s))
+
+    return Tensor._make(out.reshape(*lead, n, h * d_k), (a_mem, a_dot, beta), bwd)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -217,7 +243,7 @@ class ICMAttention(MultiHeadSelfAttention):
             raise DimensionError("at least one channel is required")
         q, k, v = self.project_qkv(x)  # [b, m, h, n, d_k]
         a_mem = retrieve_memory(q, accumulate_memory(k, v), self.config.epsilon)
-        return merge_heads(gate_combine(a_mem, dot_attention(q, k, v), self.beta)) @ self.wo
+        return gate_combine(a_mem, dot_attention(q, k, v), self.beta) @ self.wo
 
 
 def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
@@ -234,5 +260,5 @@ def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
     for i in range(x.shape[0]):
         a_mem = retrieve_memory(q[i:i + 1], mem, layer.config.epsilon)
         a_dot = dot_attention(q[i:i + 1], k[i:i + 1], v[i:i + 1])
-        outs.append(merge_heads(gate_combine(a_mem, a_dot, layer.beta)))
+        outs.append(gate_combine(a_mem, a_dot, layer.beta))
     return Tensor(np.concatenate([o.data for o in outs])) @ layer.wo

@@ -25,7 +25,8 @@ from .mixers import (
     StaticChannelEmbedding,
     add_static_channel_embedding,
 )
-from .tensor import DimensionError, Parameter, Tensor, expit, layer_norm, linear, row_sum
+from .tensor import (DimensionError, Parameter, Tensor, expit, feed_forward, layer_norm, linear,
+                     row_sum)
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -147,7 +148,7 @@ class FeedForward:
         self.b2 = param(np.zeros(d_model), f"{prefix}.b2")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
+        return feed_forward(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class EncoderBlock:
@@ -246,7 +247,7 @@ class ForecastEncoder:
     # -- forward --------------------------------------------------------------
 
     def _check_input(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        x = Tensor(x, dtype=self.dtype)
         if x.ndim != 3:
             raise DimensionError(f"expected [batch, channels, lookback], got shape {x.shape}")
         if x.shape[1] < 1:

@@ -254,31 +254,6 @@ class Tensor:
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
-    # -- nonlinearities -------------------------------------------------------
-
-    def sigmoid(self):
-        a = self
-        out_data = expit(a.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (a,), bwd)
-
-    def relu(self):
-        a = self
-        # np.where on a data-dependent mask is branchy here (~3 ns per
-        # element); maximum, and a compare against the output in backward,
-        # are not. NaN propagates.
-        out_data = np.maximum(a.data, 0)
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g * (out_data > 0))
-
-        return Tensor._make(out_data, (a,), bwd)
-
     # -- linear algebra -------------------------------------------------------
 
     def __matmul__(self, other):
@@ -344,6 +319,24 @@ class Tensor:
         return self.sum() * (1.0 / self.size)
 
 
+def _affine(x2: np.ndarray, w2: np.ndarray, b: Tensor | None) -> np.ndarray:
+    """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype."""
+    out = x2 @ w2
+    if b is not None:
+        out = out.astype(np.result_type(out, b.data), copy=False)
+        out += b.data
+    return out
+
+
+def _affine_backward(x2, w2, w: Tensor, b: Tensor | None, g2, need_x: bool):
+    """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``."""
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2)
+    if b is not None and b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+    return g2 @ w2.T if need_x else None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [d, d_out], as one node and one GEMM.
 
@@ -362,23 +355,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     # for the input gradient at every default-backbone projection shape, with
     # bitwise-equal products.
     x2, w2 = x.data.reshape(-1, d), w.data
-    out_data = x2 @ w2
-    if b is not None:  # in place on the fresh GEMM output, in the promoted dtype
-        out_data = out_data.astype(np.result_type(out_data, b.data), copy=False)
-        out_data += b.data
-    out_data = out_data.reshape(*x.shape[:-1], d_out)
+    out_data = _affine(x2, w2, b).reshape(*x.shape[:-1], d_out)
 
     def bwd(g):
-        g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            x._accumulate((g2 @ w2.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+        gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx.reshape(x.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._make(out_data, parents, bwd)
+    return Tensor._make(out_data, (x, w) if b is None else (x, w, b), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node, bitwise equal to that chain.
+
+    ReLU and the backward's mask run in place, so the graph keeps one ``d_ff``-wide
+    array, the post-ReLU hidden ``h``, besides the 2-D ``x``. NaN propagates.
+    """
+    x2, w1d, w2d = x.data.reshape(-1, x.shape[-1]), w1.data, w2.data
+    h = _affine(x2, w1d, b1)
+    np.maximum(h, 0, out=h)  # branch-free, unlike np.where on a data-dependent mask
+    out_data = _affine(h, w2d, b2)
+
+    def bwd(g):
+        gh = _affine_backward(h, w2d, w2, b2, g.reshape(out_data.shape), need_x=True)
+        gh *= h > 0  # dL/d(pre-ReLU), made even when only w2 and b2 train (no model does)
+        gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx.reshape(x.shape))
+
+    return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

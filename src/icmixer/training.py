@@ -8,7 +8,6 @@ deterministic for a fixed seed under single-threaded execution.
 from __future__ import annotations
 
 import math
-import numbers
 import resource
 import time
 from dataclasses import dataclass, field
@@ -74,15 +73,17 @@ class MetricReport:
 # -- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adam with bias correction, in place: a step allocates no array, but computes in
+    two scratch buffers the size of the largest parameter, one pair per dtype."""
 
     def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        check_positive("lr", lr)
         self.params = list(params)
         self.lr, self.betas, self.eps = lr, betas, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.size for p in self.params), default=0)
+        self._scratch = {dt: np.empty((2, size), dt) for dt in {p.dtype for p in self.params}}
         self.t = 0
 
     def step(self):
@@ -92,13 +93,21 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
+            s1, s2 = (s[:p.size].reshape(p.shape) for s in self._scratch[p.dtype])
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), in that order, bitwise.
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s1)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1 - b2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, 1 - b1 ** self.t, out=s1)
+            s1 *= self.lr
+            np.divide(v, 1 - b2 ** self.t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
     def zero_grad(self):
         for p in self.params:
@@ -123,9 +132,7 @@ class TrainConfig:
         for name in counts:
             check_integer(name, getattr(self, name))
         check_integer("seed", self.seed, minimum=0)
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {lr!r}")
+        check_positive("learning_rate", self.learning_rate)
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
 
@@ -142,6 +149,7 @@ def _batch(windows: np.ndarray, idx, lookback: int):
 
 def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64):
     """(MSE, MAE) of denormalized forecasts over a make_windows array."""
+    check_integer("batch_size", batch_size)
     if not len(windows):
         raise ConfigError("no evaluation windows")
     sq_sum = abs_sum = count = 0.0

@@ -1,26 +1,29 @@
-"""The attention and memory math as chains of primitive Tensor ops.
+"""The attention, memory, gate and feed-forward math as chains of primitive Tensor ops.
 
-These are the forms ``dot_attention``, ``accumulate_memory`` and
-``retrieve_memory`` had before each became one graph node with a
-hand-written backward. Built from ``matmul``, ``+``, ``*``, ``truediv``,
-``reduce_sum``, ``reshape``, ``swapaxes``, basic indexing, ``join``,
-``softmax`` (numpy's reductions) and ``sigma``, and differentiated by the
-autodiff engine node by node, they are the oracles for the fused nodes'
-values and gradients.
+These are the forms ``dot_attention``, ``accumulate_memory``,
+``retrieve_memory``, ``gate_combine`` and ``feed_forward`` had before each
+became one graph node with a hand-written backward. Built from ``matmul``,
+``linear``, ``+``, ``*``, ``truediv``, ``reduce_sum``, ``reshape``,
+``swapaxes``, basic indexing, ``join``, ``softmax`` (numpy's reductions),
+``sigma``, ``sigmoid`` and ``relu``, and differentiated by the autodiff
+engine node by node, they are the oracles for the fused nodes' values and
+gradients.
 
 The package's own ``@`` multiplies by a 2-D weight only, its ``sum``
 reduces fully and it has no division, so the batched product, the axis sum
 and the quotient the chains need are nodes of their own here. So are the
-feature map ``sigma``, which the fused memory nodes apply to arrays, and
-``join``, which lays out the memory ``[M | z]``.
+feature map ``sigma``, which the fused memory nodes apply to arrays,
+``join``, which lays out the memory ``[M | z]``, ``relu``, which the fused
+``feed_forward`` node applies in place, and ``sigmoid``, which the fused
+``gate_combine`` node applies to its gate.
 """
 
 import math
 
 import numpy as np
 
-from icmixer.attention import _sigma
-from icmixer.tensor import DimensionError, Tensor, _unbroadcast
+from icmixer.attention import _sigma, merge_heads
+from icmixer.tensor import DimensionError, Tensor, _unbroadcast, expit, linear
 
 
 def sigma(x):
@@ -34,6 +37,31 @@ def sigma(x):
     def bwd(g):
         if x.requires_grad:
             x._accumulate(g * np.minimum(out_data, 1))
+
+    return Tensor._make(out_data, (x,), bwd)
+
+
+def relu(x):
+    """max(x, 0) as one graph node; NaN propagates.
+
+    The derivative is read from the output, so nothing else is saved.
+    """
+    out_data = np.maximum(x.data, 0)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * (out_data > 0))
+
+    return Tensor._make(out_data, (x,), bwd)
+
+
+def sigmoid(x):
+    """The logistic function ``expit`` as one graph node; backward reads the output."""
+    out_data = expit(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * out_data * (1.0 - out_data))
 
     return Tensor._make(out_data, (x,), bwd)
 
@@ -130,3 +158,12 @@ def accumulate_memory_chain(k, v):
 def retrieve_memory_chain(q, mem, epsilon):
     sq = sigma(q)
     return truediv(matmul(sq, mem[..., :-1]), matmul(sq, mem[..., -1:]) + epsilon)
+
+
+def gate_combine_chain(a_mem, a_dot, beta):
+    g = sigmoid(beta).reshape(beta.shape[0], 1, 1)
+    return merge_heads(g * a_mem + (1.0 - g) * a_dot)
+
+
+def feed_forward_chain(x, w1, b1, w2, b2):
+    return linear(relu(linear(x, w1, b1)), w2, b2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,27 @@ class TestMemory:
             Tensor(rng.standard_normal((3, 2, 6, 4))), Tensor(rng.standard_normal((3, 2, 6, 4))))
         assert mem.data[..., -1].min() > 0
 
+    def test_build_makes_no_per_channel_product(self):
+        """M is one GEMM over all channel-tokens, never a stack of per-channel products.
+
+        That stack would be [b, m, h, d_k, d_k]: 524 KB in float64 here.
+        """
+        b, m, h, n, d_k = 4, 8, 2, 4, 32
+        rng = np.random.default_rng(3)
+        # Laid out as split_heads leaves them: [b, m, n, h, d_k] viewed as [b, m, h, n, d_k].
+        k, v = (rng.standard_normal((b, m, n, h, d_k)).swapaxes(-3, -2) for _ in range(2))
+        tracemalloc.start()
+        try:
+            mem = accumulate_memory(Tensor(k), Tensor(v)).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * m * h * d_k * d_k * 8
+        sk = elu1(k)
+        np.testing.assert_allclose(mem[:, 0, ..., :-1], np.einsum("bmhnd,bmhne->bhde", sk, v),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(mem[:, 0, ..., -1], sk.sum(axis=(1, 3)), rtol=1e-12)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             accumulate_memory(Tensor(np.ones((1, 2, 5, 3))), Tensor(np.ones((1, 2, 5, 4))))
@@ -162,6 +184,12 @@ class TestDotAttention:
             dot_attention(Tensor(q), Tensor(k), Tensor(v)).data, expected, atol=1e-12)
 
 
+def merged(a):
+    """[..., h, n, d_k] -> [..., n, h*d_k], the head layout gate_combine returns."""
+    *lead, h, n, d_k = a.shape
+    return a.swapaxes(-3, -2).reshape(*lead, n, h * d_k)
+
+
 class TestGate:
     def setup_method(self):
         rng = np.random.default_rng(6)
@@ -170,15 +198,16 @@ class TestGate:
 
     def test_balanced_at_zero(self):
         out = gate_combine(self.a_mem, self.a_dot, Tensor(np.zeros(2)))
-        np.testing.assert_allclose(out.data, 0.5 * (self.a_mem.data + self.a_dot.data), atol=1e-15)
+        np.testing.assert_allclose(
+            out.data, merged(0.5 * (self.a_mem.data + self.a_dot.data)), atol=1e-15)
 
     def test_saturates_to_local(self):
         out = gate_combine(self.a_mem, self.a_dot, Tensor(np.full(2, -40.0)))
-        np.testing.assert_allclose(out.data, self.a_dot.data, atol=1e-15)
+        np.testing.assert_allclose(out.data, merged(self.a_dot.data), atol=1e-15)
 
     def test_saturates_to_memory(self):
         out = gate_combine(self.a_mem, self.a_dot, Tensor(np.full(2, 40.0)))
-        np.testing.assert_allclose(out.data, self.a_mem.data, atol=1e-15)
+        np.testing.assert_allclose(out.data, merged(self.a_mem.data), atol=1e-15)
 
 
 def make_layers(d_model=16, n_heads=2, seed=0):

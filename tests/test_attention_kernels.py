@@ -6,10 +6,13 @@ length where ``row_max`` stops halving), with NaN and +-inf mixed in on some
 draws. ``row_max`` must be bitwise equal; ``row_sum`` adds in another order,
 so it must be equal where numpy's sum is not finite and close elsewhere.
 
-``dot_attention`` (with and without a broadcast bias), ``accumulate_memory``
-and ``retrieve_memory`` are checked against the primitive-op chains in
-``composite_chains.py``: values, and the gradients of
-``L = sum(g * output)`` with respect to every input.
+``dot_attention`` (with and without a broadcast bias), ``accumulate_memory``,
+``retrieve_memory`` and ``gate_combine`` are checked against the primitive-op
+chains in ``composite_chains.py``: values, and the gradients of
+``L = sum(g * output)`` with respect to every input. ``gate_combine`` must
+equal its chain bitwise except in the ``beta`` gradient, whose sum runs in
+another order, and ``feed_forward`` must equal ``linear -> relu -> linear``
+bitwise everywhere, NaN included.
 
 Tolerances were fixed before any result was seen: float64 1e-12 and
 float32 1e-5, relative to the summed magnitudes of the terms that form each
@@ -25,10 +28,12 @@ import pytest
 from composite_chains import (
     accumulate_memory_chain,
     dot_attention_chain,
+    feed_forward_chain,
+    gate_combine_chain,
     retrieve_memory_chain,
 )
-from icmixer.attention import accumulate_memory, dot_attention, retrieve_memory
-from icmixer.tensor import Tensor, row_max, row_sum
+from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
+from icmixer.tensor import Tensor, expit, feed_forward, row_max, row_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -77,6 +82,11 @@ def run(fn, *arrays):
     for t in tensors:
         assert t.grad.dtype == t.dtype and t.grad.shape == t.shape
     return [o.data for o in outs], [t.grad for t in tensors], gs
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), f"max difference {np.nanmax(np.abs(got - want))}"
 
 
 def check_against_chain(fused, chain, arrays, scales):
@@ -237,3 +247,50 @@ def test_retrieve_memory_matches_chain(case, data):
                 [(g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0), g_mem])
 
     check_against_chain(fused, chain, [q, np.concatenate([mem, z], axis=-1)], scales)
+
+
+# -- gate -----------------------------------------------------------------------
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(memory_case(), st.data())
+def test_gate_combine_matches_merged_chain(case, data):
+    dtype, lead, m, h, n, d = case
+    a_mem, a_dot = (data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+                    for _ in range(2))
+    beta = data.draw(hnp.arrays(dtype, (h,), elements=floats(dtype, 4.0)))
+    values, grads, gs = run(gate_combine, a_mem, a_dot, beta)
+    want_values, want_grads, _ = run(gate_combine_chain, a_mem, a_dot, beta)
+    for got, want in zip(values + grads[:2], want_values + want_grads[:2]):
+        assert_bitwise(got, want)
+    s = expit(beta.astype(np.float64))
+    g_heads = np.abs(gs[0].astype(np.float64)).reshape(*lead, m, n, h, d).swapaxes(-3, -2)
+    terms = g_heads * (np.abs(a_mem.astype(np.float64)) + np.abs(a_dot))
+    assert_close(grads[2], want_grads[2], TOLERANCE[dtype],
+                 s * (1 - s) * reduce_to(terms, (h, 1, 1)).reshape(h))
+
+
+# -- feed-forward ---------------------------------------------------------------
+
+@st.composite
+def feed_forward_case(draw):
+    """(x, w1, b1, w2, b2): x [*lead, d] (NaN on some draws), w1 [d, d_ff], w2 [d_ff, d_out]."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    d, d_ff, d_out = (draw(st.integers(1, 6)) for _ in range(3))
+    x_elements = floats(dtype, 10.0)
+    if draw(st.booleans()):
+        x_elements = x_elements | st.just(math.nan)
+    x = draw(hnp.arrays(dtype, (*lead, d), elements=x_elements))
+    return [x, *(draw(hnp.arrays(dtype, shape, elements=floats(dtype, 2.0)))
+                 for shape in ((d, d_ff), (d_ff,), (d_ff, d_out), (d_out,)))]
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(feed_forward_case())
+def test_feed_forward_equals_linear_relu_linear_bitwise(arrays):
+    values, grads, _ = run(feed_forward, *arrays)
+    want_values, want_grads, _ = run(feed_forward_chain, *arrays)
+    for got, want in zip(values + grads, want_values + want_grads):
+        assert_bitwise(got, want)
+    if np.isnan(arrays[0]).any():
+        assert np.isnan(values[0]).any()

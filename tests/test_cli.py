@@ -212,7 +212,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--horizons", "8,8", "horizons[1] repeats horizon 8"),
-        ("--learning-rate", "inf", "learning rate must be positive and finite, got inf"),
+        ("--learning-rate", "inf", "learning_rate must be a finite number > 0, got inf"),
     ])
     def test_repeated_horizon_or_infinite_rate_is_one_error_line(self, tmp_path, capsys,
                                                                  flag, value, message):

@@ -192,7 +192,46 @@ class TestPrecision:
         assert all(g is not None and g.dtype == dtype for g in grads)
 
 
+class TestActivationMemory:
+    def test_loss_graph_keeps_one_ffn_hidden_array(self):
+        """The loss graph of a 1-block f32 ICM model holds one d_ff-wide array.
+
+        It is the post-ReLU hidden that feed_forward saves; weights and biases
+        are not counted, and views count with the array they view.
+        """
+        d_ff = 48  # no other array of this config is 48 wide
+        model = ForecastEncoder(tiny_config(d_ff=d_ff, horizons=(8,)), seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        loss = mse(model.forecast(rng.standard_normal((2, 3, 32)), 8),
+                   rng.standard_normal((2, 3, 8)).astype(np.float32))
+
+        def root(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        arrays, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                arrays.append(node.data)
+                cells = getattr(node._backward, "__closure__", None) or ()
+                arrays += [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+                stack.extend(node._parents)
+        weights = {id(root(p.data)) for p in model.parameters().values()}
+        hidden = {id(root(a)) for a in arrays if a.ndim and a.shape[-1] == d_ff} - weights
+        assert len(hidden) == 1
+
+
 class TestForecast:
+    def test_tensor_input_runs_in_the_model_dtype(self):
+        model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
+        x = np.random.default_rng(8).standard_normal((2, 3, 32))
+        from_array, from_tensor = model.forecast(x, 8), model.forecast(Tensor(x), 8)
+        assert from_array.dtype == from_tensor.dtype == np.float32
+        assert from_tensor.data.tobytes() == from_array.data.tobytes()
+
     def test_output_shapes(self):
         model = ForecastEncoder(tiny_config(), seed=0)
         x = np.random.default_rng(7).standard_normal((2, 3, 32))

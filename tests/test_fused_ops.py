@@ -1,8 +1,8 @@
 """Property tests of the single-node nonlinearities against slow transcriptions.
 
-``relu`` and ``layer_norm`` each run as one graph node with a hand-written
-backward, and so do the ``sigma`` and ``softmax`` oracles of the attention
-chains. The oracles below compute the same values and gradients another
+``layer_norm`` runs as one graph node with a hand-written backward, and so
+do the ``relu`` oracle of the feed-forward chain and the ``sigma`` and
+``softmax`` oracles of the attention chains. The oracles below compute the same values and gradients another
 way: ``relu`` and ``sigma`` element by element in Python, ``layer_norm`` as
 the chain of primitive ops it used to be (differentiated step by step in
 numpy), and ``softmax`` as the out-of-place formula.
@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from composite_chains import sigma, softmax
+from composite_chains import relu, sigma, softmax
 from icmixer.tensor import Parameter, Tensor, layer_norm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,7 +67,7 @@ def elementwise(fn, x):
 @hypothesis.given(case())
 def test_relu_matches_elementwise_oracle(xg):
     x, g = xg
-    value, grad, _ = run(Tensor.relu, x, g)
+    value, grad, _ = run(relu, x, g)
     tol = TOLERANCE[x.dtype.type]
     expected = elementwise(lambda v: v if v > 0 else 0.0, x)
     assert_close(value, expected, tol, np.abs(expected))
@@ -160,7 +160,7 @@ def test_layer_norm_matches_node_chain(xg, data):
 
 
 def test_relu_propagates_nan():
-    out = Tensor([np.nan, -1.0, 2.0]).relu().data
+    out = relu(Tensor([np.nan, -1.0, 2.0])).data
     assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
 

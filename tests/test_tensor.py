@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from composite_chains import sigma, softmax, truediv
+from composite_chains import relu, sigma, sigmoid, softmax, truediv
 from icmixer.attention import _sigma
 from icmixer.tensor import (
     DimensionError,
@@ -77,7 +77,7 @@ class TestElementwise:
         np.testing.assert_allclose(softmax(x).data.sum(axis=-1), np.ones(4), atol=1e-12)
 
     def test_sigmoid_at_zero(self):
-        assert Tensor(0.0).sigmoid().item() == 0.5
+        assert sigmoid(Tensor(0.0)).item() == 0.5
         assert expit(0.0) == 0.5
         assert expit(np.float32(0.0)) == 0.5
 
@@ -86,15 +86,15 @@ class TestElementwise:
         assert expit(np.zeros((2, 3), dtype)).dtype == dtype
         assert expit(np.array(1.0, dtype)).dtype == dtype  # 0-d array
         assert expit(dtype(1.0)).dtype == dtype            # numpy scalar
-        assert Tensor(np.ones(3, dtype)).sigmoid().dtype == dtype
-        assert Tensor(np.array(1.0, dtype)).sigmoid().dtype == dtype
+        assert sigmoid(Tensor(np.ones(3, dtype))).dtype == dtype
+        assert sigmoid(Tensor(np.array(1.0, dtype))).dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_saturates_without_warnings(self, dtype):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = expit(np.array([-1000.0, 1000.0], dtype))
-            node = Tensor(np.array([-1000.0, 1000.0], dtype)).sigmoid()
+            node = sigmoid(Tensor(np.array([-1000.0, 1000.0], dtype)))
         assert out.tolist() == [0.0, 1.0]
         assert node.data.tolist() == [0.0, 1.0]
 
@@ -139,7 +139,7 @@ class TestBackward:
 
     def test_sigmoid_grad_at_zero(self):
         w = Tensor(0.0, requires_grad=True)
-        w.sigmoid().backward()
+        sigmoid(w).backward()
         assert w.grad == pytest.approx(0.25)
 
     def test_backward_on_non_scalar_raises(self):
@@ -164,8 +164,8 @@ class TestBackward:
             return (y * y).mean()
 
         w1t = Tensor(w1, requires_grad=True)
-        h = (Tensor(x) @ w1t).relu()
-        y = (h @ Tensor(w2)).sigmoid()
+        h = relu(Tensor(x) @ w1t)
+        y = sigmoid(h @ Tensor(w2))
         (y * y).mean().backward()
         fd = finite_difference(loss_np, w1.copy())
         assert rel_err(w1t.grad, fd) < 1e-6
@@ -176,7 +176,7 @@ class TestBackward:
         x = rng.uniform(-2, 2, (3, 4))
         cases = [
             softmax,
-            lambda t: t.sigmoid(),
+            sigmoid,
             sigma,
             lambda t: layer_norm(t, Tensor(np.ones(4)), Tensor(np.zeros(4))),
             lambda t: (t * t + 2.0 * t).swapaxes(0, 1),
@@ -211,7 +211,7 @@ class TestGraphFreeing:
     def build(self):
         w = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
         x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]), requires_grad=True)
-        hidden = (x @ w).sigmoid()
+        hidden = sigmoid(x @ w)
         loss = (hidden * hidden).sum()
         return w, x, hidden, loss
 
@@ -231,7 +231,7 @@ class TestGraphFreeing:
 
     def test_saved_activation_dies_while_loss_is_alive(self):
         x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
-        hidden = x.sigmoid()
+        hidden = sigmoid(x)
         probe = weakref.ref(hidden.data)  # the output array that sigmoid's backward saves
         loss = (hidden * 2.0).sum()
         del hidden

@@ -14,7 +14,7 @@ from icmixer.data import (
 )
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError, no_grad
+from icmixer.tensor import DimensionError, Parameter, no_grad
 from icmixer.training import (
     Adam,
     MetricReport,
@@ -80,7 +80,6 @@ class TestMetricReport:
 
 class TestAdam:
     def test_minimizes_quadratic(self):
-        from icmixer.tensor import Parameter
         p = Parameter(np.array([5.0, -3.0]), "p")
         opt = Adam([p], lr=0.1)
         for _ in range(300):
@@ -93,6 +92,33 @@ class TestAdam:
     def test_bad_lr_raises(self):
         with pytest.raises(ConfigError):
             Adam([], lr=0.0)
+
+    @pytest.mark.parametrize("lr", [-1e-3, float("nan"), float("inf"), True, "1e-3"])
+    def test_lr_outside_the_finite_positive_numbers_raises(self, lr):
+        # A NaN rate would turn every weight into NaN on the first step.
+        with pytest.raises(ConfigError, match="lr must be a finite number > 0"):
+            Adam([Parameter(np.ones(3), "p")], lr=lr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_equals_out_of_place_formula_bitwise(self, dtype):
+        rng = np.random.default_rng(4)
+        params = [Parameter(rng.standard_normal(shape), f"p{i}", dtype=dtype)
+                  for i, shape in enumerate([(7, 5), (13,), ()])]
+        opt = Adam(params, lr=3e-3)
+        (b1, b2), eps = opt.betas, opt.eps
+        want = [p.data.copy() for p in params]
+        m, v = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
+        for t in range(1, 6):
+            for i, p in enumerate(params):
+                p.grad = g = np.asarray(
+                    rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 2), dtype)
+                m[i] = m[i] * b1 + (1 - b1) * g
+                v[i] = v[i] * b2 + (1 - b2) * g * g
+                m_hat, v_hat = m[i] / (1 - b1 ** t), v[i] / (1 - b2 ** t)
+                want[i] = want[i] - 3e-3 * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            for p, w in zip(params, want):
+                assert p.data.dtype == dtype and p.data.tobytes() == np.asarray(w).tobytes()
 
 
 class TestTrainSupervised:
@@ -215,6 +241,12 @@ class TestWindowOracle:
         for split in ("val", "test"):
             assert evaluate(model, make_windows(self.series, 32, 8, split=split), 8, 16) == \
                 evaluate_oracle(model, window_list(self.series, 32, 8, split=split), 8, 16)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+    def test_evaluate_rejects_a_bad_batch_size(self, batch_size):
+        model = ForecastEncoder(small_config(), seed=2)
+        with pytest.raises(ConfigError, match="batch_size must be an integer >= 1"):
+            evaluate(model, make_windows(self.series, 32, 8, split="test"), 8, batch_size)
 
 
 class TestTelemetry:
@@ -356,10 +388,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be an integer >= 0"), ("seed", 1.5, "seed must be an integer"),
         ("seed", "3", "seed must be an integer"),
-        ("learning_rate", "1e-3", "learning rate must be positive"),
-        ("learning_rate", float("nan"), "learning rate must be positive"),
-        ("learning_rate", True, "learning rate must be positive"),
-        ("learning_rate", float("inf"), "learning rate must be positive and finite"),
+        ("learning_rate", "1e-3", "learning_rate must be a finite number > 0"),
+        ("learning_rate", float("nan"), "learning_rate must be a finite number > 0"),
+        ("learning_rate", True, "learning_rate must be a finite number > 0"),
+        ("learning_rate", float("inf"), "learning_rate must be a finite number > 0, got inf"),
     ])
     def test_bad_seed_or_learning_rate_raises(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
