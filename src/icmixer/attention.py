@@ -95,8 +95,7 @@ def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
     no second output-sized array is made. The backward keeps sigma(Q), the
     denominator and the output.
     """
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    check_positive("epsilon", epsilon)
     sq = _sigma(q.data)
     num_den = sq @ mem.data
     den = num_den[..., -1:] + epsilon

@@ -262,26 +262,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Channel-mixing time-series encoder toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_model=True):
-        p.add_argument("--config", help="JSON config file (flags take precedence)")
+    def add_data(p):
         p.add_argument("--data", help="CSV dataset path")
         p.add_argument("--synthetic", help="synthetic spec, e.g. lagged:m=4,lag=16,noise=0.05")
+
+    def add_common(p):
+        add_data(p)
+        p.add_argument("--config", help="JSON config file (flags take precedence)")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output root directory (default: runs)")
         p.add_argument("--name", help="run name under the output root")
-        if with_model:
-            p.add_argument("--lookback", type=int)
-            p.add_argument("--horizons", type=_parse_horizons)
-            p.add_argument("--n-blocks", dest="n_blocks", type=int)
-            p.add_argument("--d-model", dest="d_model", type=int)
-            p.add_argument("--n-heads", dest="n_heads", type=int)
-            p.add_argument("--d-ff", dest="d_ff", type=int)
-            p.add_argument("--precision", choices=["f32", "f64"])
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch-size", dest="batch_size", type=int)
-            p.add_argument("--learning-rate", dest="learning_rate", type=float)
-            p.add_argument("--train-stride", dest="train_stride", type=int)
-            p.add_argument("--max-train-windows", dest="max_train_windows", type=int)
+        p.add_argument("--lookback", type=int)
+        p.add_argument("--horizons", type=_parse_horizons)
+        p.add_argument("--n-blocks", dest="n_blocks", type=int)
+        p.add_argument("--d-model", dest="d_model", type=int)
+        p.add_argument("--n-heads", dest="n_heads", type=int)
+        p.add_argument("--d-ff", dest="d_ff", type=int)
+        p.add_argument("--precision", choices=["f32", "f64"])
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch-size", dest="batch_size", type=int)
+        p.add_argument("--learning-rate", dest="learning_rate", type=float)
+        p.add_argument("--train-stride", dest="train_stride", type=int)
+        p.add_argument("--max-train-windows", dest="max_train_windows", type=int)
 
     p_train = sub.add_parser("train", help="supervised training per horizon")
     add_common(p_train)
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_eval = sub.add_parser("eval", help="test-split metrics for a checkpoint")
-    add_common(p_eval, with_model=False)
+    add_data(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -138,7 +138,7 @@ class TestRetrieve:
 
     def test_bad_epsilon_raises(self):
         mem = accumulate_memory(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 2, 2))))
-        for epsilon in (-1.0, 0.0, math.nan):
+        for epsilon in (-1.0, 0.0, math.nan, math.inf, True):
             with pytest.raises(ConfigError):
                 retrieve_memory(Tensor(np.ones((1, 1, 2, 2))), mem, epsilon=epsilon)
 

@@ -294,6 +294,18 @@ class TestEvalCommand:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "missing.json"), ("--seed", "-5"), ("--out", "missing/dir"), ("--name", "x"),
+        ("--batch-size", "4"),
+    ])
+    def test_training_and_run_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        """eval takes a checkpoint and data only: a flag it would ignore exits 2."""
+        path = tiny_checkpoint(tmp_path / "model.icm")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(path), *SYNTH, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_mismatched_checkpoint_is_versioned_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.icm"
         bad.write_bytes(b"NOPE....")

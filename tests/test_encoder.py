@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icmixer.attention import ConfigError
 from icmixer.encoder import (
+    FORWARD_BLOCK_BYTES,
     EncoderConfig,
     ForecastEncoder,
     denormalize,
@@ -13,7 +16,7 @@ from icmixer.encoder import (
     sinusoidal_positions,
 )
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError, Parameter, Tensor
+from icmixer.tensor import DimensionError, Parameter, Tensor, linear, no_grad
 from icmixer.training import mse, shrunken_config
 
 
@@ -273,6 +276,121 @@ class TestForecast:
             w.data[i, j] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(fd - w.grad[i, j]) / max(abs(fd), abs(w.grad[i, j]), 1e-8) < 1e-4
+
+
+class TestForwardBlocks:
+    """Under no_grad a forecast runs its batch in near-equal blocks of whole windows."""
+
+    M = 4  # channels
+
+    @staticmethod
+    def model(dtype):
+        # 16 patches of width 64: a window of 4 channels is 16 KiB in f32 and
+        # 32 KiB in f64, so a block holds 128 or 64 windows.
+        config = tiny_config(d_model=64, d_ff=64, lookback=128, horizons=(8,))
+        return ForecastEncoder(config, seed=3, dtype=dtype)
+
+    @classmethod
+    def block_windows(cls, model):
+        window_bytes = cls.M * model.config.n_patches * model.config.d_model * model.dtype.itemsize
+        return FORWARD_BLOCK_BYTES // window_bytes
+
+    @staticmethod
+    def single_pass(model, x):
+        """The forecast of one encoder pass over the whole batch."""
+        x_norm, stats = instance_normalize(Tensor(x, dtype=model.dtype))
+        enc = model._encode_normalized(x_norm)
+        b, m, n_patches, d = enc.shape
+        w, bias = model.heads[8]
+        return denormalize(linear(enc.reshape(b, m, n_patches * d), w, bias), stats)
+
+    @staticmethod
+    def record_blocks(model, monkeypatch):
+        """The batch size of each encoder pass the model makes."""
+        sizes, encode = [], model._encode_normalized
+
+        def recording_encode(x_norm):
+            sizes.append(x_norm.shape[0])
+            return encode(x_norm)
+
+        monkeypatch.setattr(model, "_encode_normalized", recording_encode)
+        return sizes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_equal_the_single_pass(self, dtype, monkeypatch):
+        """Every step is per window, so blocks give the one-pass forecast.
+
+        Tolerance set before measuring: 16 eps of the dtype relative to the
+        largest forecast, for blocks that change the GEMM row counts. Every
+        run observed was bitwise equal, so that is what is asserted.
+        """
+        model = self.model(dtype)
+        block = self.block_windows(model)
+        assert block == {np.float32: 128, np.float64: 64}[dtype]
+        b = 2 * block + block // 2 + 1  # three blocks that cannot all be equal
+        x = np.random.default_rng(4).standard_normal((b, self.M, 128)) * 3 + 1
+        with no_grad():
+            expected = self.single_pass(model, x).data
+            sizes = self.record_blocks(model, monkeypatch)
+            pred = model.forecast(x, 8).data
+        assert len(sizes) == 3 and sum(sizes) == b and max(sizes) - min(sizes) <= 1
+        assert pred.dtype == dtype and pred.shape == (b, self.M, 8)
+        np.testing.assert_allclose(pred, expected, rtol=0,
+                                   atol=16 * np.finfo(dtype).eps * np.abs(expected).max())
+        assert pred.tobytes() == expected.tobytes()
+
+    def test_one_block_batches_run_in_one_pass(self, monkeypatch):
+        model = self.model(np.float32)
+        sizes = self.record_blocks(model, monkeypatch)
+        x = np.random.default_rng(5).standard_normal((self.block_windows(model), self.M, 128))
+        with no_grad():
+            model.forecast(x, 8)
+            model.forecast(x[:1], 8)
+            assert model.forecast(x[:0], 8).shape == (0, self.M, 8)
+        assert sizes == [self.block_windows(model), 1, 0]
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        """The traced peak of a 4-block batch stays within 1.5x that of one block.
+
+        One pass over the batch would hold 4x the activations.
+        """
+        model = self.model(np.float64)
+        block = self.block_windows(model)
+        x = np.random.default_rng(6).standard_normal((4 * block, self.M, 128))
+        peaks = []
+        with no_grad():
+            model.forecast(x[:1], 8)  # first-call allocations stay out of the peaks
+            for batch in (x[:block], x):
+                tracemalloc.start()
+                try:
+                    model.forecast(batch, 8)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_a_graph_keeps_the_single_pass(self, monkeypatch):
+        """With a graph the batch runs in one pass: same values and gradients as one pass."""
+        model = self.model(np.float32)
+        b = 2 * self.block_windows(model) + 1
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((b, self.M, 128))
+        y = rng.standard_normal((b, self.M, 8)).astype(np.float32)
+        sizes = self.record_blocks(model, monkeypatch)
+        pred = model.forecast(x, 8)
+        assert sizes == [b]
+        loss = mse(pred, y)
+        model.zero_grad()
+        loss.backward()
+        grads = {name: p.grad.copy() for name, p in model.parameters().items()}
+        monkeypatch.undo()
+        expected = self.single_pass(model, x)
+        assert pred.data.tobytes() == expected.data.tobytes()
+        loss = mse(expected, y)
+        model.zero_grad()
+        loss.backward()
+        for name, p in model.parameters().items():
+            assert grads[name].tobytes() == p.grad.tobytes(), name
 
 
 def reachable_parameters(obj, seen):

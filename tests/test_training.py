@@ -1,3 +1,4 @@
+import re
 import resource
 
 import numpy as np
@@ -14,7 +15,7 @@ from icmixer.data import (
 )
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError, Parameter, no_grad
+from icmixer.tensor import DimensionError, Parameter, Tensor, no_grad
 from icmixer.training import (
     Adam,
     MetricReport,
@@ -242,6 +243,23 @@ class TestWindowOracle:
             assert evaluate(model, make_windows(self.series, 32, 8, split=split), 8, 16) == \
                 evaluate_oracle(model, window_list(self.series, 32, 8, split=split), 8, 16)
 
+    @pytest.mark.parametrize("window_horizon, horizon", [(1, 8), (8, 1), (16, 8)])
+    def test_evaluate_rejects_windows_of_another_length(self, window_horizon, horizon):
+        """Windows built for one horizon and scored at another would broadcast or fail in numpy."""
+        config = EncoderConfig(**{**small_config().to_dict(), "horizons": (1, 8)})
+        model = ForecastEncoder(config, seed=2)
+        windows = make_windows(self.series, 32, window_horizon, split="test")
+        expected = (f"lookback 32 + horizon {horizon} = {32 + horizon}], "
+                    f"got shape {windows.shape}")
+        with pytest.raises(DimensionError, match=re.escape(expected)):
+            evaluate(model, windows, horizon, 16)
+
+    def test_evaluate_rejects_windows_without_a_channel_axis(self):
+        model = ForecastEncoder(small_config(), seed=2)
+        windows = make_windows(self.series, 32, 8, split="test")[:, 0]
+        with pytest.raises(DimensionError, match="must be \\[n, channels, lookback 32"):
+            evaluate(model, windows, 8, 16)
+
     @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
     def test_evaluate_rejects_a_bad_batch_size(self, batch_size):
         model = ForecastEncoder(small_config(), seed=2)
@@ -294,6 +312,33 @@ class TestTelemetry:
                 assert gate.shape == (1, 2)  # blocks x heads
                 assert np.all((gate > 0) & (gate < 1))
         assert records[0]["peak_rss_mb"] <= records[1]["peak_rss_mb"]  # a running peak
+
+    def test_a_nan_gradient_norm_reaches_the_record(self, monkeypatch):
+        """A step whose gradient norm is NaN makes the epoch's grad_norm NaN.
+
+        The first step's ``block.0.ffn.w1`` gradient is set to NaN and no step
+        updates a weight, so the NaN never reaches the loss; the record
+        alone must show it.
+        """
+        series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
+        model = ForecastEncoder(small_config(), seed=1)
+        w1 = model.parameters()["block.0.ffn.w1"]
+        backward, steps, records = Tensor.backward, [], []
+
+        def backward_with_a_nan_first_step(loss):
+            backward(loss)
+            if not steps:
+                w1.grad[0, 0] = np.nan
+            steps.append(len(records))
+
+        monkeypatch.setattr(Tensor, "backward", backward_with_a_nan_first_step)
+        monkeypatch.setattr(Adam, "step", lambda optimizer: None)
+        train_supervised(model, series, small_train_config(epochs=2), horizon=8,
+                         log=records.append)
+        assert steps.count(0) > 1  # epoch 0 has finite steps after the NaN one
+        assert [r["epoch"] for r in records] == [0, 1]
+        assert np.isnan(records[0]["grad_norm"])
+        assert np.isfinite(records[1]["grad_norm"]) and records[1]["grad_norm"] > 0
 
     def test_logging_does_not_perturb_training(self, monkeypatch):
         records = []
@@ -356,10 +401,35 @@ class TestGradcheck:
     @pytest.mark.parametrize("kwargs", [
         dict(seed=-1), dict(seed=1.5), dict(tolerance=float("nan")), dict(tolerance=float("inf")),
         dict(tolerance=0.0), dict(tolerance=-1e-4), dict(tolerance=True),
-    ], ids=["negative-seed", "float-seed", "nan", "inf", "zero", "negative", "bool"])
+        dict(h=float("nan")), dict(h=float("inf")), dict(h=0.0), dict(h=-1e-5),
+    ], ids=["negative-seed", "float-seed", "nan", "inf", "zero", "negative", "bool",
+            "nan-step", "inf-step", "zero-step", "negative-step"])
     def test_bad_arguments_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             gradcheck(shrunken_config(MixerKind.ICM), **kwargs)
+
+    def test_nan_gradient_fails(self, monkeypatch):
+        """A parameter whose autodiff gradient is NaN fails with a NaN error."""
+        models = []
+
+        def recording_model(*args, **kwargs):
+            models.append(ForecastEncoder(*args, **kwargs))
+            return models[-1]
+
+        backward = Tensor.backward
+
+        def backward_with_nan_w1(loss):
+            backward(loss)
+            models[-1].parameters()["block.0.ffn.w1"].grad[...] = np.nan
+
+        monkeypatch.setattr(training, "ForecastEncoder", recording_model)
+        monkeypatch.setattr(Tensor, "backward", backward_with_nan_w1)
+        report = gradcheck(shrunken_config(MixerKind.ICM), tolerance=1e-4)
+        assert report.failures == ["block.0.ffn.w1"]
+        assert np.isnan(report.max_rel_err["block.0.ffn.w1"])
+        summary = report.summary()
+        assert summary.startswith("[FAIL]") and "worst rel err nan" in summary
+        assert "exceeded: block.0.ffn.w1 (nan)" in summary
 
     def test_failure_reported_for_impossible_tolerance(self):
         report = gradcheck(shrunken_config(MixerKind.ICM), tolerance=1e-16)
