@@ -10,6 +10,7 @@ head whose outputs are mapped back to the original scale.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -180,12 +181,25 @@ class EncoderBlock:
         return x + self.ffn(self.ln2(x))
 
 
+class _Unfilled(tuple):
+    """The shape of a weight whose values will be read from a checkpoint.
+
+    Scaling it is a no-op, so a layer's ``draw * scale`` initializer computes
+    nothing; the model's ``param`` factory makes it one zeroed array.
+    """
+
+    def __mul__(self, scale):
+        return self
+
+    __truediv__ = __mul__
+
+
 class _ZeroDraws:
     """Stands in for ``np.random.Generator`` where the draws will be overwritten."""
 
     @staticmethod
     def standard_normal(shape):
-        return np.zeros(shape)
+        return _Unfilled(shape)
 
 
 class ForecastEncoder:
@@ -198,8 +212,9 @@ class ForecastEncoder:
     def _unfilled(cls, config: EncoderConfig, dtype) -> "ForecastEncoder":
         """A model of the right shapes whose weights are zeros, to be overwritten.
 
-        It draws nothing from a generator: for the default backbone the
-        seeded normal draws are most of the time a checkpoint load takes.
+        It draws nothing and computes nothing weight-sized: each parameter is
+        one ``np.zeros`` array in the model dtype, whose pages the allocator
+        hands out untouched until a checkpoint's bytes are read into them.
         """
         model = cls.__new__(cls)
         model._build(config, _ZeroDraws, dtype)
@@ -213,6 +228,8 @@ class ForecastEncoder:
 
         def param(value, name):
             """The one place a parameter is made: named, cast to the model dtype, registered."""
+            if isinstance(value, _Unfilled):
+                value = np.zeros(value, dtype)
             p = self._params[name] = Parameter(value, name, dtype=dtype)
             return p
 
@@ -344,15 +361,37 @@ _MAGIC = b"ICM1"
 _ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int}
 
 
+def _checkpoint_dtype(dtypes, path) -> np.dtype:
+    """The one float dtype, in native byte order, that ``dtypes`` all share."""
+    dtypes = {np.dtype(d).newbyteorder("=") for d in dtypes}
+    if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
+        raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
+                          f"got {sorted(d.str for d in dtypes)}")
+    return dtypes.pop()
+
+
+def _check_finite(p: Parameter, path):
+    # min and max propagate a NaN and reach an inf, and allocate nothing
+    # the size of the parameter.
+    if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):
+        raise ConfigError(f"{path}: checkpoint parameter {p.name!r} holds a non-finite value")
+
+
 def save_checkpoint(model: ForecastEncoder, path):
+    """Write ``model`` to ``path``, each parameter's own buffer in turn.
+
+    A model that ``load_checkpoint`` would reject (parameters in more than
+    one dtype, or a non-finite weight) raises ConfigError before an existing
+    file at ``path`` is touched.
+    """
     params = model.parameters()
-    entries, blobs, offset = [], [], 0
+    _checkpoint_dtype([p.dtype for p in params.values()], path)
+    entries, offset = [], 0
     for name, p in params.items():
-        raw = np.ascontiguousarray(p.data, dtype=p.data.dtype.newbyteorder("<")).tobytes()
+        _check_finite(p, path)
         entries.append({"name": name, "shape": list(p.shape),
-                        "dtype": p.data.dtype.str, "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+                        "dtype": p.dtype.newbyteorder("<").str, "offset": offset})
+        offset += p.data.nbytes
     header = json.dumps({"config": model.config.to_dict(), "params": entries}).encode()
     # A new file, not the old one truncated: ext4 (auto_da_alloc) flushes a
     # file that is truncated and rewritten in place when it is closed, which
@@ -362,21 +401,24 @@ def save_checkpoint(model: ForecastEncoder, path):
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for p in params.values():
+            # A contiguous little-endian array is written as it is, not copied.
+            raw = np.ascontiguousarray(p.data, dtype=p.dtype.newbyteorder("<"))
+            f.write(memoryview(raw).cast("B"))
 
 
-def _read_checkpoint(path):
-    """(header, body) of a checkpoint file; ConfigError if it is not well formed."""
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-        prefix = f.read(4)
-        if len(prefix) != 4:
-            raise ConfigError(f"{path}: checkpoint truncated inside the header length")
-        (hlen,) = struct.unpack("<I", prefix)
-        raw_header = f.read(hlen)
-        body = f.read()
+def _read_header(f, path) -> dict:
+    """The header of the open checkpoint ``f``, left at the start of the body.
+
+    ConfigError if the magic, the header length or the header is not well formed.
+    """
+    if f.read(4) != _MAGIC:
+        raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
+    prefix = f.read(4)
+    if len(prefix) != 4:
+        raise ConfigError(f"{path}: checkpoint truncated inside the header length")
+    (hlen,) = struct.unpack("<I", prefix)
+    raw_header = f.read(hlen)
     if len(raw_header) != hlen:
         raise ConfigError(f"{path}: checkpoint truncated inside the header")
     try:
@@ -390,43 +432,53 @@ def _read_checkpoint(path):
                     for e in entries)):
         raise ConfigError(f"{path}: corrupt checkpoint header (expected a config object and "
                           f"a non-empty list of {{name, shape, dtype, offset}} entries)")
-    return header, body
+    return header
 
 
 def load_checkpoint(path) -> ForecastEncoder:
     """Rebuild a model from ``save_checkpoint`` output.
 
     The file must hold exactly the model's parameters, each with its shape,
-    in one float dtype, inside the body. Any other file raises ConfigError.
+    in one float dtype, inside the body, with finite values. Any other file
+    raises ConfigError. Every check on the header runs before a parameter
+    byte is read; then each buffer is read straight into its parameter's own
+    array, so the load holds one copy of the weights.
     """
-    header, body = _read_checkpoint(path)
-    try:
-        config = EncoderConfig.from_dict(header["config"])
-        dtypes = {np.dtype(e["dtype"]).newbyteorder("=") for e in header["params"]}
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
-    if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
-        raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
-                          f"got {sorted(d.str for d in dtypes)}")
-    model = ForecastEncoder._unfilled(config, dtypes.pop())
-    params = model.parameters()
-    names = [entry["name"] for entry in header["params"]]
-    missing, unknown = sorted(set(params) - set(names)), sorted(set(names) - set(params))
-    if missing or unknown or len(names) != len(params):
-        raise ConfigError(
-            f"{path}: checkpoint parameters do not match the model (missing: {missing}, "
-            f"unknown: {unknown}, {len(names)} entries for {len(params)} parameters)")
-    for entry in header["params"]:
-        p = params[entry["name"]]
-        if entry["shape"] != list(p.shape):
-            raise ConfigError(f"checkpoint parameter {entry['name']!r} shape "
-                              f"{entry['shape']} != model shape {list(p.shape)}")
-        dt = np.dtype(entry["dtype"])
-        start, nbytes = entry["offset"], p.size * dt.itemsize
-        if not 0 <= start <= len(body) - nbytes:
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
+        body_start = f.tell()
+        body_len = os.fstat(f.fileno()).st_size - body_start
+        try:
+            config = EncoderConfig.from_dict(header["config"])
+            dtypes = [np.dtype(e["dtype"]) for e in header["params"]]
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
+        model = ForecastEncoder._unfilled(config, _checkpoint_dtype(dtypes, path))
+        params = model.parameters()
+        names = [entry["name"] for entry in header["params"]]
+        missing, unknown = sorted(set(params) - set(names)), sorted(set(names) - set(params))
+        if missing or unknown or len(names) != len(params):
             raise ConfigError(
-                f"{path}: checkpoint parameter {entry['name']!r} ({nbytes} bytes at offset "
-                f"{start}) lies outside the {len(body)}-byte body")
-        p.data = np.frombuffer(
-            body, dtype=dt, count=p.size, offset=start).reshape(p.shape).astype(dt.newbyteorder("="))
+                f"{path}: checkpoint parameters do not match the model (missing: {missing}, "
+                f"unknown: {unknown}, {len(names)} entries for {len(params)} parameters)")
+        reads = []
+        for entry, dt in zip(header["params"], dtypes):
+            p = params[entry["name"]]
+            if entry["shape"] != list(p.shape):
+                raise ConfigError(f"checkpoint parameter {entry['name']!r} shape "
+                                  f"{entry['shape']} != model shape {list(p.shape)}")
+            start, nbytes = entry["offset"], p.data.nbytes
+            if not 0 <= start <= body_len - nbytes:
+                raise ConfigError(
+                    f"{path}: checkpoint parameter {entry['name']!r} ({nbytes} bytes at offset "
+                    f"{start}) lies outside the {body_len}-byte body")
+            reads.append((p, start, dt))
+        for p, start, dt in reads:
+            f.seek(body_start + start)
+            if f.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
+                raise ConfigError(f"{path}: checkpoint ended inside parameter {p.name!r} "
+                                  f"while it was read")
+            if not dt.isnative:
+                p.data.byteswap(inplace=True)
+            _check_finite(p, path)
     return model

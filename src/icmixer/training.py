@@ -267,7 +267,11 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
             log(record)
         if val_mse < best_val:
             best_val = val_mse
-            best_state = {p.name: p.data.copy() for p in trainable}
+            if best_state is None:  # one snapshot, overwritten in place after this
+                best_state = {p.name: p.data.copy() for p in trainable}
+            else:
+                for p in trainable:
+                    np.copyto(best_state[p.name], p.data)
             patience_left = config.patience
         else:
             patience_left -= 1

@@ -31,6 +31,12 @@ def drop_first_parameter(raw: bytes) -> bytes:
     return edit_header(raw, lambda header: header["params"].pop(0))
 
 
+def nan_first_weight(raw: bytes) -> bytes:
+    """A checkpoint whose first weight (embed.w, f64, at the body's start) is NaN."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return raw[:8 + hlen] + struct.pack("<d", float("nan")) + raw[16 + hlen:]
+
+
 def tiny_checkpoint(path):
     cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, lookback=32, horizons=(8,))
     save_checkpoint(ForecastEncoder(cfg), path)
@@ -280,11 +286,13 @@ class TestEvalCommand:
     @pytest.mark.parametrize("corrupt,message", [
         (drop_first_parameter, "missing: ['embed.w']"),
         (lambda raw: raw[:-100], "lies outside the"),
+        (lambda raw: raw[:-1], "lies outside the"),
+        (nan_first_weight, "'embed.w' holds a non-finite value"),
         (lambda raw: raw[:8] + b"#" + raw[9:], "corrupt checkpoint header"),
         (lambda raw: raw[:6], "truncated inside the header length"),
         (lambda raw: raw[:4] + struct.pack("<I", 10**6) + raw[8:], "truncated inside the header"),
-    ], ids=["missing-parameter", "truncated-body", "bad-json-header", "short-prefix",
-            "header-past-end"])
+    ], ids=["missing-parameter", "truncated-body", "body-short-by-one-byte", "non-finite-weight",
+            "bad-json-header", "short-prefix", "header-past-end"])
     def test_corrupt_checkpoint_is_config_error(self, tmp_path, capsys, corrupt, message):
         path = tiny_checkpoint(tmp_path / "model.icm")
         path.write_bytes(corrupt(path.read_bytes()))
@@ -349,6 +357,15 @@ class TestInspectCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "epsilon must be a finite number > 0" in captured.err
+
+    def test_non_finite_weight_is_one_error_line(self, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "model.icm")
+        path.write_bytes(nan_first_weight(path.read_bytes()))
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "'embed.w' holds a non-finite value" in captured.err
 
     def test_malformed_checkpoint_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.icm"

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -506,11 +510,14 @@ class TestCheckpoint:
             raise AssertionError("load_checkpoint drew a random init")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        loaded = load_checkpoint(path).parameters()
-        assert loaded.keys() == model.parameters().keys()
+        loaded = load_checkpoint(path)
+        assert loaded.parameters().keys() == model.parameters().keys()
         for name, p in model.parameters().items():
-            assert loaded[name].dtype == dtype
-            np.testing.assert_array_equal(loaded[name].data, p.data, strict=True)
+            assert loaded.parameters()[name].dtype == dtype
+            np.testing.assert_array_equal(loaded.parameters()[name].data, p.data, strict=True)
+        x = np.linspace(-2.0, 3.0, 3 * 2 * 32).reshape(3, 2, 32)
+        np.testing.assert_array_equal(loaded.forecast(x, 16).data, model.forecast(x, 16).data,
+                                      strict=True)
 
     def test_f32_checkpoint_preserves_dtype(self, tmp_path):
         model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
@@ -518,6 +525,131 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.embed_w.dtype == np.float32
+
+    def test_save_and_load_hold_one_copy_of_the_weights(self, tmp_path):
+        """Default f32 backbone: a load reads each buffer into its own parameter's
+        array, and a save writes each parameter's array without copying it."""
+        model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=np.float32)
+        weight_bytes = sum(p.data.nbytes for p in model.parameters().values())
+        path = tmp_path / "model.icm"
+        peaks = {}
+        for name, call in [("save", lambda: save_checkpoint(model, path)),
+                           ("load", lambda: load_checkpoint(path))]:
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["save"] <= 2**20, peaks
+        assert peaks["load"] <= 1.05 * weight_bytes, (peaks, weight_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_big_endian_checkpoint_loads_native_values(self, tmp_path, dtype):
+        """Entries labelled >f4/>f8 over big-endian bytes are swapped in place."""
+        model = ForecastEncoder(tiny_config(MixerKind.CONCAT), seed=2, dtype=dtype)
+        path = tmp_path / "model.icm"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen])
+        for entry in header["params"]:
+            entry["dtype"] = np.dtype(entry["dtype"]).newbyteorder(">").str
+        new_header = json.dumps(header).encode()
+        body = b"".join(p.data.astype(p.dtype.newbyteorder(">")).tobytes()
+                        for p in model.parameters().values())
+        path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header + body)
+        loaded = load_checkpoint(path)
+        for name, p in model.parameters().items():
+            assert loaded.parameters()[name].data.dtype.isnative
+            np.testing.assert_array_equal(loaded.parameters()[name].data, p.data, strict=True)
+
+    def test_big_endian_parameter_is_labelled_with_the_bytes_written(self, tmp_path):
+        """A >f4 parameter is written little-endian, so its entry must say <f4."""
+        model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
+        expected = model.embed_w.data.copy()
+        model.embed_w.data = expected.astype(">f4")
+        path = tmp_path / "model.icm"
+        save_checkpoint(model, path)
+        np.testing.assert_array_equal(load_checkpoint(path).embed_w.data, expected, strict=True)
+
+    def test_file_shrinking_after_its_size_was_read_raises(self, tmp_path, monkeypatch):
+        """A short read is caught, as if the file lost its last byte after ``fstat``."""
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        real_fstat = os.fstat
+
+        def fstat_before_the_cut(fd):
+            stat = list(real_fstat(fd))
+            stat[6] += 1  # st_size
+            return os.stat_result(stat)
+
+        monkeypatch.setattr(os, "fstat", fstat_before_the_cut)
+        with pytest.raises(ConfigError, match="ended inside parameter 'head.16.b'"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def poke(path, name, value):
+        """Overwrite the first element of parameter ``name`` in the file at ``path``."""
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        entry = next(e for e in json.loads(raw[8:8 + hlen])["params"] if e["name"] == name)
+        start = 8 + hlen + entry["offset"]
+        element = np.array(value, dtype=entry["dtype"]).tobytes()
+        raw[start:start + len(element)] = element
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_malformed(self, tmp_path, value):
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
+        self.poke(path, "head.8.w", value)
+        self.poke(path, "block.0.ffn.w1", value)
+        with pytest.raises(ConfigError, match="'block.0.ffn.w1' holds a non-finite value"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda model: model.blocks[0].ffn.b1.data.__setitem__(3, np.nan),
+         "'block.0.ffn.b1' holds a non-finite value"),
+        (lambda model: setattr(model.embed_b, "data", model.embed_b.data.astype(np.float32)),
+         "must share one float dtype"),
+    ], ids=["non-finite", "mixed-dtypes"])
+    def test_save_refuses_what_load_rejects_and_keeps_the_old_file(self, tmp_path, spoil,
+                                                                    message):
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
+        old = path.read_bytes()
+        model = ForecastEncoder(tiny_config(), seed=1)
+        spoil(model)
+        with pytest.raises(ConfigError, match=message):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == old
+
+    # sha256 over each parameter's name and little-endian bytes, in registry
+    # order, of tiny_config(mixer, n_blocks=2) at seed 5.
+    SEEDED_INIT_DIGESTS = {
+        ("independent", "float32"): "279de53c3e92df21",
+        ("independent", "float64"): "4c333771563a92c2",
+        ("concat", "float32"): "f07eff8a2e3fc0e5",
+        ("concat", "float64"): "12cf008318cbc7c6",
+        ("icm", "float32"): "f369173db53d39ac",
+        ("icm", "float64"): "63312e4d00d25cac",
+        ("icm-static", "float32"): "31d85993240ca544",
+        ("icm-static", "float64"): "0e5dfb23979125a4",
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_seeded_init_is_pinned(self, mixer, dtype):
+        """The unfilled skeleton shares ``_build`` with seeded inits, which must not move."""
+        model = ForecastEncoder(tiny_config(mixer, n_blocks=2), seed=5, dtype=dtype)
+        digest = hashlib.sha256()
+        for name, p in model.parameters().items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(p.data, dtype=p.dtype.newbyteorder("<")).tobytes())
+        key = (mixer.value, np.dtype(dtype).name)
+        assert digest.hexdigest()[:16] == self.SEEDED_INIT_DIGESTS[key]
 
 
 class TestEndToEndGradcheck:

@@ -159,6 +159,24 @@ class TestTrainSupervised:
         with pytest.raises(ConfigError, match="no trainable"):
             train_supervised(model, series, small_train_config(), horizon=8)
 
+    def test_final_parameters_are_the_best_epochs(self):
+        """The one snapshot, overwritten at each improving epoch, restores the best epoch."""
+        series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
+        model = ForecastEncoder(small_config(), seed=1)
+        val, states = [], []
+
+        def log(record):  # called after the epoch's validation, before its snapshot
+            val.append(record["val_mse"])
+            states.append({name: p.data.copy() for name, p in model.parameters().items()})
+
+        train_supervised(model, series, small_train_config(epochs=6, learning_rate=3e-2,
+                                                           patience=6), horizon=8, log=log)
+        best = int(np.argmin(val))
+        improving = [i for i, v in enumerate(val) if v < min(val[:i], default=np.inf)]
+        assert len(improving) >= 2 and best < len(val) - 1, val  # both branches, then a restore
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, states[best][name], strict=True)
+
 
 def window_list(series, lookback, horizon, stride=1, split="train"):
     """Oracle: one (input, target) pair per window start, by a loop over rows."""
