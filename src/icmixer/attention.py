@@ -55,34 +55,60 @@ def _sigma(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def accumulate_memory(k: Tensor, v: Tensor) -> Tensor:
-    """Fold keys/values [..., m, h, n, d_k] of all m channels into one memory.
+def _heads(n_heads: int, *arrays: np.ndarray) -> list:
+    """The [..., h, n, d_k] views of [..., n, h*d_k] arrays of one width.
+
+    Q, K, V and attention outputs keep the model's own token layout, so this
+    is the one place that knows where a head's d_k columns sit. A view of a
+    fresh array takes writes, so a per-head product lands in merged layout
+    through ``np.matmul(..., out=_heads(h, out)[0])`` (see ``_matmul_merged``).
+    """
+    widths = {a.shape[-1] for a in arrays}
+    if len(widths) != 1 or widths.pop() % n_heads or min(a.ndim for a in arrays) < 2:
+        raise DimensionError(f"{n_heads} heads need arrays of one width divisible by "
+                             f"{n_heads}, got shapes {[a.shape for a in arrays]}")
+    return [a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads).swapaxes(-3, -2)
+            for a in arrays]
+
+
+def _matmul_merged(a: np.ndarray, b: np.ndarray, shape: tuple, n_heads: int) -> np.ndarray:
+    """``a @ b`` per head, written into a fresh merged [..., n, h*d_k] array of ``shape``."""
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_heads(n_heads, out)[0])
+    return out
+
+
+def accumulate_memory(k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Fold keys/values [..., m, n, d_model] of all m channels into one memory.
 
     Returns ``[M | z]`` [..., 1, h, d_k, d_k + 1] as one node and one array:
     M = sigma(K)^T V is one GEMM per (batch, head) over all m*n channel-tokens
-    (views of ``split_heads`` output), z its last column, the key sums. The
+    (views of the token rows, no copy), z its last column, the key sums. The
     channel axis broadcasts against per-channel queries. The backward keeps
     sigma(K) and V.
     """
-    if k.shape != v.shape or k.ndim < 4:
+    if k.shape != v.shape or k.ndim < 3:
         raise DimensionError(
-            f"memory accumulation needs equal [..., m, h, n, d_k] K and V, got {k.shape}, {v.shape}")
-    *lead, m, h, n, d_k = k.shape
+            f"memory accumulation needs equal [..., m, n, d] K and V, got {k.shape}, {v.shape}")
+    *lead, m, n, _ = k.shape
     sk = _sigma(k.data)
-    sk_tok, v_tok = (a.swapaxes(-4, -3).reshape(*lead, h, m * n, d_k) for a in (sk, v.data))
-    mem = np.empty((*lead, 1, h, d_k, d_k + 1), dtype=np.result_type(sk, v.data))
+    sk_h, v_h = _heads(n_heads, sk, v.data)  # [..., m, h, n, d_k]
+    d_k = sk_h.shape[-1]
+    sk_tok, v_tok = (a.swapaxes(-4, -3).reshape(*lead, n_heads, m * n, d_k) for a in (sk_h, v_h))
+    mem = np.empty((*lead, 1, n_heads, d_k, d_k + 1), dtype=np.result_type(sk, v.data))
     np.matmul(sk_tok.swapaxes(-1, -2), v_tok, out=mem[..., 0, :, :, :-1])
     np.sum(sk_tok, axis=-2, out=mem[..., 0, :, :, -1])
 
     def bwd(g):  # g: [..., 1, h, d_k, d_k + 1], broadcast over the channels
         g_m = g[..., :-1]
         if k.requires_grad:
-            g_sk = v.data @ g_m.swapaxes(-1, -2)
-            g_sk += g[..., -1:].swapaxes(-1, -2)  # each key row receives dL/dz^T
+            g_sk = _matmul_merged(v_h, g_m.swapaxes(-1, -2), k.shape, n_heads)
+            g_sk_h = _heads(n_heads, g_sk)[0]
+            g_sk_h += g[..., -1:].swapaxes(-1, -2)  # each key row receives dL/dz^T
             g_sk *= np.minimum(sk, 1)
             k._accumulate(g_sk)
         if v.requires_grad:
-            v._accumulate(sk @ g_m)
+            v._accumulate(_matmul_merged(sk_h, g_m, v.shape, n_heads))
 
     return Tensor._make(mem, (k, v), bwd)
 
@@ -90,41 +116,50 @@ def accumulate_memory(k: Tensor, v: Tensor) -> Tensor:
 def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
     """Query a memory ``[M | z]``: sigma(Q) M / (sigma(Q) z + epsilon), as one node.
 
-    Numerator and denominator come from one product sigma(Q) [M | z], which
-    is divided in place; the output is a view of its first d_k columns, so
-    no second output-sized array is made. The backward keeps sigma(Q), the
-    denominator and the output.
+    ``q`` is [..., n, d_model] and the head count is read from ``mem``
+    [..., h, d_k, d_k + 1]. Numerator and denominator come from one product
+    sigma(Q) [M | z]; their quotient is written in merged layout. The
+    backward keeps sigma(Q), the denominator and the output.
     """
     check_positive("epsilon", epsilon)
-    sq = _sigma(q.data)
+    h, d_k = mem.shape[-3:-1]
+    if q.shape[-1] != h * d_k:
+        raise DimensionError(f"query {q.shape} does not match the memory {mem.shape}")
+    sq = _heads(h, _sigma(q.data))[0]
     num_den = sq @ mem.data
     den = num_den[..., -1:] + epsilon
-    num_den /= den  # whole rows, unused last column too: a strided divide is slower
-    out_data = num_den[..., :-1]
+    out_data = np.empty((*num_den.shape[:-3], *q.shape[-2:]), dtype=num_den.dtype)
+    out_h = _heads(h, out_data)[0]
+    np.divide(num_den[..., :-1], den, out=out_h)
 
     def bwd(g):  # dL/d(sigma(Q) [M | z]) = [dL/dnum | dL/dden]
-        g_nd = np.empty((*g.shape[:-1], g.shape[-1] + 1), dtype=den.dtype)
-        g_num = np.divide(g, den, out=g_nd[..., :-1])
-        g_nd[..., -1:] = -row_sum(g_num * out_data)
+        g_nd = np.empty((*den.shape[:-1], d_k + 1), dtype=den.dtype)
+        g_num = np.divide(_heads(h, g)[0], den, out=g_nd[..., :-1])
+        g_nd[..., -1:] = -row_sum(g_num * out_h)
         if mem.requires_grad:
             mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_nd, mem.shape))
         if q.requires_grad:
-            g_sq = g_nd @ mem.data.swapaxes(-1, -2)
-            g_sq *= np.minimum(sq, 1)
+            g_sq = _matmul_merged(g_nd, mem.data.swapaxes(-1, -2), out_data.shape, h)
+            g_sq_h = _heads(h, g_sq)[0]
+            g_sq_h *= np.minimum(sq, 1)
             q._accumulate(_unbroadcast(g_sq, q.shape))
 
     return Tensor._make(out_data, (q, mem), bwd)
 
 
-def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Bidirectional scaled dot-product attention, softmax over keys, as one node.
+def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                  bias: Tensor | None = None) -> Tensor:
+    """Bidirectional multi-head scaled dot-product attention, as one node.
 
-    ``softmax(Q K^T / sqrt(d_k) + bias) V`` with an optional additive
-    ``bias`` that broadcasts to the [..., n_q, n_k] scores. Besides the
-    inputs, the backward keeps only the probabilities, never the scores.
+    Per head, ``softmax(Q K^T / sqrt(d_k) + bias) V`` on [..., n, d_model]
+    Q, K and V, with an optional additive ``bias`` that broadcasts to the
+    [..., h, n_q, n_k] scores; the heads come back merged, [..., n_q, d_model].
+    Besides the inputs, the backward keeps only the probabilities, never the
+    scores.
     """
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = q.data @ k.data.swapaxes(-1, -2)
+    q_h, k_h, v_h = _heads(n_heads, q.data, k.data, v.data)
+    scale = 1.0 / math.sqrt(q_h.shape[-1])
+    scores = q_h @ k_h.swapaxes(-1, -2)
     scores *= scale
     if bias is not None:
         scores += bias.data
@@ -132,21 +167,22 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -
     p -= row_max(p)
     np.exp(p, out=p)
     p /= row_sum(p)
-    out_data = p @ v.data
+    out_data = _matmul_merged(p, v_h, (*p.shape[:-3], *q.shape[-2:]), n_heads)
 
     def bwd(g):
+        g_h = _heads(n_heads, g)[0]
         if v.requires_grad:
-            v._accumulate(_unbroadcast(p.swapaxes(-1, -2) @ g, v.shape))
-        g_scores = g @ v.data.swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
+            v._accumulate(_matmul_merged(p.swapaxes(-1, -2), g_h, v.shape, n_heads))
+        g_scores = g_h @ v_h.swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
         g_scores -= row_sum(g_scores * p)
         g_scores *= p
         if bias is not None and bias.requires_grad:
             bias._accumulate(_unbroadcast(g_scores, bias.shape))
         g_scores *= scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(g_scores @ k.data, q.shape))
+            q._accumulate(_matmul_merged(g_scores, k_h, q.shape, n_heads))
         if k.requires_grad:
-            k._accumulate(_unbroadcast(g_scores.swapaxes(-1, -2) @ q.data, k.shape))
+            k._accumulate(_matmul_merged(g_scores.swapaxes(-1, -2), q_h, k.shape, n_heads))
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     return Tensor._make(out_data, parents, bwd)
@@ -155,19 +191,20 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None) -
 def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
     """Per-head convex combination g a_mem + (1 - g) a_dot, g = sigmoid(beta), as one node.
 
-    ``a_mem`` and ``a_dot`` are [..., h, n, d_k]; the result, written through
-    a head-major view with one temporary, is merged: [..., n, h*d_k].
+    ``a_mem`` and ``a_dot`` are [..., n, h*d_k] with h = len(beta): each
+    head's gate scales its d_k columns.
     """
-    *lead, h, n, d_k = a_mem.shape
+    h = beta.shape[0] if beta.ndim == 1 else 0
+    if a_mem.shape != a_dot.shape or not h or a_mem.shape[-1] % h:
+        raise DimensionError(f"gate_combine needs equal [..., n, h*d_k] inputs and [h] gates, "
+                             f"got {a_mem.shape}, {a_dot.shape}, {beta.shape}")
+    d_k = a_mem.shape[-1] // h
     s = expit(beta.data)
-    g = s.reshape(h, 1, 1)
-    out = np.empty((*lead, n, h, d_k), dtype=np.result_type(g, a_mem.data, a_dot.data))
-    heads = out.swapaxes(-3, -2)
-    np.multiply(g, a_mem.data, out=heads)
-    heads += (1.0 - g) * a_dot.data
+    g = np.repeat(s, d_k)
+    out_data = g * a_mem.data
+    out_data += (1.0 - g) * a_dot.data
 
     def bwd(grad):
-        grad = grad.reshape(out.shape).swapaxes(-3, -2)
         if a_mem.requires_grad:
             a_mem._accumulate(grad * g)
         if a_dot.requires_grad:
@@ -175,22 +212,10 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
         if beta.requires_grad:
             diff = a_mem.data - a_dot.data
             diff *= grad
-            beta._accumulate(_unbroadcast(diff, g.shape).reshape(h) * s * (1.0 - s))
+            per_head = _unbroadcast(diff, g.shape).reshape(h, d_k).sum(axis=-1)
+            beta._accumulate(per_head * s * (1.0 - s))
 
-    return Tensor._make(out.reshape(*lead, n, h * d_k), (a_mem, a_dot, beta), bwd)
-
-
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., n, d_model] -> [..., h, n, d_k]."""
-    *lead, n, d_model = x.shape
-    d_k = d_model // n_heads
-    return x.reshape(*lead, n, n_heads, d_k).swapaxes(-3, -2)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[..., h, n, d_k] -> [..., n, h*d_k]."""
-    *lead, h, n, d_k = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, n, h * d_k)
+    return Tensor._make(out_data, (a_mem, a_dot, beta), bwd)
 
 
 class MultiHeadSelfAttention:
@@ -208,18 +233,12 @@ class MultiHeadSelfAttention:
         self.wq, self.wk, self.wv, self.wo = lin("wq"), lin("wk"), lin("wv"), lin("wo")
 
     def project_qkv(self, x: Tensor):
-        """[..., n, d_model] -> per-head Q, K, V each [..., h, n, d_k]."""
-        if x.shape[-1] != self.config.d_model:
-            raise DimensionError(
-                f"input width {x.shape[-1]} != d_model {self.config.d_model}")
-        h = self.config.n_heads
-        return (split_heads(x @ self.wq, h),
-                split_heads(x @ self.wk, h),
-                split_heads(x @ self.wv, h))
+        """[..., n, d_model] -> Q, K, V, each [..., n, d_model]."""
+        return x @ self.wq, x @ self.wk, x @ self.wv
 
     def __call__(self, x: Tensor) -> Tensor:
         q, k, v = self.project_qkv(x)
-        return merge_heads(dot_attention(q, k, v)) @ self.wo
+        return dot_attention(q, k, v, self.config.n_heads) @ self.wo
 
 
 class ICMAttention(MultiHeadSelfAttention):
@@ -240,9 +259,10 @@ class ICMAttention(MultiHeadSelfAttention):
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         if x.shape[1] == 0:
             raise DimensionError("at least one channel is required")
-        q, k, v = self.project_qkv(x)  # [b, m, h, n, d_k]
-        a_mem = retrieve_memory(q, accumulate_memory(k, v), self.config.epsilon)
-        return gate_combine(a_mem, dot_attention(q, k, v), self.beta) @ self.wo
+        h = self.config.n_heads
+        q, k, v = self.project_qkv(x)
+        a_mem = retrieve_memory(q, accumulate_memory(k, v, h), self.config.epsilon)
+        return gate_combine(a_mem, dot_attention(q, k, v, h), self.beta) @ self.wo
 
 
 def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
@@ -251,13 +271,14 @@ def icm_attention_reference(x: Tensor, layer: ICMAttention) -> Tensor:
     Slow path used as an independent check of the vectorized layer:
     x is [m, n, d_model]; returns [m, n, d_model].
     """
-    q, k, v = layer.project_qkv(x)  # [m, h, n, d_k]
-    mem = accumulate_memory(k[0:1], v[0:1])
+    h = layer.config.n_heads
+    q, k, v = (t.data for t in layer.project_qkv(x))  # each [m, n, d_model]
+    mem = accumulate_memory(Tensor(k[0:1]), Tensor(v[0:1]), h)
     for i in range(1, x.shape[0]):
-        mem = mem + accumulate_memory(k[i:i + 1], v[i:i + 1])
+        mem = mem + accumulate_memory(Tensor(k[i:i + 1]), Tensor(v[i:i + 1]), h)
     outs = []
     for i in range(x.shape[0]):
-        a_mem = retrieve_memory(q[i:i + 1], mem, layer.config.epsilon)
-        a_dot = dot_attention(q[i:i + 1], k[i:i + 1], v[i:i + 1])
-        outs.append(gate_combine(a_mem, a_dot, layer.beta))
+        q_i, k_i, v_i = (Tensor(a[i:i + 1]) for a in (q, k, v))
+        a_mem = retrieve_memory(q_i, mem, layer.config.epsilon)
+        outs.append(gate_combine(a_mem, dot_attention(q_i, k_i, v_i, h), layer.beta))
     return Tensor(np.concatenate([o.data for o in outs])) @ layer.wo

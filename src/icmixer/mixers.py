@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attention import ConfigError, MultiHeadSelfAttention, dot_attention, merge_heads
-from .tensor import DimensionError, Parameter, Tensor
+from .attention import ConfigError, MultiHeadSelfAttention, dot_attention
+from .tensor import DimensionError, Parameter, Tensor, linear
 
 if TYPE_CHECKING:
     from .encoder import EncoderConfig
@@ -64,8 +64,9 @@ def add_static_channel_embedding(x: Tensor, embedding: StaticChannelEmbedding) -
     if m > embedding.max_channels:
         raise CapacityError(
             f"{m} channels exceed embedding capacity {embedding.max_channels}")
-    d = x.shape[-1]
-    return x + embedding.table[:m].reshape(1, m, 1, d)
+    # Rows 0..m-1 as a one-hot product, exact for a finite table.
+    rows = linear(Tensor(np.eye(m, embedding.max_channels, dtype=x.dtype)), embedding.table)
+    return x + rows.reshape(1, m, 1, x.shape[-1])
 
 
 def same_channel_mask(m: int, n: int, dtype=np.float64) -> np.ndarray:
@@ -89,7 +90,8 @@ class ConcatAttention(MultiHeadSelfAttention):
         if x.ndim != 4:
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         b, m, n, d = x.shape
-        q, k, v = self.project_qkv(x.reshape(b, m * n, d))  # [b, h, m*n, d_k]
-        mask = Tensor(same_channel_mask(m, n, x.dtype))
-        att = dot_attention(q, k, v, self.bias.u1 * mask + self.bias.u2 * (1.0 - mask))
-        return (merge_heads(att) @ self.wo).reshape(b, m, n, d)
+        q, k, v = self.project_qkv(x.reshape(b, m * n, d))
+        mask = same_channel_mask(m, n, x.dtype)
+        bias = self.bias.u1 * Tensor(mask) + self.bias.u2 * Tensor(1.0 - mask)
+        att = dot_attention(q, k, v, self.config.n_heads, bias)
+        return (att @ self.wo).reshape(b, m, n, d)

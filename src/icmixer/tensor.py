@@ -244,21 +244,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        a = self
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return Tensor._make(-a.data, (a,), bwd)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     # -- linear algebra -------------------------------------------------------
 
     def __matmul__(self, other):
@@ -278,50 +263,6 @@ class Tensor:
                 a._accumulate(g.reshape(in_shape))
 
         return Tensor._make(a.data.reshape(shape), (a,), bwd)
-
-    def swapaxes(self, ax1, ax2):
-        a = self
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g.swapaxes(ax1, ax2))
-
-        return Tensor._make(a.data.swapaxes(ax1, ax2), (a,), bwd)
-
-    def __getitem__(self, key):
-        """Basic indexing only: ints, slices, None and Ellipsis.
-
-        Such a key selects each element at most once, so the backward can
-        assign the gradient into place.
-        """
-        for k in key if isinstance(key, tuple) else (key,):
-            if isinstance(k, bool) or not isinstance(
-                    k, (int, np.integer, slice, type(None), type(Ellipsis))):
-                raise DimensionError(f"Tensor index must be ints, slices, None or ...; got {key!r}")
-        a = self
-
-        def bwd(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[key] = g
-                a._accumulate(full)
-
-        return Tensor._make(a.data[key], (a,), bwd)
-
-    def sum(self):
-        """Sum of all elements, a 0-d tensor."""
-        a = self
-        in_shape = a.shape
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(g, in_shape))
-
-        return Tensor._make(a.data.sum(), (a,), bwd)
-
-    def mean(self):
-        """Mean of all elements, a 0-d tensor."""
-        return self.sum() * (1.0 / self.size)
 
 
 def _affine(x2: np.ndarray, w2: np.ndarray, b: Tensor | None) -> np.ndarray:

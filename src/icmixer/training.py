@@ -36,9 +36,21 @@ def _paired(pred, target):
 
 
 def mse(pred, target) -> Tensor:
+    """Mean squared error as one node; the target is data, so its only parent is ``pred``.
+
+    With ``d = pred - target`` the gradient ``2 d / size`` is formed as
+    ``s d + s d``, ``s = 1 / size``: bitwise what autodiff of ``mean(d * d)`` gives.
+    """
     pred, target = _paired(pred, target)
-    diff = pred - target
-    return (diff * diff).mean()
+    d = pred.data - target.data
+    scale = np.asarray(1.0 / d.size, d.dtype)
+
+    def bwd(g):
+        grad = d * (g * scale)
+        grad += grad
+        pred._accumulate(grad)
+
+    return Tensor._make((d * d).sum() * scale, (pred,), bwd)
 
 
 @dataclass

@@ -3,26 +3,28 @@
 These are the forms ``dot_attention``, ``accumulate_memory``,
 ``retrieve_memory``, ``gate_combine`` and ``feed_forward`` had before each
 became one graph node with a hand-written backward. Built from ``matmul``,
-``linear``, ``+``, ``*``, ``truediv``, ``reduce_sum``, ``reshape``,
-``swapaxes``, basic indexing, ``join``, ``softmax`` (numpy's reductions),
-``sigma``, ``sigmoid`` and ``relu``, and differentiated by the autodiff
-engine node by node, they are the oracles for the fused nodes' values and
-gradients.
+``linear``, ``+``, ``*``, ``neg``, ``truediv``, ``reduce_sum``, ``reshape``,
+``swapaxes``, basic indexing (``index``), ``join``, ``softmax`` (numpy's
+reductions), ``sigma``, ``sigmoid`` and ``relu``, and differentiated by the
+autodiff engine node by node, they are the oracles for the fused nodes'
+values and gradients. Like the fused nodes, the chains take Q, K, V and
+attention outputs in the model's merged layout [..., n, h*d_k]; ``split``
+and ``merge`` move them to and from the per-head layout [..., h, n, d_k].
 
-The package's own ``@`` multiplies by a 2-D weight only, its ``sum``
-reduces fully and it has no division, so the batched product, the axis sum
-and the quotient the chains need are nodes of their own here. So are the
-feature map ``sigma``, which the fused memory nodes apply to arrays,
-``join``, which lays out the memory ``[M | z]``, ``relu``, which the fused
-``feed_forward`` node applies in place, and ``sigmoid``, which the fused
-``gate_combine`` node applies to its gate.
+The package's engine has only ``+``, ``*``, ``@`` by a 2-D weight and
+``reshape``, so the batched product, the sums, the quotient, the negation,
+the axis swap and the indexing the chains need are nodes of their own here.
+So are the feature map ``sigma``, which the fused memory nodes apply to
+arrays, ``join``, which lays out the memory ``[M | z]``, ``relu``, which the
+fused ``feed_forward`` node applies in place, and ``sigmoid``, which the
+fused ``gate_combine`` node applies to its gate.
 """
 
 import math
 
 import numpy as np
 
-from icmixer.attention import _sigma, merge_heads
+from icmixer.attention import _sigma
 from icmixer.tensor import DimensionError, Tensor, _unbroadcast, expit, linear
 
 
@@ -96,7 +98,7 @@ def truediv(a, b):
 
 
 def reduce_sum(t, axis=None, keepdims=False):
-    """numpy's ``sum`` over ``axis`` (an int, a tuple or None), as one node."""
+    """numpy's ``sum`` over ``axis`` (an int, a tuple or None: every element), as one node."""
     in_shape = t.shape
 
     def bwd(g):
@@ -107,6 +109,44 @@ def reduce_sum(t, axis=None, keepdims=False):
             t._accumulate(np.broadcast_to(g, in_shape))
 
     return Tensor._make(t.data.sum(axis=axis, keepdims=keepdims), (t,), bwd)
+
+
+def neg(t):
+    """``-t`` as one node."""
+    def bwd(g):
+        if t.requires_grad:
+            t._accumulate(-g)
+
+    return Tensor._make(-t.data, (t,), bwd)
+
+
+def swapaxes(t, ax1, ax2):
+    """``t.swapaxes(ax1, ax2)`` as one node; the backward swaps the gradient back."""
+    def bwd(g):
+        if t.requires_grad:
+            t._accumulate(g.swapaxes(ax1, ax2))
+
+    return Tensor._make(t.data.swapaxes(ax1, ax2), (t,), bwd)
+
+
+def index(t, key):
+    """``t[key]`` for basic indexing only: ints, slices, None and Ellipsis, as one node.
+
+    Such a key selects each element at most once, so the backward can
+    assign the gradient into place.
+    """
+    for k in key if isinstance(key, tuple) else (key,):
+        if isinstance(k, bool) or not isinstance(
+                k, (int, np.integer, slice, type(None), type(Ellipsis))):
+            raise DimensionError(f"Tensor index must be ints, slices, None or ...; got {key!r}")
+
+    def bwd(g):
+        if t.requires_grad:
+            full = np.zeros_like(t.data)
+            full[key] = g
+            t._accumulate(full)
+
+    return Tensor._make(t.data[key], (t,), bwd)
 
 
 def join(a, b):
@@ -136,33 +176,47 @@ def softmax(t, axis=-1):
     return Tensor._make(out_data, (t,), bwd)
 
 
+def split(x, n_heads):
+    """[..., n, h*d_k] -> [..., h, n, d_k]."""
+    *lead, n, width = x.shape
+    return swapaxes(x.reshape(*lead, n, n_heads, width // n_heads), -3, -2)
+
+
+def merge(x):
+    """[..., h, n, d_k] -> [..., n, h*d_k]."""
+    *lead, h, n, d_k = x.shape
+    return swapaxes(x, -3, -2).reshape(*lead, n, h * d_k)
+
+
 def attention_scores(q, k):
-    """Scaled dot-product scores Q K^T / sqrt(d_k), [..., n_q, n_k]."""
-    return matmul(q, k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    """Scaled dot-product scores Q K^T / sqrt(d_k) of per-head Q and K, [..., n_q, n_k]."""
+    return matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
 
 
-def dot_attention_chain(q, k, v, bias=None):
-    scores = attention_scores(q, k)
+def dot_attention_chain(q, k, v, n_heads, bias=None):
+    scores = attention_scores(split(q, n_heads), split(k, n_heads))
     if bias is not None:
         scores = scores + bias
-    return matmul(softmax(scores, axis=-1), v)
+    return merge(matmul(softmax(scores, axis=-1), split(v, n_heads)))
 
 
-def accumulate_memory_chain(k, v):
-    sk = sigma(k)
-    mem = reduce_sum(matmul(sk.swapaxes(-1, -2), v), axis=-4, keepdims=True)
+def accumulate_memory_chain(k, v, n_heads):
+    sk, v = sigma(split(k, n_heads)), split(v, n_heads)
+    mem = reduce_sum(matmul(swapaxes(sk, -1, -2), v), axis=-4, keepdims=True)
     z = reduce_sum(sk, axis=(-4, -2), keepdims=True).reshape(*mem.shape[:-1], 1)
     return join(mem, z)
 
 
 def retrieve_memory_chain(q, mem, epsilon):
-    sq = sigma(q)
-    return truediv(matmul(sq, mem[..., :-1]), matmul(sq, mem[..., -1:]) + epsilon)
+    sq = sigma(split(q, mem.shape[-3]))
+    num = matmul(sq, index(mem, np.s_[..., :-1]))
+    return merge(truediv(num, matmul(sq, index(mem, np.s_[..., -1:])) + epsilon))
 
 
 def gate_combine_chain(a_mem, a_dot, beta):
-    g = sigmoid(beta).reshape(beta.shape[0], 1, 1)
-    return merge_heads(g * a_mem + (1.0 - g) * a_dot)
+    h = beta.shape[0]
+    g = sigmoid(beta).reshape(h, 1, 1)
+    return merge(g * split(a_mem, h) + (1.0 + neg(g)) * split(a_dot, h))
 
 
 def feed_forward_chain(x, w1, b1, w2, b2):

@@ -51,7 +51,8 @@ def test_criterion_1_memory_oracle_equivalence():
         v = rng.uniform(-2, 2, (m, h, n, d_k))
         eps = 1e-6
 
-        got = retrieve_memory(Tensor(q), accumulate_memory(Tensor(k), Tensor(v)), eps).data
+        q_m, k_m, v_m = (a.swapaxes(1, 2).reshape(m, n, h * d_k) for a in (q, k, v))
+        got = retrieve_memory(Tensor(q_m), accumulate_memory(Tensor(k_m), Tensor(v_m), h), eps).data
 
         expected = np.zeros_like(q)
         for head in range(h):
@@ -62,6 +63,7 @@ def test_criterion_1_memory_oracle_equivalence():
             for i in range(m):
                 sq = elu1(q[i, head])
                 expected[i, head] = (sq @ mem) / (sq @ zsum[:, None] + eps)
+        expected = expected.swapaxes(1, 2).reshape(m, n, h * d_k)
         worst = max(worst, float(np.abs(got - expected).max()))
     elapsed = time.time() - start
     report("criterion 1: memory oracle equivalence",

@@ -9,7 +9,9 @@ so it must be equal where numpy's sum is not finite and close elsewhere.
 ``dot_attention`` (with and without a broadcast bias), ``accumulate_memory``,
 ``retrieve_memory`` and ``gate_combine`` are checked against the primitive-op
 chains in ``composite_chains.py``: values, and the gradients of
-``L = sum(g * output)`` with respect to every input. ``gate_combine`` must
+``L = sum(g * output)`` with respect to every input. Q, K, V and attention
+outputs are drawn in the model's merged layout [..., n, h*d_k]; the term
+magnitudes are computed per head and merged back. ``gate_combine`` must
 equal its chain bitwise except in the ``beta`` gradient, whose sum runs in
 another order, and ``feed_forward`` must equal ``linear -> relu -> linear``
 bitwise everywhere, NaN included.
@@ -30,6 +32,7 @@ from composite_chains import (
     dot_attention_chain,
     feed_forward_chain,
     gate_combine_chain,
+    reduce_sum,
     retrieve_memory_chain,
 )
 from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
@@ -71,6 +74,16 @@ def swap(a):
     return a.swapaxes(-1, -2)
 
 
+def heads(a, h):
+    """[..., n, h*d] -> [..., h, n, d]."""
+    return a.reshape(*a.shape[:-1], h, a.shape[-1] // h).swapaxes(-3, -2)
+
+
+def merged(a):
+    """[..., h, n, d] -> [..., n, h*d]."""
+    return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], -1)
+
+
 def run(fn, *arrays):
     """(outputs, [dL/d input], upstream gs) of L = sum over outputs of sum(g * output)."""
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -78,7 +91,7 @@ def run(fn, *arrays):
     outs = outs if isinstance(outs, tuple) else (outs,)
     rng = np.random.default_rng(sum(o.size for o in outs))
     gs = [rng.uniform(-10.0, 10.0, o.shape).astype(o.dtype) for o in outs]
-    sum((o * Tensor(g)).sum() for o, g in zip(outs, gs)).backward()
+    sum(reduce_sum(o * Tensor(g)) for o, g in zip(outs, gs)).backward()
     for t in tensors:
         assert t.grad.dtype == t.dtype and t.grad.shape == t.shape
     return [o.data for o in outs], [t.grad for t in tensors], gs
@@ -147,27 +160,28 @@ def test_row_kernels_on_empty_rows():
 
 @st.composite
 def attention_case(draw):
-    """(q, k, v, bias or None): [*batch, n, d] operands and a bias broadcasting to the scores."""
+    """(h, q, k, v, bias or None): [*batch, n, h*d] operands, a bias broadcasting to the scores."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     batch = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))
-    n_q, n_k, d, d_v = (draw(st.integers(1, 5)) for _ in range(4))
-    q, k, v = (draw(hnp.arrays(dtype, (*batch, n, width), elements=floats(dtype, 2.0)))
-               for n, width in ((n_q, d), (n_k, d), (n_k, d_v)))
+    h = draw(st.integers(1, 3))
+    n_q, n_k, d = (draw(st.integers(1, 5)) for _ in range(3))
+    q, k, v = (draw(hnp.arrays(dtype, (*batch, n, h * d), elements=floats(dtype, 2.0)))
+               for n in (n_q, n_k, n_k))
     if not draw(st.booleans()):
-        return q, k, v, None
-    scores_shape = (*batch, n_q, n_k)
+        return h, q, k, v, None
+    scores_shape = (*batch, h, n_q, n_k)
     ndim = draw(st.integers(0, len(scores_shape)))
     bias_shape = tuple(draw(st.sampled_from([1, n])) for n in scores_shape[len(scores_shape) - ndim:])
-    return q, k, v, draw(hnp.arrays(dtype, bias_shape, elements=floats(dtype, 2.0)))
+    return h, q, k, v, draw(hnp.arrays(dtype, bias_shape, elements=floats(dtype, 2.0)))
 
 
 @hypothesis.settings(max_examples=300)
 @hypothesis.given(attention_case())
 def test_dot_attention_matches_chain(case):
-    q, k, v, bias = case
+    h, q, k, v, bias = case
     arrays = [q, k, v] if bias is None else [q, k, v, bias]
-    q64, k64, v64 = (a.astype(np.float64) for a in (q, k, v))
-    c = 1.0 / math.sqrt(q.shape[-1])
+    q64, k64, v64 = (heads(a.astype(np.float64), h) for a in (q, k, v))
+    c = 1.0 / math.sqrt(q64.shape[-1])
     scores = q64 @ swap(k64) * c
     if bias is not None:
         scores = scores + bias
@@ -175,15 +189,22 @@ def test_dot_attention_matches_chain(case):
     p /= p.sum(axis=-1, keepdims=True)
 
     def scales(gs):
-        (g,) = gs
+        g = heads(gs[0], h)
         dp = g @ swap(np.abs(v64))
         ds = p * (dp + (p * dp).sum(axis=-1, keepdims=True))
-        grad_scales = [c * ds @ np.abs(k64), c * swap(ds) @ np.abs(q64), swap(p) @ g]
+        grad_scales = [merged(a) for a in (c * ds @ np.abs(k64), c * swap(ds) @ np.abs(q64),
+                                           swap(p) @ g)]
         if bias is not None:
             grad_scales.append(reduce_to(ds, bias.shape))
-        return [p @ np.abs(v64)], grad_scales
+        return [merged(p @ np.abs(v64))], grad_scales
 
-    check_against_chain(dot_attention, dot_attention_chain, arrays, scales)
+    def fused(q, k, v, *bias):
+        return dot_attention(q, k, v, h, *bias)
+
+    def chain(q, k, v, *bias):
+        return dot_attention_chain(q, k, v, h, *bias)
+
+    check_against_chain(fused, chain, arrays, scales)
 
 
 # -- compressive memory ---------------------------------------------------------
@@ -195,7 +216,7 @@ def sigma64(x):
 
 @st.composite
 def memory_case(draw):
-    """(dtype, lead, m, h, n, d) with K, V and Q shaped [*lead, m, h, n, d]."""
+    """(dtype, lead, m, h, n, d) with K, V and Q shaped [*lead, m, n, h*d]."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     lead = draw(hnp.array_shapes(min_dims=0, max_dims=1, max_side=2))
     return (dtype, lead, *(draw(st.integers(1, hi)) for hi in (3, 2, 4, 4)))
@@ -205,30 +226,36 @@ def memory_case(draw):
 @hypothesis.given(memory_case(), st.data())
 def test_accumulate_memory_matches_chain(case, data):
     dtype, lead, m, h, n, d = case
-    k, v = (data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+    k, v = (data.draw(hnp.arrays(dtype, (*lead, m, n, h * d), elements=floats(dtype, 10.0)))
             for _ in range(2))
-    sk, v64 = sigma64(k), np.abs(v.astype(np.float64))
+    sk, v64 = sigma64(heads(k, h)), np.abs(heads(v, h).astype(np.float64))
 
     def scales(gs):
         g_mem = gs[0][..., :-1]
         g_sk = v64 @ swap(g_mem) + swap(gs[0][..., -1:])
         return ([np.concatenate([(swap(sk) @ v64).sum(axis=-4, keepdims=True),
                                  swap(sk.sum(axis=(-4, -2), keepdims=True))], axis=-1)],
-                [g_sk * np.minimum(sk, 1.0), sk @ g_mem])
+                [merged(g_sk * np.minimum(sk, 1.0)), merged(sk @ g_mem)])
 
-    check_against_chain(accumulate_memory, accumulate_memory_chain, [k, v], scales)
+    def fused(k, v):
+        return accumulate_memory(k, v, h)
+
+    def chain(k, v):
+        return accumulate_memory_chain(k, v, h)
+
+    check_against_chain(fused, chain, [k, v], scales)
 
 
 @hypothesis.settings(max_examples=200)
 @hypothesis.given(memory_case(), st.data())
 def test_retrieve_memory_matches_chain(case, data):
     dtype, lead, m, h, n, d = case
-    q = data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+    q = data.draw(hnp.arrays(dtype, (*lead, m, n, h * d), elements=floats(dtype, 10.0)))
     mem = data.draw(hnp.arrays(dtype, (*lead, 1, h, d, d), elements=floats(dtype, 10.0)))
     # z sums sigma(K) > 0 over every key, so it is positive.
     z = data.draw(hnp.arrays(dtype, (*lead, 1, h, d, 1),
                              elements=st.floats(2.0 ** -10, 10.0, width=np.dtype(dtype).itemsize * 8)))
-    sq, mem64, z64 = sigma64(q), np.abs(mem.astype(np.float64)), z.astype(np.float64)
+    sq, mem64, z64 = sigma64(heads(q, h)), np.abs(mem.astype(np.float64)), z.astype(np.float64)
     den = sq @ z64 + EPSILON
     out = (sq @ mem.astype(np.float64)) / den
 
@@ -239,12 +266,12 @@ def test_retrieve_memory_matches_chain(case, data):
         return retrieve_memory_chain(*ts, EPSILON)
 
     def scales(gs):
-        g_num = gs[0] / den
+        g_num = heads(gs[0], h) / den
         g_den = (g_num * np.abs(out)).sum(axis=-1, keepdims=True)
         g_mem = np.concatenate([reduce_to(swap(sq) @ g_num, mem.shape),
                                 reduce_to(swap(sq) @ g_den, z.shape)], axis=-1)
-        return ([(sq @ mem64) / den],
-                [(g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0), g_mem])
+        return ([merged((sq @ mem64) / den)],
+                [merged((g_num @ swap(mem64) + g_den @ swap(z64)) * np.minimum(sq, 1.0)), g_mem])
 
     check_against_chain(fused, chain, [q, np.concatenate([mem, z], axis=-1)], scales)
 
@@ -255,7 +282,7 @@ def test_retrieve_memory_matches_chain(case, data):
 @hypothesis.given(memory_case(), st.data())
 def test_gate_combine_matches_merged_chain(case, data):
     dtype, lead, m, h, n, d = case
-    a_mem, a_dot = (data.draw(hnp.arrays(dtype, (*lead, m, h, n, d), elements=floats(dtype, 10.0)))
+    a_mem, a_dot = (data.draw(hnp.arrays(dtype, (*lead, m, n, h * d), elements=floats(dtype, 10.0)))
                     for _ in range(2))
     beta = data.draw(hnp.arrays(dtype, (h,), elements=floats(dtype, 4.0)))
     values, grads, gs = run(gate_combine, a_mem, a_dot, beta)
@@ -263,8 +290,8 @@ def test_gate_combine_matches_merged_chain(case, data):
     for got, want in zip(values + grads[:2], want_values + want_grads[:2]):
         assert_bitwise(got, want)
     s = expit(beta.astype(np.float64))
-    g_heads = np.abs(gs[0].astype(np.float64)).reshape(*lead, m, n, h, d).swapaxes(-3, -2)
-    terms = g_heads * (np.abs(a_mem.astype(np.float64)) + np.abs(a_dot))
+    terms = heads(np.abs(gs[0].astype(np.float64)) * (np.abs(a_mem.astype(np.float64))
+                                                     + np.abs(a_dot)), h)
     assert_close(grads[2], want_grads[2], TOLERANCE[dtype],
                  s * (1 - s) * reduce_to(terms, (h, 1, 1)).reshape(h))
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from composite_chains import relu, sigma, softmax
+from composite_chains import reduce_sum, relu, sigma, softmax
 from icmixer.tensor import Parameter, Tensor, layer_norm
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -55,7 +55,7 @@ def run(op, x, g, *params):
     """(value, dL/dx, dL/dparams) of L = sum(g * op(x, *params))."""
     xt = Tensor(x.copy(), requires_grad=True)
     out = op(xt, *params)
-    (out * Tensor(g)).sum().backward()
+    reduce_sum(out * Tensor(g)).backward()
     return out.data, xt.grad, [p.grad for p in params]
 
 
@@ -176,5 +176,5 @@ def test_layer_norm_output_does_not_alias_saved_state(drawn_affine):
     xt = Tensor(x, requires_grad=True)
     out = layer_norm(xt, gain, bias)
     out.data[...] = 0.0  # would corrupt the backward if the output aliased xhat
-    (out * Tensor(g)).sum().backward()
+    reduce_sum(out * Tensor(g)).backward()
     np.testing.assert_array_equal(xt.grad, expected_grad)

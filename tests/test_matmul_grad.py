@@ -11,7 +11,7 @@ operand's shape.
 import numpy as np
 import pytest
 
-from composite_chains import matmul
+from composite_chains import matmul, reduce_sum
 from icmixer.tensor import DimensionError, Tensor, linear
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,7 +67,7 @@ def test_matmul_grads_match_broadcast_oracle(case):
     b = Tensor(rng.standard_normal(b_shape), requires_grad=True, dtype=dtype)
     out = a @ b if kind == "weight" else matmul(a, b)
     g = rng.standard_normal(out.shape).astype(dtype)
-    (out * Tensor(g)).sum().backward()
+    reduce_sum(out * Tensor(g)).backward()
 
     (want_a, scale_a), (want_b, scale_b) = oracle_grads(a.data, b.data, g)
     for got, want, scale in ((a.grad, want_a, scale_a), (b.grad, want_b, scale_b)):
@@ -119,7 +119,7 @@ def test_linear_matches_matmul_plus_bias_and_broadcast_oracle(case):
     # not change the gradients: the backward uses the values it multiplied.
     x.data, w.data = x_data + 1, w_data + 1
     g = rng.standard_normal(out.shape).astype(dtype)
-    (out * Tensor(g)).sum().backward()
+    reduce_sum(out * Tensor(g)).backward()
 
     (want_x, scale_x), (want_w, scale_w) = oracle_grads(x_data, w_data, g)
     checks = [(x.grad, want_x, scale_x), (w.grad, want_w, scale_w)]

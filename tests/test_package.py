@@ -92,3 +92,37 @@ def test_engine_ops_are_all_reached(monkeypatch):
             attention.icm_attention_reference(tensor.Tensor(x), model.blocks[0].attn)
 
     assert not sorted(fn.__qualname__ for fn in ops if fn not in calls)
+
+
+# Graph nodes with a backward closure in one f32 train step on criterion 6's
+# model config. The attention kernels take merged heads and the loss is one
+# node, so no layout or loss plumbing is recorded.
+GRAPH_NODES_PER_STEP = {MixerKind.INDEPENDENT: 16, MixerKind.CONCAT: 21, MixerKind.ICM: 19,
+                        MixerKind.ICM_STATIC: 22}
+
+
+def test_train_step_graph_size_is_pinned(monkeypatch):
+    """Counts the op nodes of the loss graph of one train step (m=4, batch 16) per mixer."""
+    counts, backward = [], tensor.Tensor.backward
+
+    def counting_backward(loss):
+        seen, stack, n = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                n += node._backward is not None
+                stack.extend(node._parents)
+        counts.append(n)
+        backward(loss)
+
+    monkeypatch.setattr(tensor.Tensor, "backward", counting_backward)
+    series = standardized(generate_lagged_copy(m=4, T=4000, lag=16, noise_std=0.05, seed=0))
+    train_cfg = TrainConfig(epochs=1, batch_size=16, max_train_windows=16, precision="f32")
+    got = {}
+    for kind in MixerKind:
+        cfg = EncoderConfig(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8,
+                            lookback=256, mixer=kind, horizons=(96,))
+        train_supervised(ForecastEncoder(cfg, seed=0, dtype=np.float32), series, train_cfg, 96)
+        got[kind], counts[:] = list(counts), []
+    assert got == {kind: [n] for kind, n in GRAPH_NODES_PER_STEP.items()}

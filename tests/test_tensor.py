@@ -5,7 +5,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from composite_chains import relu, sigma, sigmoid, softmax, truediv
+from composite_chains import (
+    index,
+    neg,
+    reduce_sum,
+    relu,
+    sigma,
+    sigmoid,
+    softmax,
+    swapaxes,
+    truediv,
+)
 from icmixer.attention import _sigma
 from icmixer.tensor import (
     DimensionError,
@@ -16,6 +26,7 @@ from icmixer.tensor import (
     layer_norm,
     no_grad,
 )
+from icmixer.training import mse
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -134,7 +145,7 @@ class TestElementwise:
 class TestBackward:
     def test_square_sum(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
+        reduce_sum(x * x).backward()
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_sigmoid_grad_at_zero(self):
@@ -166,7 +177,7 @@ class TestBackward:
         w1t = Tensor(w1, requires_grad=True)
         h = relu(Tensor(x) @ w1t)
         y = sigmoid(h @ Tensor(w2))
-        (y * y).mean().backward()
+        (reduce_sum(y * y) * (1.0 / y.size)).backward()
         fd = finite_difference(loss_np, w1.copy())
         assert rel_err(w1t.grad, fd) < 1e-6
 
@@ -179,16 +190,16 @@ class TestBackward:
             sigmoid,
             sigma,
             lambda t: layer_norm(t, Tensor(np.ones(4)), Tensor(np.zeros(4))),
-            lambda t: (t * t + 2.0 * t).swapaxes(0, 1),
+            lambda t: swapaxes(t * t + 2.0 * t, 0, 1),
             lambda t: t.reshape(2, 6),
-            lambda t: t[1:, ::2],
+            lambda t: index(t, np.s_[1:, ::2]),
         ]
         weights = rng.standard_normal(100)  # random linear functional -> scalar
         for op in cases:
             t = Tensor(x.copy(), requires_grad=True)
             out = op(t)
             w = weights[: out.size].reshape(out.shape)
-            (out * Tensor(w)).sum().backward()
+            reduce_sum(out * Tensor(w)).backward()
 
             def loss_np(xv, op=op, w=w):
                 with no_grad():
@@ -212,7 +223,7 @@ class TestGraphFreeing:
         w = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), "w")
         x = Tensor(np.array([[1.0, 2.0], [-1.0, 0.5]]), requires_grad=True)
         hidden = sigmoid(x @ w)
-        loss = (hidden * hidden).sum()
+        loss = reduce_sum(hidden * hidden)
         return w, x, hidden, loss
 
     def test_leaves_keep_their_gradients(self):
@@ -233,7 +244,7 @@ class TestGraphFreeing:
         x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
         hidden = sigmoid(x)
         probe = weakref.ref(hidden.data)  # the output array that sigmoid's backward saves
-        loss = (hidden * 2.0).sum()
+        loss = reduce_sum(hidden * 2.0)
         del hidden
         assert probe() is not None
         loss.backward()
@@ -252,12 +263,12 @@ class TestGraphFreeing:
         _, _, hidden, loss = self.build()
         loss.backward()
         with pytest.raises(GraphError, match="already freed"):
-            (hidden * 3.0).sum().backward()
+            reduce_sum(hidden * 3.0).backward()
 
     def test_f32_leaf_keeps_f32_grad_in_f64_graph(self):
         a = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=np.float32)
         b = Tensor(np.full(3, 0.1), requires_grad=True, dtype=np.float64)
-        loss = (a * b + a).sum()
+        loss = reduce_sum(a * b + a)
         assert loss.dtype == np.float64
         loss.backward()
         assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
@@ -279,11 +290,11 @@ class TestInvariants:
     ], ids=["list", "index-array", "bool-mask", "list-in-tuple", "bool"])
     def test_advanced_index_raises(self, key):
         with pytest.raises(DimensionError, match="index"):
-            Tensor(np.ones((3, 3)), requires_grad=True)[key]
+            index(Tensor(np.ones((3, 3)), requires_grad=True), key)
 
     def test_grad_shape_matches_data(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        (x * x).sum().backward()
+        reduce_sum(x * x).backward()
         assert x.grad.shape == x.shape
 
     def test_no_grad_suppresses_graph(self):
@@ -303,11 +314,11 @@ class TestPrecision:
 
     @pytest.mark.parametrize("op", [
         lambda t: t + 1.0,
-        lambda t: 1.0 - t,
+        lambda t: 1.0 + neg(t),
         lambda t: truediv(t, 3),
         lambda t: 2.0 * t,
-        lambda t: t.mean(),
-        lambda t: t - np.float64(0.5),
+        lambda t: mse(t, np.zeros(3, t.dtype)),
+        lambda t: t + np.float64(-0.5),
         lambda t: t * np.ones(3),
     ], ids=["add", "rsub", "truediv", "rmul", "mean", "np-scalar", "f64-array"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -315,7 +326,7 @@ class TestPrecision:
         t = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=dtype)
         out = op(t)
         assert out.dtype == dtype
-        out.sum().backward()
+        reduce_sum(out).backward()
         assert t.grad.dtype == dtype
 
     def test_tensor_operands_still_promote(self):

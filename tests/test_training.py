@@ -4,6 +4,7 @@ import resource
 import numpy as np
 import pytest
 
+from composite_chains import reduce_sum
 from icmixer import training
 from icmixer.attention import ConfigError
 from icmixer.data import (
@@ -85,7 +86,7 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         for _ in range(300):
             opt.zero_grad()
-            loss = (p * p).sum()
+            loss = reduce_sum(p * p)
             loss.backward()
             opt.step()
         assert np.abs(p.data).max() < 1e-3
