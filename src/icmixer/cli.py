@@ -1,9 +1,10 @@
 """Command-line interface: train, compare, eval, inspect, gradcheck, synth.
 
-A run writes into ``<out>/<name>/``: the resolved ``config.json``, one
-checkpoint per horizon, line-delimited ``metrics.jsonl`` records, and a plain
-``summary.txt`` table. Flag values override config-file values, which
-override built-in defaults. Input data files are never modified.
+A run of ``train`` or ``compare`` writes into ``<out>/<name>/``: the resolved
+``config.json``, line-delimited ``metrics.jsonl`` records, a plain
+``summary.txt`` table and, for ``train``, one single-horizon checkpoint per
+horizon. Flag values override config-file values, which override built-in
+defaults. Input data files are never modified.
 """
 
 from __future__ import annotations
@@ -117,68 +118,72 @@ def _build_configs(ns):
         train_cfg = TrainConfig(**sections["train"])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid config value: {err}") from err
-    return model_cfg, train_cfg, file_cfg
+    return model_cfg, train_cfg
 
 
 def _parse_horizons(text):
     return tuple(int(h) for h in text.split(","))
 
 
-def _run_dir(ns, default_name: str) -> Path:
-    out = Path(ns.out or "runs") / (ns.name or default_name)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
+         save_checkpoints=False) -> tuple:
+    """Train one single-horizon model per (mixer, horizon): the loop of train and compare.
 
+    Each model holds only the head it trains, so its init does not depend on
+    the other horizons. A head+gate stage's records carry ``"stage": "head+gate"``.
+    Returns the series, the run directory and one MetricReport per mixer.
+    """
+    series = _load_series(ns)
+    run_dir = Path(ns.out or "runs") / (ns.name or run_name)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(json.dumps(
+        {"command": ns.command, "mixers": mixers, "finetune_beta": finetune_beta,
+         "model": {k: v for k, v in model_cfg.to_dict().items() if k != "mixer"},
+         "train": train_cfg.__dict__, "data": ns.data, "synthetic": ns.synthetic},
+        indent=2, default=str))
+    with open(run_dir / "metrics.jsonl", "w") as metrics:
+        def log(record):
+            print(json.dumps(record), file=metrics, flush=True)
 
-class _MetricsWriter:
-    def __init__(self, path: Path):
-        self.path = path
-        self.path.write_text("")
-
-    def __call__(self, record: dict):
-        with open(self.path, "a") as f:
-            f.write(json.dumps(record) + "\n")
-
-
-def _train_one(model_cfg, train_cfg, series, horizon, log, finetune_beta=False):
-    model = ForecastEncoder(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
-    model, report, curve = train_supervised(model, series, train_cfg, horizon, log=log)
-    if finetune_beta:
-        model, report, _ = finetune_beta_and_head(model, series, train_cfg, horizon, log=log)
-    return model, report, curve
+        reports = {}
+        for kind in mixers:
+            reports[kind] = MetricReport()
+            for horizon in model_cfg.horizons:
+                cfg = EncoderConfig(**{**model_cfg.to_dict(), "mixer": kind,
+                                       "horizons": (horizon,)})
+                model = ForecastEncoder(cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
+                model, part, _ = train_supervised(model, series, train_cfg, horizon, log=log)
+                if finetune_beta:
+                    model, part, _ = finetune_beta_and_head(
+                        model, series, train_cfg, horizon,
+                        log=lambda record: log({**record, "stage": "head+gate"}))
+                reports[kind].merge(part)
+                if save_checkpoints:
+                    save_checkpoint(model, run_dir / f"checkpoint_h{horizon}.icm")
+    return series, run_dir, reports
 
 
 def cmd_train(ns) -> int:
-    model_cfg, train_cfg, _ = _build_configs(ns)
-    series = _load_series(ns)
-    run_dir = _run_dir(ns, f"train-{model_cfg.mixer.value}")
-    log = _MetricsWriter(run_dir / "metrics.jsonl")
-    (run_dir / "config.json").write_text(json.dumps(
-        {"command": "train", "model": model_cfg.to_dict(), "train": train_cfg.__dict__,
-         "data": ns.data, "synthetic": ns.synthetic}, indent=2, default=str))
-
-    report = MetricReport()
-    for horizon in model_cfg.horizons:
-        model, part, _ = _train_one(model_cfg, train_cfg, series, horizon, log,
-                                    finetune_beta=ns.finetune_beta == "true")
-        report.merge(part)
-        save_checkpoint(model, run_dir / f"checkpoint_h{horizon}.icm")
-    _write_summary(run_dir, report)
+    model_cfg, train_cfg = _build_configs(ns)
+    kind = model_cfg.mixer.value
+    _, run_dir, reports = _run(ns, model_cfg, train_cfg, [kind], f"train-{kind}",
+                               finetune_beta=ns.finetune_beta == "true", save_checkpoints=True)
+    lines = [f"{'dataset':<40}{'horizon':>8}{'mse':>12}{'mae':>12}"]
+    for rec in reports[kind].to_records():
+        lines.append(f"{rec['dataset']:<40}{str(rec['horizon']):>8}"
+                     f"{rec['mse']:>12.4f}{rec['mae']:>12.4f}")
+    _write_summary(run_dir, lines)
     return 0
 
 
-def _write_summary(run_dir: Path, report: MetricReport):
-    lines = [f"{'dataset':<40}{'horizon':>8}{'mse':>12}{'mae':>12}"]
-    for rec in report.to_records():
-        lines.append(f"{rec['dataset']:<40}{str(rec['horizon']):>8}"
-                     f"{rec['mse']:>12.4f}{rec['mae']:>12.4f}")
+def _write_summary(run_dir: Path, lines: list):
     text = "\n".join(lines) + "\n"
     (run_dir / "summary.txt").write_text(text)
     print(text, end="")
 
 
 def cmd_compare(ns) -> int:
-    model_cfg, train_cfg, _ = _build_configs(ns)
+    model_cfg, train_cfg = _build_configs(ns)
     mixers = [m for m in (ns.mixers or "").split(",") if m]
     if not mixers:
         raise ConfigError("--mixers requires a non-empty comma-separated list")
@@ -188,25 +193,12 @@ def cmd_compare(ns) -> int:
                               f"(choices: {', '.join(MIXER_CHOICES)})")
         if name in mixers[:i]:
             raise ConfigError(f"--mixers repeats mixer {name!r}")
-    series = _load_series(ns)
-    run_dir = _run_dir(ns, "compare")
-    log = _MetricsWriter(run_dir / "metrics.jsonl")
-
-    averages = {}
-    for kind in mixers:
-        cfg = EncoderConfig(**{**model_cfg.to_dict(), "mixer": kind})
-        report = MetricReport()
-        for horizon in cfg.horizons:
-            _, part, _ = _train_one(cfg, train_cfg, series, horizon, log)
-            report.merge(part)
-        averages[kind] = report.average(series.name)["mse"]
-
-    width = max(len(k) for k in averages) + 2
+    series, run_dir, reports = _run(ns, model_cfg, train_cfg, mixers, "compare")
+    width = max(len(k) for k in mixers) + 2
     lines = [f"{'variant':<{width}}{series.name:>24}"]
-    lines += [f"{kind:<{width}}{avg:>24.4f}" for kind, avg in averages.items()]
-    text = "\n".join(lines) + "\n"
-    (run_dir / "summary.txt").write_text(text)
-    print(text, end="")
+    lines += [f"{kind:<{width}}{report.average(series.name)['mse']:>24.4f}"
+              for kind, report in reports.items()]
+    _write_summary(run_dir, lines)
     return 0
 
 

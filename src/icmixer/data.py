@@ -8,6 +8,7 @@ Row-wise splits default to 60/20/20 for the ETT files and 70/10/20 otherwise.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .attention import ConfigError
+from .attention import ConfigError, check_integer
 
 
 class ParseError(ValueError):
@@ -143,8 +144,9 @@ def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int =
     a strided view of one channel-major copy of the region, so no window is
     copied; index it with an array to gather a batch.
     """
-    if stride < 1:
-        raise ConfigError(f"window stride must be >= 1, got {stride}")
+    check_integer("lookback", lookback)
+    check_integer("horizon", horizon)
+    check_integer("window stride", stride)
     lo, hi = series.region(split)
     window = lookback + horizon
     if hi - lo < window:
@@ -159,8 +161,7 @@ def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int =
 
 def cap_channels(m: int, cap: int = 8, seed: int = 0) -> np.ndarray:
     """Sorted indices of at most `cap` of m channels (without replacement, seeded)."""
-    if cap < 1:
-        raise ConfigError(f"channel cap must be >= 1, got {cap}")
+    check_integer("channel cap", cap)
     if m <= cap:
         return np.arange(m)
     return np.sort(np.random.default_rng(seed).choice(m, size=cap, replace=False))
@@ -172,8 +173,7 @@ def partition_channels(m: int, cap: int = 8, seed: int = 0) -> list:
     A shuffled partition into ceil(m / cap) groups; a final group smaller than
     `cap` is filled by repeating channels already used in earlier groups.
     """
-    if cap < 1:
-        raise ConfigError(f"channel cap must be >= 1, got {cap}")
+    check_integer("channel cap", cap)
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
     groups = [order[i:i + cap].tolist() for i in range(0, m, cap)]
@@ -192,14 +192,13 @@ def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,
     driver delayed by j*lag steps plus Gaussian noise, so the next j*lag
     values of channel j are readable, noise-free, from channel 0's past.
     """
-    if m < 2:
-        raise ConfigError(f"need at least 2 channels, got {m}")
-    if lag < 0:
-        raise ConfigError(f"lag must be >= 0, got {lag}")
-    if not 0 <= noise_std < np.inf:
+    check_integer("m", m, minimum=2)
+    check_integer("T", T)
+    check_integer("lag", lag, minimum=0)
+    check_integer("seed", seed, minimum=0)
+    if (isinstance(noise_std, bool) or not isinstance(noise_std, numbers.Real)
+            or not 0 <= noise_std < np.inf):
         raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     if T <= m * lag:
         raise ConfigError(f"series length {T} too short for {m} channels at lag {lag}")
     rng = np.random.default_rng(seed)

@@ -439,15 +439,15 @@ def load_checkpoint(path) -> ForecastEncoder:
     """Rebuild a model from ``save_checkpoint`` output.
 
     The file must hold exactly the model's parameters, each with its shape,
-    in one float dtype, inside the body, with finite values. Any other file
-    raises ConfigError. Every check on the header runs before a parameter
-    byte is read; then each buffer is read straight into its parameter's own
-    array, so the load holds one copy of the weights.
+    in one float dtype, with finite values; their buffers follow each other
+    in header order and fill the body. Any other file raises ConfigError.
+    Every check on the header runs before a parameter byte is read; then each
+    buffer is read straight into its parameter's own array, so the load holds
+    one copy of the weights.
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
-        body_start = f.tell()
-        body_len = os.fstat(f.fileno()).st_size - body_start
+        body_len = os.fstat(f.fileno()).st_size - f.tell()
         try:
             config = EncoderConfig.from_dict(header["config"])
             dtypes = [np.dtype(e["dtype"]) for e in header["params"]]
@@ -461,20 +461,26 @@ def load_checkpoint(path) -> ForecastEncoder:
             raise ConfigError(
                 f"{path}: checkpoint parameters do not match the model (missing: {missing}, "
                 f"unknown: {unknown}, {len(names)} entries for {len(params)} parameters)")
-        reads = []
+        reads, end = [], 0
         for entry, dt in zip(header["params"], dtypes):
             p = params[entry["name"]]
             if entry["shape"] != list(p.shape):
                 raise ConfigError(f"checkpoint parameter {entry['name']!r} shape "
                                   f"{entry['shape']} != model shape {list(p.shape)}")
             start, nbytes = entry["offset"], p.data.nbytes
-            if not 0 <= start <= body_len - nbytes:
+            if start != end:
+                raise ConfigError(
+                    f"{path}: checkpoint parameter {entry['name']!r} at offset {start}, expected "
+                    f"{end}: buffers must follow each other in header order")
+            end += nbytes
+            if end > body_len:
                 raise ConfigError(
                     f"{path}: checkpoint parameter {entry['name']!r} ({nbytes} bytes at offset "
                     f"{start}) lies outside the {body_len}-byte body")
-            reads.append((p, start, dt))
-        for p, start, dt in reads:
-            f.seek(body_start + start)
+            reads.append((p, dt))
+        if end != body_len:
+            raise ConfigError(f"{path}: {body_len - end} bytes after the last checkpoint parameter")
+        for p, dt in reads:
             if f.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
                 raise ConfigError(f"{path}: checkpoint ended inside parameter {p.name!r} "
                                   f"while it was read")

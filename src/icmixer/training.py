@@ -268,7 +268,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         if not np.isfinite(val_mse):
             raise _diverged(f"validation MSE at epoch {epoch}", model, config, horizon)
         if log is not None:
-            record = {"dataset": series.name, "horizon": horizon, "epoch": epoch,
+            record = {"dataset": series.name, "mixer": model.config.mixer.value,
+                      "horizon": horizon, "epoch": epoch,
                       "train_loss": loss_curve[-1], "val_mse": val_mse,
                       "seconds": seconds, "windows_per_s": len(order) / seconds,
                       "grad_norm": grad_norm,

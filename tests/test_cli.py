@@ -7,7 +7,7 @@ import pytest
 
 from icmixer.cli import main, parse_synthetic_spec
 from icmixer.data import load_csv
-from icmixer.encoder import EncoderConfig, ForecastEncoder, save_checkpoint
+from icmixer.encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
 
 
 COMMON = ["--lookback", "32", "--horizons", "8", "--epochs", "1",
@@ -62,10 +62,10 @@ class TestParseSyntheticSpec:
         ("lagged:m", "'m': '' is not a valid int"),
         ("lagged:T=1.5", "'T': '1.5' is not a valid int"),
         ("lagged:noise=abc", "'noise': 'abc' is not a valid float"),
-        ("lagged:lag=-3", "lag must be >= 0, got -3"),
+        ("lagged:lag=-3", "lag must be an integer >= 0, got -3"),
         ("lagged:noise=-1", "noise_std must be finite and >= 0, got -1.0"),
         ("lagged:noise=nan", "noise_std must be finite and >= 0, got nan"),
-        ("lagged:seed=-1", "seed must be >= 0, got -1"),
+        ("lagged:seed=-1", "seed must be an integer >= 0, got -1"),
     ])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "x.csv"
@@ -236,6 +236,57 @@ class TestTrainCommand:
         assert rc == 2
         assert err.startswith("error:") and "invalid JSON" in err
         assert "Traceback" not in err
+
+
+def read_records(run):
+    return [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+
+
+class TestRunLoop:
+    """train and compare train one single-horizon model per (mixer, horizon)."""
+
+    def test_each_checkpoint_holds_only_its_own_head(self, tmp_path, capsys):
+        args = ["train", "--mixer", "icm", *SYNTH, *COMMON, "--out", str(tmp_path)]
+        assert main([*args, "--horizons", "8,16", "--name", "both"]) == 0
+        assert main([*args, "--horizons", "16", "--name", "h16"]) == 0
+        for horizon in (8, 16):
+            model = load_checkpoint(tmp_path / "both" / f"checkpoint_h{horizon}.icm")
+            assert model.config.horizons == (horizon,)
+            assert sorted(n for n in model.parameters() if n.startswith("head.")) == \
+                [f"head.{horizon}.b", f"head.{horizon}.w"]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "both" / "checkpoint_h8.icm"),
+                     *SYNTH]) == 0
+        h8, avg = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert h8["horizon"] == 8 and avg["horizon"] == "avg"
+        assert (avg["mse"], avg["mae"]) == (h8["mse"], h8["mae"])
+
+        def row(run, horizon):
+            lines = (tmp_path / run / "summary.txt").read_text().splitlines()
+            return next(line for line in lines if line.split()[1] == str(horizon))
+
+        assert row("both", 16) == row("h16", 16)
+
+    def test_compare_records_name_their_mixer(self, tmp_path):
+        assert main(["compare", "--mixers", "independent,icm", *SYNTH, *COMMON,
+                     "--out", str(tmp_path), "--name", "cmp"]) == 0
+        records = read_records(tmp_path / "cmp")
+        assert [(r["mixer"], r["epoch"]) for r in records] == [("independent", 0), ("icm", 0)]
+        config = json.loads((tmp_path / "cmp" / "config.json").read_text())
+        assert (config["command"], config["mixers"], config["finetune_beta"]) == \
+            ("compare", ["independent", "icm"], False)
+        assert not list((tmp_path / "cmp").glob("*.icm"))
+
+    def test_finetune_beta_stage_is_labelled_and_recorded(self, tmp_path):
+        assert main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--epochs", "2",
+                     "--finetune-beta", "true", "--out", str(tmp_path), "--name", "ft"]) == 0
+        records = read_records(tmp_path / "ft")
+        assert [(r.get("stage"), r["epoch"]) for r in records] == \
+            [(None, 0), (None, 1), ("head+gate", 0), ("head+gate", 1)]
+        assert all(r["mixer"] == "icm" for r in records)
+        config = json.loads((tmp_path / "ft" / "config.json").read_text())
+        assert (config["command"], config["mixers"], config["finetune_beta"]) == \
+            ("train", ["icm"], True)
 
 
 class TestCompareCommand:

@@ -134,7 +134,7 @@ class TestMakeWindows:
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_non_positive_stride_raises(self, stride):
-        with pytest.raises(ConfigError, match="stride must be >= 1"):
+        with pytest.raises(ConfigError, match="stride must be an integer >= 1"):
             make_windows(self.series, 256, 96, stride=stride)
 
     def test_val_windows_start_after_train(self):
@@ -240,6 +240,36 @@ class TestLaggedCopy:
         floor = innov_std ** 2 * sum(phi ** (2 * k) for k in range(lag))
         assert own_mse > 0.5 * floor
         assert own_mse > 100 * cross_mse + 1e-12
+
+
+LAGGED = dict(m=2, T=1000, lag=4, noise_std=0.1, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_lagged_copy(**{**LAGGED, "m": 2.5}), "m must be an integer >= 2, got 2.5"),
+    (lambda: generate_lagged_copy(**{**LAGGED, "T": 1000.0}),
+     "T must be an integer >= 1, got 1000.0"),
+    (lambda: generate_lagged_copy(**{**LAGGED, "lag": 1.5}),
+     "lag must be an integer >= 0, got 1.5"),
+    (lambda: generate_lagged_copy(**{**LAGGED, "seed": 1.5}),
+     "seed must be an integer >= 0, got 1.5"),
+    (lambda: generate_lagged_copy(**{**LAGGED, "noise_std": True}),
+     "noise_std must be finite and >= 0, got True"),
+    (lambda: make_windows(generate_lagged_copy(**LAGGED), 32, 8, stride=1.5),
+     "window stride must be an integer >= 1, got 1.5"),
+    (lambda: make_windows(generate_lagged_copy(**LAGGED), 0, 8),
+     "lookback must be an integer >= 1, got 0"),
+    (lambda: make_windows(generate_lagged_copy(**LAGGED), -5, 8),
+     "lookback must be an integer >= 1, got -5"),
+    (lambda: cap_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
+    (lambda: partition_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
+], ids=["m-float", "T-float", "lag-float", "seed-float", "noise-bool", "stride-float",
+        "lookback-zero", "lookback-negative", "cap-float", "partition-cap-float"])
+def test_bad_argument_is_config_error(call, message):
+    """A non-integer count or size is a ConfigError naming it, not a numpy TypeError."""
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestStandardize:

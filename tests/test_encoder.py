@@ -590,6 +590,40 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
+    def edit_entries(path, edit, tail=b""):
+        """Apply ``edit`` to the header's entry list of the file at ``path``; append ``tail``."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + hlen])
+        edit(header["params"])
+        new_header = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header
+                         + raw[8 + hlen:] + tail)
+
+    @staticmethod
+    def alias_wk_to_wq(entries):
+        by_name = {e["name"]: e for e in entries}
+        by_name["block.0.attn.wk"]["offset"] = by_name["block.0.attn.wq"]["offset"]
+
+    @pytest.mark.parametrize("edit, tail, message", [
+        (alias_wk_to_wq, b"junk", r"'block.0.attn.wk' at offset (\d+), expected (?!\1)\d+"),
+        (lambda entries: None, b"\0" * 4, "4 bytes after the last checkpoint parameter"),
+        (lambda entries: entries.insert(0, entries.pop(1)), b"",
+         "'embed.b' at offset 1024, expected 0: buffers must follow each other"),
+    ], ids=["aliased-offset-and-trailing-bytes", "trailing-bytes", "entries-out-of-order"])
+    def test_buffers_must_fill_the_body_in_header_order(self, tmp_path, edit, tail, message):
+        """Offsets are the running sum of the sizes before them, and the body holds no more.
+
+        The first weight is NaN, so each error shows its check ran before a byte was read.
+        """
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
+        self.poke(path, "embed.w", np.nan)
+        self.edit_entries(path, edit, tail)
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
+    @staticmethod
     def poke(path, name, value):
         """Overwrite the first element of parameter ``name`` in the file at ``path``."""
         raw = bytearray(path.read_bytes())
