@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .attention import ConfigError
@@ -59,66 +60,48 @@ def parse_synthetic_spec(spec: str):
                                 noise_std=args["noise"], seed=args["seed"])
 
 
-def _load_series(ns):
+def _load_series(ns, config: EncoderConfig):
+    """The standardized series of --data or --synthetic; ConfigError unless its test split
+    holds a window for each of ``config``'s horizons."""
     if ns.synthetic:
-        return standardized(parse_synthetic_spec(ns.synthetic))
-    if not ns.data:
+        series = standardized(parse_synthetic_spec(ns.synthetic))
+    elif not ns.data:
         raise ConfigError("either --data or --synthetic is required")
-    path = Path(ns.data)
-    if not path.exists():
-        raise FileNotFoundError(f"data file not found: {path}")
-    return standardized(load_csv(path))
-
-
-# The keys a --config file may set, per section.
-_CONFIG_FILE_KEYS = {
-    "model": ("mixer", "lookback", "horizons", "n_blocks", "d_model", "n_heads", "d_ff",
-              "patch_len", "max_channels"),
-    "train": ("epochs", "batch_size", "learning_rate", "seed", "precision", "train_stride",
-              "max_train_windows"),
-}
-
-
-def _read_config_file(path) -> dict:
-    """Parse a --config file; ConfigError on invalid JSON or an unknown section or key."""
-    with open(path) as f:
-        try:
-            file_cfg = json.load(f)
-        except ValueError as err:
-            raise ConfigError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(file_cfg, dict):
-        raise ConfigError(f"{path}: expected a JSON object with 'model' and 'train' sections")
-    unknown = sorted(set(file_cfg) - set(_CONFIG_FILE_KEYS))
-    if unknown:
-        raise ConfigError(f"{path}: unknown config section(s): {', '.join(unknown)}")
-    for section, keys in _CONFIG_FILE_KEYS.items():
-        entries = file_cfg.get(section, {})
-        if not isinstance(entries, dict):
-            raise ConfigError(f"{path}: section {section!r} must be a JSON object")
-        unknown = sorted(set(entries) - set(keys))
-        if unknown:
-            raise ConfigError(f"{path}: unknown {section} config key(s): {', '.join(unknown)}")
-    return file_cfg
+    elif not Path(ns.data).exists():
+        raise FileNotFoundError(f"data file not found: {ns.data}")
+    else:
+        series = standardized(load_csv(ns.data))
+    lo, hi = series.region("test")
+    window = config.lookback + max(config.horizons)
+    if hi - lo < window:
+        raise ConfigError(f"{series.name}: the test split has {hi - lo} rows, fewer than lookback "
+                          f"{config.lookback} + horizon {max(config.horizons)} = {window}")
+    return series
 
 
 def _build_configs(ns):
-    """EncoderConfig and TrainConfig from the keys a flag or the config file sets.
+    """EncoderConfig and TrainConfig from the --config file and the flags named like fields.
 
     A flag wins over the file; a key neither sets keeps its dataclass default.
     """
-    file_cfg = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    sections = {}
-    for section, keys in _CONFIG_FILE_KEYS.items():
-        values = dict(file_cfg.get(section, {}))
-        values.update({key: getattr(ns, key) for key in keys
-                       if getattr(ns, key, None) is not None})
-        sections[section] = values
-    try:
-        model_cfg = EncoderConfig(**sections["model"])
-        train_cfg = TrainConfig(**sections["train"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid config value: {err}") from err
-    return model_cfg, train_cfg
+    file_cfg = {}
+    if ns.config:
+        with open(ns.config) as f:
+            try:
+                file_cfg = json.load(f)
+            except ValueError as err:
+                raise ConfigError(f"{ns.config}: invalid JSON ({err})") from err
+    classes = (EncoderConfig, TrainConfig)
+    if not (isinstance(file_cfg, dict) and set(file_cfg) <= {cls.section for cls in classes}
+            and all(isinstance(section, dict) for section in file_cfg.values())):
+        raise ConfigError(f"{ns.config}: expected a JSON object with at most a 'model' and "
+                          f"a 'train' section, each a JSON object")
+    configs = []
+    for cls in classes:
+        flags = {f.name: getattr(ns, f.name) for f in fields(cls)
+                 if getattr(ns, f.name, None) is not None}
+        configs.append(cls.from_dict({**file_cfg.get(cls.section, {}), **flags}))
+    return tuple(configs)
 
 
 def _parse_horizons(text):
@@ -133,33 +116,33 @@ def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
     the other horizons. A head+gate stage's records carry ``"stage": "head+gate"``.
     Returns the series, the run directory and one MetricReport per mixer.
     """
-    series = _load_series(ns)
+    series = _load_series(ns, model_cfg)
+    # Each model's config is built, and so checked, before anything is written.
+    configs = [replace(model_cfg, mixer=kind, horizons=(horizon,))
+               for kind in mixers for horizon in model_cfg.horizons]
     run_dir = Path(ns.out or "runs") / (ns.name or run_name)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(
         {"command": ns.command, "mixers": mixers, "finetune_beta": finetune_beta,
          "model": {k: v for k, v in model_cfg.to_dict().items() if k != "mixer"},
-         "train": train_cfg.__dict__, "data": ns.data, "synthetic": ns.synthetic},
-        indent=2, default=str))
+         "train": train_cfg.to_dict(), "data": ns.data, "synthetic": ns.synthetic},
+        indent=2))
     with open(run_dir / "metrics.jsonl", "w") as metrics:
         def log(record):
             print(json.dumps(record), file=metrics, flush=True)
 
-        reports = {}
-        for kind in mixers:
-            reports[kind] = MetricReport()
-            for horizon in model_cfg.horizons:
-                cfg = EncoderConfig(**{**model_cfg.to_dict(), "mixer": kind,
-                                       "horizons": (horizon,)})
-                model = ForecastEncoder(cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
-                model, part, _ = train_supervised(model, series, train_cfg, horizon, log=log)
-                if finetune_beta:
-                    model, part, _ = finetune_beta_and_head(
-                        model, series, train_cfg, horizon,
-                        log=lambda record: log({**record, "stage": "head+gate"}))
-                reports[kind].merge(part)
-                if save_checkpoints:
-                    save_checkpoint(model, run_dir / f"checkpoint_h{horizon}.icm")
+        reports = {kind: MetricReport() for kind in mixers}
+        for cfg in configs:
+            horizon = cfg.horizons[0]
+            model = ForecastEncoder(cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
+            model, part, _ = train_supervised(model, series, train_cfg, horizon, log=log)
+            if finetune_beta:
+                model, part, _ = finetune_beta_and_head(
+                    model, series, train_cfg, horizon,
+                    log=lambda record: log({**record, "stage": "head+gate"}))
+            reports[cfg.mixer.value].merge(part)
+            if save_checkpoints:
+                save_checkpoint(model, run_dir / f"checkpoint_h{horizon}.icm")
     return series, run_dir, reports
 
 
@@ -188,9 +171,6 @@ def cmd_compare(ns) -> int:
     if not mixers:
         raise ConfigError("--mixers requires a non-empty comma-separated list")
     for i, name in enumerate(mixers):
-        if name not in MIXER_CHOICES:
-            raise ConfigError(f"--mixers: unknown mixer {name!r} "
-                              f"(choices: {', '.join(MIXER_CHOICES)})")
         if name in mixers[:i]:
             raise ConfigError(f"--mixers repeats mixer {name!r}")
     series, run_dir, reports = _run(ns, model_cfg, train_cfg, mixers, "compare")
@@ -204,7 +184,7 @@ def cmd_compare(ns) -> int:
 
 def cmd_eval(ns) -> int:
     model = load_checkpoint(ns.checkpoint)
-    series = _load_series(ns)
+    series = _load_series(ns, model.config)
     report = MetricReport()
     for horizon in model.config.horizons:
         windows = make_windows(series, model.config.lookback, horizon, split="test")

@@ -161,6 +161,7 @@ def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int =
 
 def cap_channels(m: int, cap: int = 8, seed: int = 0) -> np.ndarray:
     """Sorted indices of at most `cap` of m channels (without replacement, seeded)."""
+    check_integer("m", m)
     check_integer("channel cap", cap)
     if m <= cap:
         return np.arange(m)
@@ -173,6 +174,7 @@ def partition_channels(m: int, cap: int = 8, seed: int = 0) -> list:
     A shuffled partition into ceil(m / cap) groups; a final group smaller than
     `cap` is filled by repeating channels already used in earlier groups.
     """
+    check_integer("m", m)
     check_integer("channel cap", cap)
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)

@@ -13,6 +13,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,34 @@ INSTANCE_NORM_EPS = 1e-5
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
 
 
+class ConfigFields:
+    """The dict form of a config dataclass: its fields are the only list of its keys, and
+    ``from_dict`` of any JSON object builds a config or raises ConfigError."""
+
+    section = ""  # the config's name in error messages
+
+    def to_dict(self) -> dict:
+        """Each field as a JSON value: an enum as its value, a tuple as a list."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in d.items():
+            if isinstance(value, Enum):
+                d[name] = value.value
+            elif isinstance(value, tuple):
+                d[name] = list(value)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config key(s): {', '.join(unknown)}")
+        return cls(**d)
+
+
 @dataclass
-class EncoderConfig:
+class EncoderConfig(ConfigFields):
+    section = "model"
+
     n_blocks: int = 4
     d_model: int = 256
     n_heads: int = 4
@@ -55,18 +82,19 @@ class EncoderConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        if self.mixer not in list(MixerKind):
+            raise ConfigError(f"mixer must be one of {', '.join(MixerKind)}, got {self.mixer!r}")
         self.mixer = MixerKind(self.mixer)
         for name in ("n_blocks", "d_model", "n_heads", "d_ff", "patch_len", "lookback",
                      "max_channels"):
             check_integer(name, getattr(self, name))
-        horizons = tuple(self.horizons)
-        if not horizons:
-            raise ConfigError("horizons must be a non-empty list")
-        for i, h in enumerate(horizons):
+        if not isinstance(self.horizons, (list, tuple)) or not self.horizons:
+            raise ConfigError(f"horizons must be a non-empty list, got {self.horizons!r}")
+        for i, h in enumerate(self.horizons):
             check_integer(f"horizons[{i}]", h)
-            if h in horizons[:i]:
+            if h in self.horizons[:i]:
                 raise ConfigError(f"horizons[{i}] repeats horizon {h}")
-        self.horizons = tuple(map(int, horizons))
+        self.horizons = tuple(map(int, self.horizons))
         if self.lookback % self.patch_len != 0:
             raise ConfigError(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}")
@@ -77,19 +105,6 @@ class EncoderConfig:
     @property
     def n_patches(self) -> int:
         return self.lookback // self.patch_len
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["mixer"] = self.mixer.value
-        d["horizons"] = list(self.horizons)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown model config key(s): {', '.join(unknown)}")
-        return cls(**d)
 
 
 def instance_stats(x: np.ndarray):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
-from .encoder import EncoderConfig, ForecastEncoder, instance_normalize
+from .encoder import ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
 from .tensor import DimensionError, Tensor, no_grad
 
@@ -127,7 +127,9 @@ class Adam:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigFields):
+    section = "train"
+
     epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-4

@@ -163,8 +163,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("file_cfg,message", [
         ({"model": {"d_modle": 16}}, "unknown model config key(s): d_modle"),
         ({"train": {"epochz": 1}}, "unknown train config key(s): epochz"),
-        ({"trian": {"epochs": 1}}, "unknown config section(s): trian"),
-        ({"model": {"mixer": "bogus"}}, "invalid config value"),
+        ({"trian": {"epochs": 1}}, "expected a JSON object with at most a 'model' and a 'train' "
+                                   "section"),
+        ({"model": {"mixer": "bogus"}},
+         "mixer must be one of independent, concat, icm, icm-static, got 'bogus'"),
         ({"model": {"patch_len": 0}}, "patch_len must be an integer >= 1, got 0"),
         ({"train": {"max_train_windows": "many"}},
          "max_train_windows must be an integer >= 1, got 'many'"),
@@ -189,7 +191,7 @@ class TestTrainCommand:
         rc = main(["train", *SYNTH, *common, "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == \
-            f"error: invalid config value: {key} must be an integer >= 1, got {value!r}\n"
+            f"error: {key} must be an integer >= 1, got {value!r}\n"
 
     @pytest.mark.parametrize("key, value, name", [("d_model", 16.9, "d_model"),
                                                   ("horizons", [96.5], "horizons[0]")])
@@ -200,7 +202,7 @@ class TestTrainCommand:
         assert rc == 2
         got = value[0] if isinstance(value, list) else value
         assert capsys.readouterr().err == \
-            f"error: invalid config value: {name} must be an integer >= 1, got {got!r}\n"
+            f"error: {name} must be an integer >= 1, got {got!r}\n"
         assert not list(tmp_path.glob("*/metrics.jsonl"))
 
     @pytest.mark.parametrize("flag, value", [
@@ -213,7 +215,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         name = flag[2:].replace("-", "_")
-        assert err == f"error: invalid config value: {name} must be an integer >= 1, got {value}\n"
+        assert err == f"error: {name} must be an integer >= 1, got {value}\n"
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -225,7 +227,7 @@ class TestTrainCommand:
         rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, flag, value,
                    "--out", str(tmp_path), "--name", "bad"])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: invalid config value: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "bad").exists()
 
     def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
@@ -288,6 +290,50 @@ class TestRunLoop:
         assert (config["command"], config["mixers"], config["finetune_beta"]) == \
             ("train", ["icm"], True)
 
+    def test_replay_from_config_json_is_bitwise_equal(self, tmp_path):
+        """A run's config.json model and train sections, given as --config, replay the run."""
+        args = ["train", "--mixer", "icm", *SYNTH, "--out", str(tmp_path)]
+        assert main([*args, *COMMON, "--horizons", "8,16", "--name", "first"]) == 0
+        record = json.loads((tmp_path / "first" / "config.json").read_text())
+        cfg_path = tmp_path / "replay.json"
+        cfg_path.write_text(json.dumps({"model": record["model"], "train": record["train"]}))
+        assert main([*args, "--config", str(cfg_path), "--name", "replay"]) == 0
+        outputs = sorted(p.name for p in (tmp_path / "first").glob("*.icm")) + ["summary.txt"]
+        assert outputs == ["checkpoint_h16.icm", "checkpoint_h8.icm", "summary.txt"]
+        for name in outputs:
+            assert (tmp_path / "replay" / name).read_bytes() == \
+                (tmp_path / "first" / name).read_bytes()
+
+    def test_patience_from_config_file_reaches_the_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"patience": 1}}))
+        assert main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--epochs", "8",
+                     "--learning-rate", "3e-2", "--config", str(cfg_path),
+                     "--out", str(tmp_path), "--name", "p1"]) == 0
+        assert json.loads((tmp_path / "p1" / "config.json").read_text())["train"]["patience"] == 1
+        # With patience 1 a run ends at its first epoch that does not improve on validation.
+        val = [r["val_mse"] for r in read_records(tmp_path / "p1")]
+        first_miss = next(i for i in range(1, len(val)) if val[i] >= min(val[:i]))
+        assert len(val) == first_miss + 1 < 8
+
+    @pytest.mark.parametrize("command", ["train", "compare", "eval"])
+    def test_short_test_split_is_one_error_line_before_any_output(self, tmp_path, capsys,
+                                                                  command):
+        """190 rows leave a 38-row test split, short of one lookback 32 + horizon 8 window."""
+        runs = tmp_path / "runs"
+        argv = {"train": ["train", "--mixer", "icm", *COMMON, "--out", str(runs)],
+                "compare": ["compare", "--mixers", "independent,icm", *COMMON, "--out", str(runs)],
+                "eval": ["eval", "--checkpoint", str(tiny_checkpoint(tmp_path / "model.icm"))]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv[command], "--synthetic", "lagged:m=2,lag=4,noise=0.1,T=190"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: lagged(m=2,lag=4,noise=0.1): the test split has 38 rows, fewer than "
+            "lookback 32 + horizon 8 = 40\n")
+        assert not caught
+        assert not runs.exists()
+
 
 class TestCompareCommand:
     def test_two_variants_table(self, tmp_path, capsys):
@@ -299,7 +345,7 @@ class TestCompareCommand:
         assert len(table.strip().splitlines()) == 3  # header + two variant rows
 
     @pytest.mark.parametrize("mixers, message", [
-        ("bogus", "--mixers: unknown mixer 'bogus' (choices: independent, concat, icm, icm-static)"),
+        ("bogus", "mixer must be one of independent, concat, icm, icm-static, got 'bogus'"),
         ("icm,icm", "--mixers repeats mixer 'icm'"),
     ], ids=["unknown", "repeated"])
     def test_bad_mixer_list_is_one_error_line(self, tmp_path, capsys, mixers, message):

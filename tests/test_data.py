@@ -263,8 +263,12 @@ LAGGED = dict(m=2, T=1000, lag=4, noise_std=0.1, seed=0)
      "lookback must be an integer >= 1, got -5"),
     (lambda: cap_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
     (lambda: partition_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
+    (lambda: cap_channels(2.5), "m must be an integer >= 1, got 2.5"),
+    (lambda: cap_channels(-3), "m must be an integer >= 1, got -3"),
+    (lambda: partition_channels(2.5), "m must be an integer >= 1, got 2.5"),
 ], ids=["m-float", "T-float", "lag-float", "seed-float", "noise-bool", "stride-float",
-        "lookback-zero", "lookback-negative", "cap-float", "partition-cap-float"])
+        "lookback-zero", "lookback-negative", "cap-float", "partition-cap-float",
+        "cap-m-float", "cap-m-negative", "partition-m-float"])
 def test_bad_argument_is_config_error(call, message):
     """A non-integer count or size is a ConfigError naming it, not a numpy TypeError."""
     with pytest.raises(ConfigError) as err:

@@ -1,6 +1,8 @@
 import inspect
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +128,12 @@ def test_train_step_graph_size_is_pinned(monkeypatch):
         train_supervised(ForecastEncoder(cfg, seed=0, dtype=np.float32), series, train_cfg, 96)
         got[kind], counts[:] = list(counts), []
     assert got == {kind: [n] for kind, n in GRAPH_NODES_PER_STEP.items()}
+
+
+def test_readme_lists_the_config_keys_of_each_dataclass():
+    """The README's --config key list is each config dataclass's fields, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for section, cls in (("model", EncoderConfig), ("train", TrainConfig)):
+        line = re.search(rf"^- `{section}` \(`{cls.__name__}`\): (.*)$", readme, re.M)
+        assert line, f"README lists no {section} keys"
+        assert re.findall(r"`(\w+)`", line.group(1)) == [f.name for f in fields(cls)]
