@@ -17,11 +17,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .tensor import (
+    FORWARD_BLOCK_BYTES,
     DimensionError,
     Parameter,
     Tensor,
     _unbroadcast,
     expit,
+    grad_enabled,
     row_max,
     row_sum,
 )
@@ -156,35 +158,72 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     [..., h, n_q, n_k] scores; the heads come back merged, [..., n_q, d_model].
     Besides the inputs, the backward keeps only the probabilities, never the
     scores.
+
+    Forward and backward run in tiles of whole items along the first axis of
+    the scores, as many items as keep a tile's scores within
+    ``FORWARD_BLOCK_BYTES`` (at least one), so every score-sized temporary
+    stays tile-sized and in cache. A graph's forward writes each tile's
+    probabilities into the one saved array; without a graph all tiles share
+    one tile-sized buffer. Each element is computed as in one untiled pass,
+    so outputs and the q/k/v gradients do not depend on the tiling; only the
+    bias gradient, summed tile by tile, rounds differently.
     """
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"attention needs Q, K and V of equal leading dims and as many "
+                             f"keys as values, got {q.shape}, {k.shape}, {v.shape}")
     q_h, k_h, v_h = _heads(n_heads, q.data, k.data, v.data)
     scale = 1.0 / math.sqrt(q_h.shape[-1])
-    scores = q_h @ k_h.swapaxes(-1, -2)
-    scores *= scale
-    if bias is not None:
-        scores += bias.data
-    p = scores  # softmax over keys, in place
-    p -= row_max(p)
-    np.exp(p, out=p)
-    p /= row_sum(p)
-    out_data = _matmul_merged(p, v_h, (*p.shape[:-3], *q.shape[-2:]), n_heads)
+    shape = (*q_h.shape[:-1], k_h.shape[-2])  # of the scores, [..., h, n_q, n_k]
+    dtype = np.result_type(q_h, k_h)
+    per_tile = max(1, FORWARD_BLOCK_BYTES // max(1, math.prod(shape[1:]) * dtype.itemsize))
+    tiles = [slice(lo, min(lo + per_tile, shape[0])) for lo in range(0, shape[0], per_tile)]
+    # The bias at the scores' rank: a first axis at full extent is sliced per
+    # tile, one that broadcasts is used whole.
+    b_data = None if bias is None else bias.data.reshape(
+        (1,) * (len(shape) - bias.ndim) + bias.shape)
+    sliced = b_data is not None and b_data.shape[0] > 1
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    keep = grad_enabled() and any(t.requires_grad for t in parents)
+    p = np.empty(shape if keep else (min(per_tile, shape[0]), *shape[1:]), dtype)
+    out_data = np.empty((*shape[:-3], *q.shape[-2:]), np.result_type(p, v_h))
+    out_h = _heads(n_heads, out_data)[0]
+    for t in tiles:
+        p_t = p[t] if keep else p[:t.stop - t.start]
+        np.matmul(q_h[t], k_h[t].swapaxes(-1, -2), out=p_t)
+        p_t *= scale
+        if b_data is not None:
+            p_t += b_data[t] if sliced else b_data
+        p_t -= row_max(p_t)  # softmax over keys, in place
+        np.exp(p_t, out=p_t)
+        p_t /= row_sum(p_t)
+        np.matmul(p_t, v_h[t], out=out_h[t])
 
     def bwd(g):
         g_h = _heads(n_heads, g)[0]
-        if v.requires_grad:
-            v._accumulate(_matmul_merged(p.swapaxes(-1, -2), g_h, v.shape, n_heads))
-        g_scores = g_h @ v_h.swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
-        g_scores -= row_sum(g_scores * p)
-        g_scores *= p
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g_scores, bias.shape))
-        g_scores *= scale
-        if q.requires_grad:
-            q._accumulate(_matmul_merged(g_scores, k_h, q.shape, n_heads))
-        if k.requires_grad:
-            k._accumulate(_matmul_merged(g_scores.swapaxes(-1, -2), q_h, k.shape, n_heads))
+        g_dtype = np.result_type(p, g_h, v_h)
+        g_v, g_q, g_k = (np.empty(t.shape, g_dtype) for t in (v, q, k))
+        g_v_h, g_q_h, g_k_h = _heads(n_heads, g_v, g_q, g_k)
+        g_b = np.zeros(b_data.shape, g_dtype) if bias is not None and bias.requires_grad else None
+        for t in tiles:
+            p_t, g_t = p[t], g_h[t]
+            if v.requires_grad:
+                np.matmul(p_t.swapaxes(-1, -2), g_t, out=g_v_h[t])
+            g_scores = g_t @ v_h[t].swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
+            g_scores -= row_sum(g_scores * p_t)
+            g_scores *= p_t
+            if g_b is not None:
+                g_b_t = g_b[t] if sliced else g_b
+                g_b_t += _unbroadcast(g_scores, g_b_t.shape)
+            g_scores *= scale
+            if q.requires_grad:
+                np.matmul(g_scores, k_h[t], out=g_q_h[t])
+            if k.requires_grad:
+                np.matmul(g_scores.swapaxes(-1, -2), q_h[t], out=g_k_h[t])
+        for t, grad in ((v, g_v), (bias, g_b), (q, g_q), (k, g_k)):
+            if t is not None and t.requires_grad:
+                t._accumulate(grad.reshape(t.shape))
 
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
     return Tensor._make(out_data, parents, bwd)
 
 

@@ -25,7 +25,7 @@ from .data import (
     standardized,
 )
 from .encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
-from .mixers import MixerKind
+from .mixers import MixerKind, check_capacity
 from .training import (
     MetricReport,
     TrainConfig,
@@ -60,9 +60,9 @@ def parse_synthetic_spec(spec: str):
                                 noise_std=args["noise"], seed=args["seed"])
 
 
-def _load_series(ns, config: EncoderConfig):
-    """The standardized series of --data or --synthetic; ConfigError unless its test split
-    holds a window for each of ``config``'s horizons."""
+def _load_series(ns, config: EncoderConfig, splits=("test",)):
+    """The standardized series of --data or --synthetic; ConfigError unless each of its
+    ``splits`` holds a window for each of ``config``'s horizons."""
     if ns.synthetic:
         series = standardized(parse_synthetic_spec(ns.synthetic))
     elif not ns.data:
@@ -71,11 +71,13 @@ def _load_series(ns, config: EncoderConfig):
         raise FileNotFoundError(f"data file not found: {ns.data}")
     else:
         series = standardized(load_csv(ns.data))
-    lo, hi = series.region("test")
     window = config.lookback + max(config.horizons)
-    if hi - lo < window:
-        raise ConfigError(f"{series.name}: the test split has {hi - lo} rows, fewer than lookback "
-                          f"{config.lookback} + horizon {max(config.horizons)} = {window}")
+    for split in splits:
+        lo, hi = series.region(split)
+        if hi - lo < window:
+            raise ConfigError(f"{series.name}: the {split} split has {hi - lo} rows, fewer than "
+                              f"lookback {config.lookback} + horizon {max(config.horizons)} = "
+                              f"{window}")
     return series
 
 
@@ -116,10 +118,12 @@ def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
     the other horizons. A head+gate stage's records carry ``"stage": "head+gate"``.
     Returns the series, the run directory and one MetricReport per mixer.
     """
-    series = _load_series(ns, model_cfg)
+    series = _load_series(ns, model_cfg, splits=("test", "val"))
     # Each model's config is built, and so checked, before anything is written.
     configs = [replace(model_cfg, mixer=kind, horizons=(horizon,))
                for kind in mixers for horizon in model_cfg.horizons]
+    if any(cfg.mixer is MixerKind.ICM_STATIC for cfg in configs):
+        check_capacity(series.n_channels, model_cfg.max_channels)
     run_dir = Path(ns.out or "runs") / (ns.name or run_name)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(

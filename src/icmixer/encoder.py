@@ -27,19 +27,10 @@ from .mixers import (
     StaticChannelEmbedding,
     add_static_channel_embedding,
 )
-from .tensor import (DimensionError, Parameter, Tensor, expit, feed_forward, grad_enabled,
-                     layer_norm, linear, row_sum)
+from .tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, expit,
+                     feed_forward, grad_enabled, layer_norm, linear, row_sum)
 
 INSTANCE_NORM_EPS = 1e-5
-
-# A forecast that builds no graph runs its batch in blocks of whole windows
-# whose residual stream ([m, n_patches, d_model] per window) fits in this
-# many bytes, about one core's L2 cache. ICM attention holds about nine
-# arrays of that size at once, so a forward-only pass keeps ~17 MB of
-# activations alive whatever the batch; on the default 7-channel f32
-# backbone a block is at most 9 windows, 2016 rows per GEMM. Budgets of 1
-# and 4 MiB ran within noise of this one.
-FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 class ConfigFields:

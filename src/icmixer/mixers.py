@@ -58,12 +58,16 @@ class StaticChannelEmbedding:
                            "channel_embed.table")
 
 
+def check_capacity(m: int, max_channels: int):
+    """CapacityError unless a table of ``max_channels`` rows holds ``m`` channels."""
+    if m > max_channels:
+        raise CapacityError(f"{m} channels exceed embedding capacity {max_channels}")
+
+
 def add_static_channel_embedding(x: Tensor, embedding: StaticChannelEmbedding) -> Tensor:
     """Add embedding row c to every patch of channel c; x is [b, m, n_patches, d]."""
     m = x.shape[1]
-    if m > embedding.max_channels:
-        raise CapacityError(
-            f"{m} channels exceed embedding capacity {embedding.max_channels}")
+    check_capacity(m, embedding.max_channels)
     # Rows 0..m-1 as a one-hot product, exact for a finite table.
     rows = linear(Tensor(np.eye(m, embedding.max_channels, dtype=x.dtype)), embedding.table)
     return x + rows.reshape(1, m, 1, x.shape[-1])

@@ -28,6 +28,19 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
+# The working-set budget, about one core's L2 cache, of the package's two
+# blocked loops; each block or tile holds at least one item.
+# - A forecast that builds no graph (``forecast_normalized``) runs its batch
+#   in blocks of whole windows whose residual stream ([m, n_patches, d_model]
+#   per window) fits it. ICM attention holds about nine arrays of that size
+#   at once, so a forward-only pass keeps ~17 MB of activations alive
+#   whatever the batch; on the default 7-channel f32 backbone a block is at
+#   most 9 windows. Budgets of 1 and 4 MiB ran within noise of this one.
+# - ``dot_attention`` runs forward and backward in tiles of whole batch
+#   items whose scores fit it, so that only the saved probabilities are
+#   score-sized; concat's scores are the ones that exceed it.
+FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
+
 
 @contextlib.contextmanager
 def no_grad():

@@ -16,6 +16,12 @@ equal its chain bitwise except in the ``beta`` gradient, whose sum runs in
 another order, and ``feed_forward`` must equal ``linear -> relu -> linear``
 bitwise everywhere, NaN included.
 
+``dot_attention`` runs in tiles of batch items sized by
+``FORWARD_BLOCK_BYTES``. Over several tiles its output and q/k/v gradients
+must equal one-item calls bitwise, a bias with a full batch axis must match
+the chain, and ``tracemalloc`` pins that no score-sized temporary is
+allocated beside the saved probabilities.
+
 Tolerances were fixed before any result was seen: float64 1e-12 and
 float32 1e-5, relative to the summed magnitudes of the terms that form each
 element (computed in float64 from the inputs). Inputs are zero or at least
@@ -23,6 +29,7 @@ element (computed in float64 from the inputs). Inputs are zero or at least
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +43,11 @@ from composite_chains import (
     retrieve_memory_chain,
 )
 from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
-from icmixer.tensor import Tensor, expit, feed_forward, row_max, row_sum
+from icmixer.encoder import EncoderConfig, ForecastEncoder
+from icmixer.mixers import MixerKind, same_channel_mask
+from icmixer.tensor import (FORWARD_BLOCK_BYTES, Tensor, expit, feed_forward, no_grad, row_max,
+                            row_sum)
+from icmixer.training import mse
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -178,7 +189,11 @@ def attention_case(draw):
 @hypothesis.settings(max_examples=300)
 @hypothesis.given(attention_case())
 def test_dot_attention_matches_chain(case):
-    h, q, k, v, bias = case
+    check_dot_attention(*case)
+
+
+def check_dot_attention(h, q, k, v, bias):
+    """``dot_attention`` against ``dot_attention_chain``, term magnitudes from float64."""
     arrays = [q, k, v] if bias is None else [q, k, v, bias]
     q64, k64, v64 = (heads(a.astype(np.float64), h) for a in (q, k, v))
     c = 1.0 / math.sqrt(q64.shape[-1])
@@ -205,6 +220,100 @@ def test_dot_attention_matches_chain(case):
         return dot_attention_chain(q, k, v, h, *bias)
 
     check_against_chain(fused, chain, arrays, scales)
+
+
+# Tiles along the scores' first axis: H heads of N = 4 channels x 10 tokens,
+# concat's layout, so that a tile holds FORWARD_BLOCK_BYTES // (H N^2 itemsize)
+# batch items (163 in float32, 81 in float64).
+H, N, D_K = 2, 40, 4
+
+
+def items_per_tile(dtype):
+    return FORWARD_BLOCK_BYTES // (H * N * N * np.dtype(dtype).itemsize)
+
+
+def attention_and_grads(q, k, v, g, bias):
+    """The output of ``dot_attention`` and the gradients of sum(g * output) for each input."""
+    tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    if bias is not None:
+        tensors.append(Tensor(bias, requires_grad=True))
+    out = dot_attention(*tensors[:3], H, *tensors[3:])
+    reduce_sum(out * Tensor(g)).backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "concat-bias"])
+def test_tiled_dot_attention_equals_item_by_item_bitwise(dtype, with_bias):
+    """Three full tiles and an uneven last one give each item's values of a one-item call.
+
+    Only the bias gradient, summed per tile, may round differently from the
+    sum of the per-item gradients.
+    """
+    b = 3 * items_per_tile(dtype) + items_per_tile(dtype) // 2
+    rng = np.random.default_rng(0)
+    q, k, v, g = (rng.standard_normal((b, N, H * D_K)).astype(dtype) for _ in range(4))
+    mask = same_channel_mask(4, N // 4, dtype)
+    bias = 0.7 * mask - 0.3 * (1 - mask) if with_bias else None
+    whole = attention_and_grads(q, k, v, g, bias)
+    items = [attention_and_grads(q[i:i + 1], k[i:i + 1], v[i:i + 1], g[i:i + 1], bias)
+             for i in range(b)]
+    for got, parts in zip(whole[:4], zip(*items)):
+        assert_bitwise(got, np.concatenate(parts))
+    if with_bias:
+        parts = np.stack([item[4] for item in items])
+        assert_close(whole[4], parts.sum(axis=0), TOLERANCE[dtype], np.abs(parts).sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tiled_dot_attention_slices_a_full_batch_bias(dtype):
+    """A bias with the batch axis at full extent, over two tiles and a part, matches the chain."""
+    b = 2 * items_per_tile(dtype) + 5
+    rng = np.random.default_rng(1)
+    q, k, v = (rng.uniform(-2, 2, (b, N, H * D_K)).astype(dtype) for _ in range(3))
+    check_dot_attention(H, q, k, v, rng.uniform(-2, 2, (b, 1, N, N)).astype(dtype))
+
+
+def test_concat_train_step_peak_falls_with_tiles():
+    """One f32 desk concat step at m = 8, batch 16 holds one score-sized array, not three.
+
+    Untiled, the saved probabilities, dL/dp and their product (16.8 MB each)
+    were alive at once: a traced peak of 58-59 MB. Tiled, the step peaks at
+    ~30 MB.
+    """
+    config = EncoderConfig(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8,
+                           lookback=256, mixer=MixerKind.CONCAT, horizons=(96,))
+    model = ForecastEncoder(config, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 8, 256)).astype(np.float32)
+    y = Tensor(rng.standard_normal((16, 8, 96)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        pred, _ = model.forecast_normalized(x, 96)
+        mse(pred, y).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 58.6e6, peak
+
+
+def test_no_grad_concat_attention_holds_no_score_sized_array():
+    """Without a graph, all tiles share one buffer: the peak stays below one scores array."""
+    b, n, d = 64, 128, 32  # the desk concat layout: 4 channels x 32 patches, 4 heads
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((b, n, d)).astype(np.float32)) for _ in range(3))
+    mask = same_channel_mask(4, n // 4, np.float32)
+    bias = Tensor(0.7 * mask - 0.3 * (1 - mask))
+    scores_bytes = b * 4 * n * n * 4
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = dot_attention(q, k, v, 4, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (b, n, d)
+    assert peak < scores_bytes / 2, (peak, scores_bytes)
 
 
 # -- compressive memory ---------------------------------------------------------

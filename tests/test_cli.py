@@ -334,6 +334,36 @@ class TestRunLoop:
         assert not caught
         assert not runs.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_short_validation_split_is_one_error_line_before_any_output(self, tmp_path, capsys,
+                                                                        command):
+        """250 rows leave a 25-row validation split beside a 50-row test split."""
+        runs = tmp_path / "runs"
+        argv = {"train": ["train", "--mixer", "icm"],
+                "compare": ["compare", "--mixers", "independent,icm"]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv[command], *COMMON, "--out", str(runs),
+                       "--synthetic", "lagged:m=2,lag=4,noise=0.1,T=250"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: lagged(m=2,lag=4,noise=0.1): the val split has 25 rows, fewer than "
+            "lookback 32 + horizon 8 = 40\n")
+        assert not caught
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--mixer", "icm-static"],
+                                      ["compare", "--mixers", "independent,icm-static"]],
+                             ids=["train", "compare"])
+    def test_static_capacity_is_one_error_line_before_any_output(self, tmp_path, capsys, argv):
+        """10 channels overflow icm-static's default 8-row table before any mixer trains."""
+        runs = tmp_path / "runs"
+        rc = main([*argv, *COMMON, "--out", str(runs),
+                   "--synthetic", "lagged:m=10,lag=2,noise=0.1,T=700"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: 10 channels exceed embedding capacity 8\n")
+        assert not runs.exists()
+
 
 class TestCompareCommand:
     def test_two_variants_table(self, tmp_path, capsys):

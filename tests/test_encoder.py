@@ -9,7 +9,6 @@ import pytest
 
 from icmixer.attention import ConfigError
 from icmixer.encoder import (
-    FORWARD_BLOCK_BYTES,
     EncoderConfig,
     ForecastEncoder,
     denormalize,
@@ -20,7 +19,8 @@ from icmixer.encoder import (
     sinusoidal_positions,
 )
 from icmixer.mixers import MixerKind
-from icmixer.tensor import DimensionError, Parameter, Tensor, linear, no_grad
+from icmixer.tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, linear,
+                            no_grad)
 from icmixer.training import mse, shrunken_config
 
 
