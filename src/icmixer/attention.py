@@ -22,6 +22,7 @@ from .tensor import (
     Parameter,
     Tensor,
     _unbroadcast,
+    blocks,
     expit,
     grad_enabled,
     row_max,
@@ -159,9 +160,9 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     Besides the inputs, the backward keeps only the probabilities, never the
     scores.
 
-    Forward and backward run in tiles of whole items along the first axis of
-    the scores, as many items as keep a tile's scores within
-    ``FORWARD_BLOCK_BYTES`` (at least one), so every score-sized temporary
+    Forward and backward run in the fewest near-equal tiles of whole items
+    along the first axis of the scores that keep a tile's scores within
+    ``FORWARD_BLOCK_BYTES`` (``blocks``), so every score-sized temporary
     stays tile-sized and in cache. A graph's forward writes each tile's
     probabilities into the one saved array; without a graph all tiles share
     one tile-sized buffer. Each element is computed as in one untiled pass,
@@ -175,8 +176,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     scale = 1.0 / math.sqrt(q_h.shape[-1])
     shape = (*q_h.shape[:-1], k_h.shape[-2])  # of the scores, [..., h, n_q, n_k]
     dtype = np.result_type(q_h, k_h)
-    per_tile = max(1, FORWARD_BLOCK_BYTES // max(1, math.prod(shape[1:]) * dtype.itemsize))
-    tiles = [slice(lo, min(lo + per_tile, shape[0])) for lo in range(0, shape[0], per_tile)]
+    tiles = blocks(shape[0], math.prod(shape[1:]) * dtype.itemsize, FORWARD_BLOCK_BYTES)
     # The bias at the scores' rank: a first axis at full extent is sliced per
     # tile, one that broadcasts is used whole.
     b_data = None if bias is None else bias.data.reshape(
@@ -185,7 +185,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     keep = grad_enabled() and any(t.requires_grad for t in parents)
-    p = np.empty(shape if keep else (min(per_tile, shape[0]), *shape[1:]), dtype)
+    p = np.empty(shape if keep else (-(-shape[0] // len(tiles)), *shape[1:]), dtype)
     out_data = np.empty((*shape[:-3], *q.shape[-2:]), np.result_type(p, v_h))
     out_h = _heads(n_heads, out_data)[0]
     for t in tiles:

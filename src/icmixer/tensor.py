@@ -28,18 +28,46 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
-# The working-set budget, about one core's L2 cache, of the package's two
-# blocked loops; each block or tile holds at least one item.
-# - A forecast that builds no graph (``forecast_normalized``) runs its batch
-#   in blocks of whole windows whose residual stream ([m, n_patches, d_model]
-#   per window) fits it. ICM attention holds about nine arrays of that size
-#   at once, so a forward-only pass keeps ~17 MB of activations alive
-#   whatever the batch; on the default 7-channel f32 backbone a block is at
-#   most 9 windows. Budgets of 1 and 4 MiB ran within noise of this one.
-# - ``dot_attention`` runs forward and backward in tiles of whole batch
-#   items whose scores fit it, so that only the saved probabilities are
-#   score-sized; concat's scores are the ones that exceed it.
+# Byte budgets of the package's three blocked loops. Each loop cuts its
+# batch with ``blocks``: the fewest near-equal blocks of whole items whose
+# bytes fit the budget, each at least one item.
+# - ``FORWARD_BLOCK_BYTES``, about one core's L2 cache, has two users.
+#   - A forecast that builds no graph (``forecast_normalized``) runs its
+#     batch in blocks of whole windows whose residual stream
+#     ([m, n_patches, d_model] per window) fits it. ICM attention holds about
+#     nine arrays of that size at once, so a forward-only pass keeps ~17 MB
+#     of activations alive whatever the batch; on the default 7-channel f32
+#     backbone a block is at most 9 windows. Budgets of 1 and 4 MiB ran
+#     within noise of this one.
+#   - ``dot_attention`` runs forward and backward in tiles of whole batch
+#     items whose scores fit it, so that only the saved probabilities are
+#     score-sized; concat's scores are the ones that exceed it.
+# - ``TRAIN_BLOCK_BYTES`` bounds the graph of one block of a train step
+#   (``training.batch_gradients``), each window's graph sized by
+#   ``EncoderConfig.graph_window_bytes``. Every extra block reads every
+#   weight and adds every weight gradient once more, and glibc may give the
+#   freed heap back between blocks and fault it in again. Measured on the
+#   backbone-train benchmark (default 7-channel f32 backbone, ~23 MB a
+#   window, batch 8; peak, minor faults a step, windows/s in alternating
+#   20 s runs against one pass): one pass 308-311 MB, 2.8-3.5 k faults;
+#   this budget, 2 blocks of 4, 226-230 MB, 3.8-4.7 k, +2.4% (5 of 10
+#   pairs faster); 80 MiB, 2/3/3, 206 MB, 12.5 k; 64 MiB, 4 blocks of 2,
+#   186-188 MB, but faster in 10 of 28 pairs (medians -7.1% to +1.1% over
+#   three sets). Any budget of at least ~32 MiB keeps the criterion-6 desk
+#   config at batch 32 in one pass.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
+TRAIN_BLOCK_BYTES = 96 * 1024 * 1024
+
+
+def blocks(n: int, item_bytes: int, budget: int) -> list:
+    """The fewest near-equal slices of ``range(n)`` whose items fit ``budget``.
+
+    Each slice holds ``item_bytes`` per item and at least one item, and the
+    sizes differ by at most one; ``n = 0`` gives one empty slice.
+    """
+    count = max(1, -(-n // max(1, budget // max(1, item_bytes))))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @contextlib.contextmanager

@@ -18,7 +18,7 @@ from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
 from .encoder import ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
-from .tensor import DimensionError, Tensor, no_grad
+from .tensor import TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -191,6 +191,46 @@ def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64
     return sq_sum / count, abs_sum / count
 
 
+def train_blocks(model: ForecastEncoder, b: int, m: int) -> list:
+    """The blocks of a train step over ``b`` windows of ``m`` channels (``blocks``)."""
+    return blocks(b, model.config.graph_window_bytes(m, model.dtype), TRAIN_BLOCK_BYTES)
+
+
+def batch_gradients(model: ForecastEncoder, x, y, horizon: int):
+    """Zero the gradients, then accumulate those of the batch's MSE in normalized space.
+
+    ``x`` is [b, m, lookback] and ``y`` [b, m, horizon]. The batch runs as
+    ``train_blocks``: the fewest near-equal blocks of whole windows whose
+    graph fits ``TRAIN_BLOCK_BYTES``. Each block builds its graph, weights its
+    MSE by its share of the batch and runs its backward, so only one block's
+    graph is alive at a time and ``.grad`` sums to the batch's gradient. A
+    batch that fits one block runs as one pass, with no weight. The old
+    gradients are dropped just before the first backward, as a one-pass step
+    always did: dropping them before the first forward made the allocator
+    give back and fault in again ~3x the pages per default-backbone step.
+
+    Returns ``(loss, None)``, the loss being the sum of the weighted block
+    losses; or, at the first block whose loss is not finite, ``(that loss,
+    the offset of the block's first window)``, before that block's backward.
+    """
+    b, m, _ = x.shape
+    parts = train_blocks(model, b, m)
+    total = 0.0
+    for part in parts:
+        pred_norm, stats = model.forecast_normalized(x[part].astype(model.dtype), horizon)
+        y_norm, _ = instance_normalize(y[part], stats)
+        loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
+        if len(parts) > 1:
+            loss = loss * ((part.stop - part.start) / b)
+        if not np.isfinite(loss.item()):
+            return loss.item(), part.start
+        if part is parts[0]:
+            model.zero_grad()
+        loss.backward()
+        total += loss.item()
+    return total, None
+
+
 def _diverged(what: str, model: ForecastEncoder, config: TrainConfig,
               horizon: int) -> TrainingDiverged:
     """The error for a non-finite ``what``, naming the first non-finite parameter."""
@@ -211,8 +251,9 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     steps (``seconds``), the windows trained per second, the largest global
     L2 norm of the trainable gradients over the epoch's steps (``grad_norm``,
     NaN if one step's is; computed only when ``log`` is given), the process's
-    peak resident set so far (``peak_rss_mb``), and for ICM mixers the
-    per-block, per-head gate openness ``gate``.
+    peak resident set so far (``peak_rss_mb``), the most windows one block of
+    a train step holds (``windows_per_block``, see ``batch_gradients``), and
+    for ICM mixers the per-block, per-head gate openness ``gate``.
     """
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
@@ -232,6 +273,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     if not trainable:
         raise ConfigError("no trainable parameters: none requires grad")
     optimizer = Adam(trainable, lr=config.learning_rate)
+    windows_per_block = max(part.stop - part.start for part in train_blocks(
+        model, min(config.batch_size, len(keep)), train_windows.shape[1]))
 
     best_val = np.inf
     best_state = None
@@ -247,19 +290,15 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, len(order), config.batch_size):
                 x, y = _batch(train_windows, order[start:start + config.batch_size], lookback)
-                pred_norm, stats = model.forecast_normalized(x.astype(model.dtype), horizon)
-                y_norm, _ = instance_normalize(y, stats)
-                loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
-                if not np.isfinite(loss.item()):
-                    raise _diverged(f"training loss at epoch {epoch}, batch offset {start}",
-                                    model, config, horizon)
-                optimizer.zero_grad()
-                loss.backward()
+                loss, bad = batch_gradients(model, x, y, horizon)
+                if bad is not None:
+                    raise _diverged(f"training loss at epoch {epoch}, batch offset {start}, "
+                                    f"block offset {start + bad}", model, config, horizon)
                 if log is not None:  # np.maximum keeps a NaN norm; max would drop it
                     grad_norm = float(np.maximum(grad_norm, math.sqrt(sum(
                         float(np.vdot(p.grad, p.grad)) for p in trainable if p.grad is not None))))
                 optimizer.step()
-                epoch_losses.append(loss.item())
+                epoch_losses.append(loss)
             seconds = time.perf_counter() - epoch_start
             loss_curve.append(float(np.mean(epoch_losses)))
 
@@ -274,7 +313,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                       "horizon": horizon, "epoch": epoch,
                       "train_loss": loss_curve[-1], "val_mse": val_mse,
                       "seconds": seconds, "windows_per_s": len(order) / seconds,
-                      "grad_norm": grad_norm,
+                      "grad_norm": grad_norm, "windows_per_block": windows_per_block,
                       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
             gates = model.gates()
             if gates:

@@ -1,9 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from icmixer.attention import (
     ConfigError,
     ICMAttention,
@@ -111,12 +111,7 @@ class TestMemory:
         rng = np.random.default_rng(3)
         # [b, m, n, h, d_k] drawn and merged to the model's [b, m, n, h*d_k].
         k, v = (rng.standard_normal((b, m, n, h, d_k)).reshape(b, m, n, h * d_k) for _ in range(2))
-        tracemalloc.start()
-        try:
-            mem = accumulate_memory(Tensor(k), Tensor(v), h).data
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, mem = traced_peak(lambda: accumulate_memory(Tensor(k), Tensor(v), h).data)
         assert peak < b * m * h * d_k * d_k * 8
         k, v = (a.reshape(b, m, n, h, d_k).swapaxes(-3, -2) for a in (k, v))
         sk = elu1(k)

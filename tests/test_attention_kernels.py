@@ -29,7 +29,6 @@ element (computed in float64 from the inputs). Inputs are zero or at least
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from composite_chains import (
     reduce_sum,
     retrieve_memory_chain,
 )
+from conftest import traced_peak
 from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind, same_channel_mask
@@ -287,13 +287,7 @@ def test_concat_train_step_peak_falls_with_tiles():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 8, 256)).astype(np.float32)
     y = Tensor(rng.standard_normal((16, 8, 96)).astype(np.float32))
-    tracemalloc.start()
-    try:
-        pred, _ = model.forecast_normalized(x, 96)
-        mse(pred, y).backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: mse(model.forecast_normalized(x, 96)[0], y).backward())
     assert peak <= 0.6 * 58.6e6, peak
 
 
@@ -306,12 +300,7 @@ def test_no_grad_concat_attention_holds_no_score_sized_array():
     bias = Tensor(0.7 * mask - 0.3 * (1 - mask))
     scores_bytes = b * 4 * n * n * 4
     with no_grad():
-        tracemalloc.start()
-        try:
-            out = dot_attention(q, k, v, 4, bias)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, out = traced_peak(lambda: dot_attention(q, k, v, 4, bias))
     assert out.shape == (b, n, d)
     assert peak < scores_bytes / 2, (peak, scores_bytes)
 

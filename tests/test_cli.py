@@ -120,11 +120,11 @@ class TestTrainCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra,diagnosis", [
-        (["--precision", "f32"], "training loss at epoch 0, batch offset 16 (lr=1e+100, "
-                                 "horizon=8); first non-finite parameter: embed.w"),
+        (["--precision", "f32"], "training loss at epoch 0, batch offset 16, block offset 16 "
+                                 "(lr=1e+100, horizon=8); first non-finite parameter: embed.w"),
         # Huge but finite f64 weights overflow the loss.
-        (["--precision", "f64"], "training loss at epoch 0, batch offset 16 (lr=1e+100, "
-                                 "horizon=8); all parameters are finite"),
+        (["--precision", "f64"], "training loss at epoch 0, batch offset 16, block offset 16 "
+                                 "(lr=1e+100, horizon=8); all parameters are finite"),
         # The epoch's only step diverges, so the validation pass meets the weights first.
         (["--precision", "f32", "--batch-size", "512"],
          "validation MSE at epoch 0 (lr=1e+100, horizon=8); first non-finite parameter: embed.w"),

@@ -2,11 +2,11 @@ import hashlib
 import json
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from icmixer.attention import ConfigError
 from icmixer.encoder import (
     EncoderConfig,
@@ -365,12 +365,7 @@ class TestForwardBlocks:
         with no_grad():
             model.forecast(x[:1], 8)  # first-call allocations stay out of the peaks
             for batch in (x[:block], x):
-                tracemalloc.start()
-                try:
-                    model.forecast(batch, 8)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(lambda: model.forecast(batch, 8))[0])
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_a_graph_keeps_the_single_pass(self, monkeypatch):
@@ -532,15 +527,9 @@ class TestCheckpoint:
         model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=np.float32)
         weight_bytes = sum(p.data.nbytes for p in model.parameters().values())
         path = tmp_path / "model.icm"
-        peaks = {}
-        for name, call in [("save", lambda: save_checkpoint(model, path)),
-                           ("load", lambda: load_checkpoint(path))]:
-            tracemalloc.start()
-            try:
-                call()
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {name: traced_peak(call)[0]
+                 for name, call in [("save", lambda: save_checkpoint(model, path)),
+                                    ("load", lambda: load_checkpoint(path))]}
         assert peaks["save"] <= 2**20, peaks
         assert peaks["load"] <= 1.05 * weight_bytes, (peaks, weight_bytes)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from composite_chains import reduce_sum
+from conftest import traced_peak
 from icmixer import training
 from icmixer.attention import ConfigError
 from icmixer.data import (
@@ -316,10 +317,14 @@ class TestTelemetry:
             adam_step(optimizer)
 
         monkeypatch.setattr(Adam, "step", recording_step)
+        # Steps of 32 windows in blocks of at most 5, one gradient per step.
+        monkeypatch.setattr(training, "TRAIN_BLOCK_BYTES",
+                            5 * small_config(mixer).graph_window_bytes(2, np.float64))
         self.run(mixer, records.append, monkeypatch)
         assert [r["epoch"] for r in records] == [0, 1]
         for epoch, record in enumerate(records):
             assert record["seconds"] > 0 and record["windows_per_s"] > 0
+            assert record["windows_per_block"] == 5
             largest = max(n for n, e in zip(step_norms, epoch_of_step) if e == epoch)
             assert record["grad_norm"] == pytest.approx(largest, rel=1e-12)
             assert 1.0 < record["peak_rss_mb"] <= resource.getrusage(
@@ -367,6 +372,132 @@ class TestTelemetry:
         assert [r["val_mse"] for r in records] == [v[0] for v in val_on[:2]]
         for name, value in params_on.items():
             np.testing.assert_array_equal(value, params_off[name])
+
+
+DESK_MODEL = dict(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8, lookback=256)
+BACKBONE_MODEL = dict(n_blocks=4, d_model=256, n_heads=4, d_ff=1024, patch_len=8, lookback=256)
+
+
+class TestTrainBlocks:
+    """A train step runs in blocks of whole windows (``batch_gradients``)."""
+
+    @staticmethod
+    def model(mixer, dtype=np.float32, shape=DESK_MODEL):
+        return ForecastEncoder(EncoderConfig(**shape, mixer=mixer, horizons=(96,),
+                                             max_channels=16), seed=0, dtype=dtype)
+
+    @staticmethod
+    def batch(b, m):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((b, m, 256)), rng.standard_normal((b, m, 96))
+
+    @staticmethod
+    def blocks_of(monkeypatch, model, m, windows):
+        """Size the train-step budget to ``windows`` windows of ``m`` channels a block."""
+        monkeypatch.setattr(training, "TRAIN_BLOCK_BYTES",
+                            windows * model.config.graph_window_bytes(m, model.dtype))
+
+    @staticmethod
+    def gradients(model, x, y):
+        loss, bad = training.batch_gradients(model, x, y, 96)
+        assert bad is None
+        return loss, {name: p.grad.copy() for name, p in model.parameters().items()}
+
+    @pytest.mark.parametrize("dtype, m", [(np.float32, 4), (np.float64, 4), (np.float64, 3)])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_blocked_gradients_equal_one_pass(self, mixer, dtype, m, monkeypatch):
+        """Blocks of 2 and of 1 window give the one-pass loss and gradients.
+
+        Tolerance set before measuring: every gradient within 256 eps of the
+        dtype relative to its largest magnitude, for the sums that the blocks
+        reorder. With 4 channels a block's forward is bitwise that of one
+        pass. With 3, BLAS may round a window's instance statistics
+        differently in another block (its GEMV sums the rows of an odd row
+        count in another order), and a ReLU input within that rounding of 0
+        switches side, which moves a whole term of a feed-forward gradient:
+        up to 1.6e-3 relative in float32 on the default backbone, against
+        4e-14 in float64 there. So 3 channels run in float64 only.
+        """
+        model = self.model(mixer, dtype)
+        x, y = self.batch(6, m)
+        self.blocks_of(monkeypatch, model, m, 6)
+        loss, expected = self.gradients(model, x, y)
+        tol = 256 * np.finfo(dtype).eps
+        for windows in (2, 1):
+            self.blocks_of(monkeypatch, model, m, windows)
+            assert len(training.train_blocks(model, 6, m)) == 6 // windows
+            blocked_loss, grads = self.gradients(model, x, y)
+            assert blocked_loss == pytest.approx(loss, rel=tol)
+            for name, grad in grads.items():
+                assert grad.dtype == dtype
+                np.testing.assert_allclose(grad, expected[name], rtol=0,
+                                           atol=tol * np.abs(expected[name]).max(), err_msg=name)
+
+    def test_step_peak_stays_near_one_block(self, monkeypatch):
+        """A step over four blocks' worth of windows peaks within 1.5x of a one-block step.
+
+        One pass over the 16 windows would keep four blocks' graphs alive at
+        once: 3.3x the one-block peak (1.02x in blocks).
+        """
+        model = self.model(MixerKind.ICM)
+        x, y = self.batch(16, 4)
+        self.blocks_of(monkeypatch, model, 4, 4)
+        self.gradients(model, x[:4], y[:4])  # first-call allocations stay out of the peaks
+        peaks = [traced_peak(lambda: training.batch_gradients(model, x[:b], y[:b], 96))[0]
+                 for b in (4, 16)]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("mixer, shape, m, k", [
+        *((mixer, DESK_MODEL, 4, 8) for mixer in MixerKind),
+        *((mixer, BACKBONE_MODEL, 7, 2) for mixer in MixerKind),
+        (MixerKind.CONCAT, DESK_MODEL, 16, 2),  # the mixer whose graph grows with m^2
+    ], ids=[*(f"desk-{mixer.value}" for mixer in MixerKind),
+            *(f"backbone-{mixer.value}" for mixer in MixerKind), "desk-concat-16-channels"])
+    def test_graph_estimate_is_within_its_band(self, mixer, shape, m, k, monkeypatch):
+        """``graph_window_bytes`` lands within 0.7-1.5x of the traced graph of a window.
+
+        The traced graph per window is the difference of the peaks of
+        one-pass f32 steps over 2k and k windows, divided by k.
+        """
+        model = self.model(mixer, np.float32, shape)
+        x, y = self.batch(2 * k, m)
+        monkeypatch.setattr(training, "TRAIN_BLOCK_BYTES", 2**40)
+        self.gradients(model, x[:1], y[:1])
+        one, two = (traced_peak(lambda: self.gradients(model, x[:b], y[:b]))[0]
+                    for b in (k, 2 * k))
+        traced = (two - one) / k
+        assert 0.7 <= model.config.graph_window_bytes(m, np.float32) / traced <= 1.5, traced
+
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_criterion_6_config_trains_in_one_pass(self, mixer):
+        """The desk config at batch 32 and 4 channels is one block, so it runs as one pass."""
+        for dtype in (np.float32, np.float64):
+            assert training.train_blocks(self.model(mixer, dtype), 32, 4) == [slice(0, 32)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_block_stops_the_step_before_its_backward(self, monkeypatch):
+        """A NaN window in the second block of the second batch: no backward for
+        that block, no Adam step for that batch, and the error names the block."""
+        series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
+        model = ForecastEncoder(small_config(), seed=1)
+        self.blocks_of(monkeypatch, model, 2, 2)
+        batches, backwards, steps = [], [], []
+        gather, backward, adam_step = training._batch, Tensor.backward, Adam.step
+
+        def gather_with_a_nan(windows, idx, lookback):
+            x, y = gather(windows, idx, lookback)
+            batches.append(len(idx))
+            if len(batches) == 2:
+                x[3, 0, 0] = np.nan
+            return x, y
+
+        monkeypatch.setattr(training, "_batch", gather_with_a_nan)
+        monkeypatch.setattr(Tensor, "backward", lambda t: (backwards.append(1), backward(t)))
+        monkeypatch.setattr(Adam, "step", lambda opt: (steps.append(1), adam_step(opt)))
+        with pytest.raises(TrainingDiverged, match=re.escape(
+                "training loss at epoch 0, batch offset 8, block offset 10 ")):
+            train_supervised(model, series, small_train_config(batch_size=8), horizon=8)
+        assert batches == [8, 8] and len(backwards) == 4 + 1 and len(steps) == 1
 
 
 class TestFinetune:
