@@ -21,6 +21,7 @@ from .tensor import (
     DimensionError,
     Parameter,
     Tensor,
+    _nodes,
     _unbroadcast,
     blocks,
     expit,
@@ -88,30 +89,34 @@ def accumulate_memory(k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     M = sigma(K)^T V is one GEMM per (batch, head) over all m*n channel-tokens
     (views of the token rows, no copy), z its last column, the key sums. The
     channel axis broadcasts against per-channel queries. The backward keeps
-    sigma(K) and V.
+    K and V and recomputes sigma(K) from K, bitwise the forward's.
     """
     if k.shape != v.shape or k.ndim < 3:
         raise DimensionError(
             f"memory accumulation needs equal [..., m, n, d] K and V, got {k.shape}, {v.shape}")
     *lead, m, n, _ = k.shape
-    sk = _sigma(k.data)
+    k_data = k.data
+    sk = _sigma(k_data)
     sk_h, v_h = _heads(n_heads, sk, v.data)  # [..., m, h, n, d_k]
     d_k = sk_h.shape[-1]
     sk_tok, v_tok = (a.swapaxes(-4, -3).reshape(*lead, n_heads, m * n, d_k) for a in (sk_h, v_h))
     mem = np.empty((*lead, 1, n_heads, d_k, d_k + 1), dtype=np.result_type(sk, v.data))
     np.matmul(sk_tok.swapaxes(-1, -2), v_tok, out=mem[..., 0, :, :, :-1])
     np.sum(sk_tok, axis=-2, out=mem[..., 0, :, :, -1])
+    k, v = _nodes(k, v)
 
     def bwd(g):  # g: [..., 1, h, d_k, d_k + 1], broadcast over the channels
         g_m = g[..., :-1]
+        sk = _sigma(k_data)
+        if v.requires_grad:
+            v._accumulate(_matmul_merged(_heads(n_heads, sk)[0], g_m, v.shape, n_heads),
+                          fresh=True)
         if k.requires_grad:
             g_sk = _matmul_merged(v_h, g_m.swapaxes(-1, -2), k.shape, n_heads)
             g_sk_h = _heads(n_heads, g_sk)[0]
             g_sk_h += g[..., -1:].swapaxes(-1, -2)  # each key row receives dL/dz^T
-            g_sk *= np.minimum(sk, 1)
-            k._accumulate(g_sk)
-        if v.requires_grad:
-            v._accumulate(_matmul_merged(sk_h, g_m, v.shape, n_heads))
+            g_sk *= np.minimum(sk, 1, out=sk)  # sigma'(K), over sigma(K)
+            k._accumulate(g_sk, fresh=True)
 
     return Tensor._make(mem, (k, v), bwd)
 
@@ -122,30 +127,33 @@ def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
     ``q`` is [..., n, d_model] and the head count is read from ``mem``
     [..., h, d_k, d_k + 1]. Numerator and denominator come from one product
     sigma(Q) [M | z]; their quotient is written in merged layout. The
-    backward keeps sigma(Q), the denominator and the output.
+    backward keeps Q, the memory, the denominator and the output, and
+    recomputes sigma(Q) from Q, bitwise the forward's.
     """
     check_positive("epsilon", epsilon)
     h, d_k = mem.shape[-3:-1]
     if q.shape[-1] != h * d_k:
         raise DimensionError(f"query {q.shape} does not match the memory {mem.shape}")
-    sq = _heads(h, _sigma(q.data))[0]
-    num_den = sq @ mem.data
+    q_data, mem_data = q.data, mem.data
+    num_den = _heads(h, _sigma(q_data))[0] @ mem_data
     den = num_den[..., -1:] + epsilon
     out_data = np.empty((*num_den.shape[:-3], *q.shape[-2:]), dtype=num_den.dtype)
     out_h = _heads(h, out_data)[0]
     np.divide(num_den[..., :-1], den, out=out_h)
+    q, mem = _nodes(q, mem)
 
     def bwd(g):  # dL/d(sigma(Q) [M | z]) = [dL/dnum | dL/dden]
+        sq = _heads(h, _sigma(q_data))[0]
         g_nd = np.empty((*den.shape[:-1], d_k + 1), dtype=den.dtype)
         g_num = np.divide(_heads(h, g)[0], den, out=g_nd[..., :-1])
         g_nd[..., -1:] = -row_sum(g_num * out_h)
         if mem.requires_grad:
-            mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_nd, mem.shape))
+            mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_nd, mem.shape), fresh=True)
         if q.requires_grad:
-            g_sq = _matmul_merged(g_nd, mem.data.swapaxes(-1, -2), out_data.shape, h)
+            g_sq = _matmul_merged(g_nd, mem_data.swapaxes(-1, -2), out_data.shape, h)
             g_sq_h = _heads(h, g_sq)[0]
-            g_sq_h *= np.minimum(sq, 1)
-            q._accumulate(_unbroadcast(g_sq, q.shape))
+            g_sq_h *= np.minimum(sq, 1, out=sq)  # sigma'(Q), over sigma(Q)
+            q._accumulate(_unbroadcast(g_sq, q.shape), fresh=True)
 
     return Tensor._make(out_data, (q, mem), bwd)
 
@@ -182,7 +190,9 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     b_data = None if bias is None else bias.data.reshape(
         (1,) * (len(shape) - bias.ndim) + bias.shape)
     sliced = b_data is not None and b_data.shape[0] > 1
+    b_shape = None if b_data is None else b_data.shape
 
+    q, k, v, bias = _nodes(q, k, v, bias)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     keep = grad_enabled() and any(t.requires_grad for t in parents)
     p = np.empty(shape if keep else (-(-shape[0] // len(tiles)), *shape[1:]), dtype)
@@ -204,7 +214,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         g_dtype = np.result_type(p, g_h, v_h)
         g_v, g_q, g_k = (np.empty(t.shape, g_dtype) for t in (v, q, k))
         g_v_h, g_q_h, g_k_h = _heads(n_heads, g_v, g_q, g_k)
-        g_b = np.zeros(b_data.shape, g_dtype) if bias is not None and bias.requires_grad else None
+        g_b = np.zeros(b_shape, g_dtype) if bias is not None and bias.requires_grad else None
         for t in tiles:
             p_t, g_t = p[t], g_h[t]
             if v.requires_grad:
@@ -222,7 +232,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 np.matmul(g_scores.swapaxes(-1, -2), q_h[t], out=g_k_h[t])
         for t, grad in ((v, g_v), (bias, g_b), (q, g_q), (k, g_k)):
             if t is not None and t.requires_grad:
-                t._accumulate(grad.reshape(t.shape))
+                t._accumulate(grad.reshape(t.shape), fresh=True)
 
     return Tensor._make(out_data, parents, bwd)
 
@@ -231,7 +241,8 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
     """Per-head convex combination g a_mem + (1 - g) a_dot, g = sigmoid(beta), as one node.
 
     ``a_mem`` and ``a_dot`` are [..., n, h*d_k] with h = len(beta): each
-    head's gate scales its d_k columns.
+    head's gate scales its d_k columns. The backward keeps both inputs'
+    values, which the gate's gradient reads.
     """
     h = beta.shape[0] if beta.ndim == 1 else 0
     if a_mem.shape != a_dot.shape or not h or a_mem.shape[-1] % h:
@@ -240,19 +251,21 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
     d_k = a_mem.shape[-1] // h
     s = expit(beta.data)
     g = np.repeat(s, d_k)
-    out_data = g * a_mem.data
-    out_data += (1.0 - g) * a_dot.data
+    mem_data, dot_data = a_mem.data, a_dot.data
+    out_data = g * mem_data
+    out_data += (1.0 - g) * dot_data
+    a_mem, a_dot, beta = _nodes(a_mem, a_dot, beta)
 
     def bwd(grad):
         if a_mem.requires_grad:
-            a_mem._accumulate(grad * g)
+            a_mem._accumulate(grad * g, fresh=True)
         if a_dot.requires_grad:
-            a_dot._accumulate(grad * (1.0 - g))
+            a_dot._accumulate(grad * (1.0 - g), fresh=True)
         if beta.requires_grad:
-            diff = a_mem.data - a_dot.data
+            diff = mem_data - dot_data
             diff *= grad
             per_head = _unbroadcast(diff, g.shape).reshape(h, d_k).sum(axis=-1)
-            beta._accumulate(per_head * s * (1.0 - s))
+            beta._accumulate(per_head * s * (1.0 - s), fresh=True)
 
     return Tensor._make(out_data, (a_mem, a_dot, beta), bwd)
 

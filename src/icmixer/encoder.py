@@ -100,19 +100,21 @@ class EncoderConfig(ConfigFields):
     def graph_window_bytes(self, m: int, dtype) -> int:
         """Estimated bytes of one window's training graph over ``m`` channels.
 
-        Per encoder block the graph keeps about twelve arrays the size of the
-        residual stream (``m * n_patches * d_model``; sixteen for the ICM
-        mixers, whose memory path keeps four more), two ``d_ff``-wide ones
-        (the feed-forward hidden and, in the backward, its gradient) and the
-        attention probabilities: ``n_heads * (m * n_patches)^2`` for concat,
-        which attends over all channel-tokens at once, ``m * n_heads *
-        n_patches^2`` for the others. Embedding, final norm and head add about
-        four residual-sized arrays. This estimate is 0.88-1.23x the traced
-        f32 graph of every mixer on the desk config and the default backbone,
-        and of concat over 16 channels.
+        Per encoder block the backward closures keep eight arrays the size
+        of the residual stream (``m * n_patches * d_model``): each layer
+        norm's normalized input and output, Q, K, V and the attention
+        output. The ICM mixers keep two more, the memory retrieval and the
+        gate's output. Add two ``d_ff``-wide ones (the feed-forward hidden
+        and, in the backward, its gradient) and the attention probabilities:
+        ``n_heads * (m * n_patches)^2`` for concat, which attends over all
+        channel-tokens at once, ``m * n_heads * n_patches^2`` for the others.
+        Residual sums and sublayer outputs are not kept. Embedding, final
+        norm and head add about four residual-sized arrays. This estimate is
+        0.86-1.20x the traced f32 graph of every mixer on the desk config
+        and the default backbone, and of concat over 16 channels.
         """
         n, tokens = self.n_patches, m * self.n_patches
-        residuals = 16 if self.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC) else 12
+        residuals = 10 if self.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC) else 8
         probs = self.n_heads * (tokens * tokens if self.mixer is MixerKind.CONCAT
                                 else m * n * n)
         per_block = tokens * (residuals * self.d_model + 2 * self.d_ff) + probs

@@ -1,9 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the models in this package is a ``Tensor``
-wrapping a numpy array. Each differentiable operation records a backward
-closure; ``Tensor.backward()`` replays them in reverse topological order and
-frees each node as its closure finishes, so only leaves keep ``.grad``.
+wrapping a numpy array and a graph ``Node``, its gradient slot. Each
+differentiable operation records a backward closure on its output's node;
+``Tensor.backward()`` replays them in reverse topological order and frees
+each node as its closure finishes, so only leaves keep ``.grad``. A node
+holds no value: an op computes its output from its operands' arrays, then
+rebinds the operand names to their nodes (``_nodes``), so that its closure
+captures nodes and exactly the arrays it reads. A value no backward reads,
+such as a residual sum, dies with its last ``Tensor``.
 Broadcasting follows numpy rules on leading batch dimensions, and gradients
 are summed back down to the original operand shapes. Python scalars and
 array constants take the dtype of the Tensor they meet, so a float32 graph
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 
 import numpy as np
 
@@ -47,14 +53,16 @@ _grad_enabled = True
 #   ``EncoderConfig.graph_window_bytes``. Every extra block reads every
 #   weight and adds every weight gradient once more, and glibc may give the
 #   freed heap back between blocks and fault it in again. Measured on the
-#   backbone-train benchmark (default 7-channel f32 backbone, ~23 MB a
-#   window, batch 8; peak, minor faults a step, windows/s in alternating
-#   20 s runs against one pass): one pass 308-311 MB, 2.8-3.5 k faults;
-#   this budget, 2 blocks of 4, 226-230 MB, 3.8-4.7 k, +2.4% (5 of 10
-#   pairs faster); 80 MiB, 2/3/3, 206 MB, 12.5 k; 64 MiB, 4 blocks of 2,
-#   186-188 MB, but faster in 10 of 28 pairs (medians -7.1% to +1.1% over
-#   three sets). Any budget of at least ~32 MiB keeps the criterion-6 desk
-#   config at batch 32 in one pass.
+#   backbone-train benchmark while graph nodes still kept their values
+#   (default 7-channel f32 backbone, ~23 MB a window then, batch 8; peak,
+#   minor faults a step, windows/s in alternating 20 s runs against one
+#   pass): one pass 308-311 MB, 2.8-3.5 k faults; this budget, 2 blocks of
+#   4, 226-230 MB, 3.8-4.7 k, +2.4% (5 of 10 pairs faster); 80 MiB, 2/3/3,
+#   206 MB, 12.5 k; 64 MiB, 4 blocks of 2, 186-188 MB, but faster in 10 of
+#   28 pairs (medians -7.1% to +1.1% over three sets). With nodes that keep
+#   no value a window is ~16-18 MB, still 2 blocks of 4 at this budget.
+#   Any budget of at least ~32 MiB keeps the criterion-6 desk config at
+#   batch 32 in one pass.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
 TRAIN_BLOCK_BYTES = 96 * 1024 * 1024
 
@@ -156,60 +164,123 @@ def _freed(grad):
     raise GraphError("graph already freed by an earlier backward()")
 
 
+class Node:
+    """One vertex of the autodiff graph: a gradient slot, never a value.
+
+    It keeps the shape and dtype of its tensor's value, its parents' nodes
+    and the backward closure.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+
+    def __init__(self, shape: tuple, dtype: np.dtype, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._backward = None
+        self.shape = shape
+        self.dtype = dtype
+
+    @property
+    def data(self) -> np.ndarray:
+        """A zero-stride stand-in of the value's shape and dtype; it allocates nothing.
+
+        It serves only graph walkers that read ``data.dtype`` and
+        ``data.nbytes`` of every node, such as the benchmark's graph census,
+        and can go once that census reads a table the package keeps. The
+        value itself is not kept.
+        """
+        return np.broadcast_to(np.empty((), self.dtype), self.shape)
+
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False):
+        """Add ``grad`` into this node's gradient.
+
+        A first contribution is copied, since ``grad`` may be a view of another
+        gradient or passed to more than one parent. A closure passes
+        ``fresh=True`` for an array it has just allocated and never touches
+        again; that array is adopted as the gradient when it is an ndarray
+        (not a numpy scalar) whose shape and dtype already match.
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif (fresh and type(grad) is np.ndarray and grad.dtype == self.dtype
+              and grad.shape == self.shape):
+            self.grad = grad
+        else:
+            self.grad = np.array(grad, dtype=self.dtype)
+
+
+def _on_node(name: str) -> property:
+    """A ``Tensor`` property that reads and writes the attribute ``name`` of its node."""
+    return property(operator.attrgetter(f"_node.{name}"),
+                    lambda tensor, value: setattr(tensor._node, name, value))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A numpy array and the graph node that receives its gradient."""
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        self._parents = ()
-        self._backward = None
+        data = np.asarray(data, dtype=dtype)
+        if data.dtype.kind != "f":
+            data = data.astype(np.float64)
+        self._data = data
+        self._node = Node(data.shape, data.dtype, bool(requires_grad) and _grad_enabled)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _make(data, parents, backward):
+        """A Tensor of ``data`` whose node has the nodes ``parents`` and ``backward``."""
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+            node = out._node
+            node.requires_grad = True
+            node._parents = tuple(parents)
+            node._backward = backward
         return out
 
     @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+        self._node.shape, self._node.dtype = value.shape, value.dtype
+
+    # The graph state lives on the node.
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _backward = _on_node("_backward")
+
+    @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
-        return float(self.data.reshape(()))
+        return float(self._data.reshape(()))
 
     # -- backward pass --------------------------------------------------------
-
-    def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:  # a copy: ``grad`` may be a view of another gradient
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
 
     def backward(self):
         """Populate ``grad`` on every reachable leaf with ∂self/∂leaf, freeing the graph.
@@ -223,7 +294,8 @@ class Tensor:
         if self.size != 1:
             raise GraphError(f"backward() requires a scalar loss, got shape {self.shape}")
         # Iterative topological sort; each node's closure runs exactly once.
-        topo, visited, stack = [], set(), [(self, False)]
+        root = self._node
+        topo, visited, stack = [], set(), [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -236,7 +308,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        root._accumulate(np.ones(root.shape, root.dtype), fresh=True)
         # Popping drops this loop's reference to each node once it has run.
         while topo:
             node = topo.pop()
@@ -245,7 +317,7 @@ class Tensor:
                 node.grad, node._parents, node._backward = None, (), _freed
 
     def zero_grad(self):
-        self.grad = None
+        self._node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -259,29 +331,30 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        a, b = self, other
+        a, b = self._node, other._node
 
-        def bwd(g):
+        def bwd(g):  # the one ``g`` goes to both parents, so each copies it
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.shape))
 
-        return Tensor._make(a.data + b.data, (a, b), bwd)
+        return Tensor._make(self._data + other._data, (a, b), bwd)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self, other
+        a, b = self._node, other._node
+        a_data, b_data = self._data, other._data
 
         def bwd(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b_data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a_data, b.shape), fresh=True)
 
-        return Tensor._make(a.data * b.data, (a, b), bwd)
+        return Tensor._make(a_data * b_data, (a, b), bwd)
 
     __rmul__ = __mul__
 
@@ -296,31 +369,36 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
+        a = self._node
         in_shape = a.shape
 
-        def bwd(g):
+        def bwd(g):  # a view of ``g``, so it is copied
             if a.requires_grad:
                 a._accumulate(g.reshape(in_shape))
 
-        return Tensor._make(a.data.reshape(shape), (a,), bwd)
+        return Tensor._make(self._data.reshape(shape), (a,), bwd)
 
 
-def _affine(x2: np.ndarray, w2: np.ndarray, b: Tensor | None) -> np.ndarray:
+def _nodes(*tensors) -> tuple:
+    """The graph nodes of ``tensors``; None stays None."""
+    return tuple(None if t is None else t._node for t in tensors)
+
+
+def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype."""
     out = x2 @ w2
     if b is not None:
-        out = out.astype(np.result_type(out, b.data), copy=False)
-        out += b.data
+        out = out.astype(np.result_type(out, b), copy=False)
+        out += b
     return out
 
 
-def _affine_backward(x2, w2, w: Tensor, b: Tensor | None, g2, need_x: bool):
+def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool):
     """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``."""
     if w.requires_grad:
-        w._accumulate(x2.T @ g2)
+        w._accumulate(x2.T @ g2, fresh=True)
     if b is not None and b.requires_grad:
-        b._accumulate(g2.sum(axis=0))
+        b._accumulate(g2.sum(axis=0), fresh=True)
     return g2 @ w2.T if need_x else None
 
 
@@ -342,12 +420,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     # for the input gradient at every default-backbone projection shape, with
     # bitwise-equal products.
     x2, w2 = x.data.reshape(-1, d), w.data
-    out_data = _affine(x2, w2, b).reshape(*x.shape[:-1], d_out)
+    out_data = _affine(x2, w2, None if b is None else b.data).reshape(*x.shape[:-1], d_out)
+    x, w, b = _nodes(x, w, b)
 
     def bwd(g):
         gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad)
         if gx is not None:
-            x._accumulate(gx.reshape(x.shape))
+            x._accumulate(gx.reshape(x.shape), fresh=True)
 
     return Tensor._make(out_data, (x, w) if b is None else (x, w, b), bwd)
 
@@ -359,16 +438,17 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     array, the post-ReLU hidden ``h``, besides the 2-D ``x``. NaN propagates.
     """
     x2, w1d, w2d = x.data.reshape(-1, x.shape[-1]), w1.data, w2.data
-    h = _affine(x2, w1d, b1)
+    h = _affine(x2, w1d, b1.data)
     np.maximum(h, 0, out=h)  # branch-free, unlike np.where on a data-dependent mask
-    out_data = _affine(h, w2d, b2)
+    out_data = _affine(h, w2d, b2.data)
+    x, w1, b1, w2, b2 = _nodes(x, w1, b1, w2, b2)
 
     def bwd(g):
         gh = _affine_backward(h, w2d, w2, b2, g.reshape(out_data.shape), need_x=True)
         gh *= h > 0  # dL/d(pre-ReLU), made even when only w2 and b2 train (no model does)
         gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad)
         if gx is not None:
-            x._accumulate(gx.reshape(x.shape))
+            x._accumulate(gx.reshape(x.shape), fresh=True)
 
     return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), bwd)
 
@@ -376,28 +456,30 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Affine layer normalization over the last axis (variance epsilon 1e-5), as one node.
 
-    The backward is analytic and saves only the normalized input ``xhat`` and
-    the reciprocal standard deviation ``rstd``.
+    The backward is analytic and saves only the normalized input ``xhat``,
+    the reciprocal standard deviation ``rstd`` and the gain's value.
     """
     d = x.shape[-1]
     xhat = x.data - row_sum(x.data) / d
     rstd = 1.0 / np.sqrt(row_sum(xhat * xhat) / d + 1e-5)
     xhat *= rstd
-    out_data = xhat * gain.data + bias.data
+    gain_data = gain.data
+    out_data = xhat * gain_data + bias.data
+    x, gain, bias = _nodes(x, gain, bias)
 
     def bwd(g):
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape), fresh=True)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
-            gx = g * gain.data
+            gx = g * gain_data
             # With gx = dL/dxhat: dL/dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)).
             dx = xhat * (row_sum(gx * xhat) / d)
             dx += row_sum(gx) / d
             np.subtract(gx, dx, out=dx)
             dx *= rstd
-            x._accumulate(_unbroadcast(dx, x.shape))
+            x._accumulate(_unbroadcast(dx, x.shape), fresh=True)
 
     return Tensor._make(out_data, (x, gain, bias), bwd)
 

@@ -44,13 +44,14 @@ def mse(pred, target) -> Tensor:
     pred, target = _paired(pred, target)
     d = pred.data - target.data
     scale = np.asarray(1.0 / d.size, d.dtype)
+    node = pred._node
 
     def bwd(g):
         grad = d * (g * scale)
         grad += grad
-        pred._accumulate(grad)
+        node._accumulate(grad, fresh=True)
 
-    return Tensor._make((d * d).sum() * scale, (pred,), bwd)
+    return Tensor._make((d * d).sum() * scale, (node,), bwd)
 
 
 @dataclass

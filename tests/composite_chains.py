@@ -17,7 +17,8 @@ the axis swap and the indexing the chains need are nodes of their own here.
 So are the feature map ``sigma``, which the fused memory nodes apply to
 arrays, ``join``, which lays out the memory ``[M | z]``, ``relu``, which the
 fused ``feed_forward`` node applies in place, and ``sigmoid``, which the
-fused ``gate_combine`` node applies to its gate.
+fused ``gate_combine`` node applies to its gate. As in the package, each
+closure captures its operands' graph nodes and the arrays it reads.
 """
 
 import math
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from icmixer.attention import _sigma
-from icmixer.tensor import DimensionError, Tensor, _unbroadcast, expit, linear
+from icmixer.tensor import DimensionError, Tensor, _nodes, _unbroadcast, expit, linear
 
 
 def sigma(x):
@@ -35,6 +36,7 @@ def sigma(x):
     is saved for backward.
     """
     out_data = _sigma(x.data)
+    x, = _nodes(x)
 
     def bwd(g):
         if x.requires_grad:
@@ -49,6 +51,7 @@ def relu(x):
     The derivative is read from the output, so nothing else is saved.
     """
     out_data = np.maximum(x.data, 0)
+    x, = _nodes(x)
 
     def bwd(g):
         if x.requires_grad:
@@ -60,6 +63,7 @@ def relu(x):
 def sigmoid(x):
     """The logistic function ``expit`` as one graph node; backward reads the output."""
     out_data = expit(x.data)
+    x, = _nodes(x)
 
     def bwd(g):
         if x.requires_grad:
@@ -72,13 +76,15 @@ def matmul(a, b):
     """``a @ b`` broadcast over the leading dims of both operands, as one node."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data @ b_data
+    a, b = _nodes(a, b)
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            a._accumulate(_unbroadcast(g @ b_data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            b._accumulate(_unbroadcast(a_data.swapaxes(-1, -2) @ g, b.shape))
 
     return Tensor._make(out_data, (a, b), bwd)
 
@@ -86,20 +92,23 @@ def matmul(a, b):
 def truediv(a, b):
     """``a / b`` under broadcasting, as one node; a constant ``b`` takes a's dtype."""
     b = a._coerce(b)
-    out_data = a.data / b.data
+    b_data = b.data
+    out_data = a.data / b_data
+    a, b = _nodes(a, b)
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b_data, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * out_data / b.data, b.shape))
+            b._accumulate(_unbroadcast(-g * out_data / b_data, b.shape))
 
     return Tensor._make(out_data, (a, b), bwd)
 
 
 def reduce_sum(t, axis=None, keepdims=False):
     """numpy's ``sum`` over ``axis`` (an int, a tuple or None: every element), as one node."""
-    in_shape = t.shape
+    in_shape, out_data = t.shape, t.data.sum(axis=axis, keepdims=keepdims)
+    t, = _nodes(t)
 
     def bwd(g):
         if t.requires_grad:
@@ -108,25 +117,31 @@ def reduce_sum(t, axis=None, keepdims=False):
                 g = np.expand_dims(g, tuple(sorted(ax % len(in_shape) for ax in axes)))
             t._accumulate(np.broadcast_to(g, in_shape))
 
-    return Tensor._make(t.data.sum(axis=axis, keepdims=keepdims), (t,), bwd)
+    return Tensor._make(out_data, (t,), bwd)
 
 
 def neg(t):
     """``-t`` as one node."""
+    out_data = -t.data
+    t, = _nodes(t)
+
     def bwd(g):
         if t.requires_grad:
             t._accumulate(-g)
 
-    return Tensor._make(-t.data, (t,), bwd)
+    return Tensor._make(out_data, (t,), bwd)
 
 
 def swapaxes(t, ax1, ax2):
     """``t.swapaxes(ax1, ax2)`` as one node; the backward swaps the gradient back."""
+    out_data = t.data.swapaxes(ax1, ax2)
+    t, = _nodes(t)
+
     def bwd(g):
         if t.requires_grad:
             t._accumulate(g.swapaxes(ax1, ax2))
 
-    return Tensor._make(t.data.swapaxes(ax1, ax2), (t,), bwd)
+    return Tensor._make(out_data, (t,), bwd)
 
 
 def index(t, key):
@@ -140,18 +155,23 @@ def index(t, key):
                 k, (int, np.integer, slice, type(None), type(Ellipsis))):
             raise DimensionError(f"Tensor index must be ints, slices, None or ...; got {key!r}")
 
+    out_data = t.data[key]
+    t, = _nodes(t)
+
     def bwd(g):
         if t.requires_grad:
-            full = np.zeros_like(t.data)
+            full = np.zeros(t.shape, t.dtype)
             full[key] = g
             t._accumulate(full)
 
-    return Tensor._make(t.data[key], (t,), bwd)
+    return Tensor._make(out_data, (t,), bwd)
 
 
 def join(a, b):
     """``[a | b]``, the two operands side by side along the last axis, as one node."""
     split = a.shape[-1]
+    out_data = np.concatenate([a.data, b.data], axis=-1)
+    a, b = _nodes(a, b)
 
     def bwd(g):
         if a.requires_grad:
@@ -159,7 +179,7 @@ def join(a, b):
         if b.requires_grad:
             b._accumulate(g[..., split:])
 
-    return Tensor._make(np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
+    return Tensor._make(out_data, (a, b), bwd)
 
 
 def softmax(t, axis=-1):
@@ -167,6 +187,7 @@ def softmax(t, axis=-1):
     out_data = t.data - t.data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
+    t, = _nodes(t)
 
     def bwd(g):
         if t.requires_grad:

@@ -21,6 +21,32 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
 
+
+def traced_retained(fn):
+    """``(retained, value)``: the bytes allocated during ``fn()`` still alive when it returns.
+
+    With nothing else cached by the call, that is the memory ``value`` keeps alive.
+    """
+    tracemalloc.start()
+    try:
+        value = fn()
+        return tracemalloc.get_traced_memory()[0], value
+    finally:
+        tracemalloc.stop()
+
+
+def graph_nodes(loss):
+    """Every graph node reachable from the tensor ``loss``, its own first, each once."""
+    nodes, seen, stack = [], set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without hypothesis

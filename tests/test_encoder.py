@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import graph_nodes, traced_peak, traced_retained
 from icmixer.attention import ConfigError
 from icmixer.encoder import (
     EncoderConfig,
@@ -172,17 +172,6 @@ class TestEncode:
 
 
 class TestPrecision:
-    @staticmethod
-    def graph_dtypes(loss: Tensor) -> set:
-        seen, stack, dtypes = set(), [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                dtypes.add(node.dtype)
-                stack.extend(node._parents)
-        return dtypes
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mixer", list(MixerKind))
     def test_model_computes_in_its_dtype(self, mixer, dtype):
@@ -193,7 +182,7 @@ class TestPrecision:
         pred = model.forecast(x, 8)
         assert pred.dtype == dtype
         loss = mse(pred, y)
-        assert self.graph_dtypes(loss) == {np.dtype(dtype)}
+        assert {node.dtype for node in graph_nodes(loss)} == {np.dtype(dtype)}
         loss.backward()
         grads = [p.grad for p in model.parameters().values()]
         assert all(g is not None and g.dtype == dtype for g in grads)
@@ -201,7 +190,7 @@ class TestPrecision:
 
 class TestActivationMemory:
     def test_loss_graph_keeps_one_ffn_hidden_array(self):
-        """The loss graph of a 1-block f32 ICM model holds one d_ff-wide array.
+        """The backward closures of a 1-block f32 ICM model capture one d_ff-wide array.
 
         It is the post-ReLU hidden that feed_forward saves; weights and biases
         are not counted, and views count with the array they view.
@@ -217,18 +206,37 @@ class TestActivationMemory:
                 a = a.base
             return a
 
-        arrays, seen, stack = [], set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                arrays.append(node.data)
-                cells = getattr(node._backward, "__closure__", None) or ()
-                arrays += [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
-                stack.extend(node._parents)
+        arrays = [c.cell_contents for node in graph_nodes(loss)
+                  for c in getattr(node._backward, "__closure__", None) or ()
+                  if isinstance(c.cell_contents, np.ndarray)]
         weights = {id(root(p.data)) for p in model.parameters().values()}
         hidden = {id(root(a)) for a in arrays if a.ndim and a.shape[-1] == d_ff} - weights
         assert len(hidden) == 1
+
+    # MB a loss graph held before its backward when every graph node kept its
+    # value: default backbone, 2 windows of 7 channels, float32.
+    VALUE_GRAPH_MB = {MixerKind.INDEPENDENT: 32.2, MixerKind.CONCAT: 41.7, MixerKind.ICM: 40.1,
+                      MixerKind.ICM_STATIC: 40.6}
+
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_backbone_graph_keeps_only_what_backward_reads(self, mixer):
+        """The loss graph of the default backbone holds at most 0.85x the bytes it
+        held when nodes kept values: residual sums, sublayer outputs and sigma(K),
+        sigma(Q) are no longer saved."""
+        model = ForecastEncoder(EncoderConfig(mixer=mixer, horizons=(96,)), seed=0,
+                                dtype=np.float32)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 7, 256)).astype(np.float32)
+        y = rng.standard_normal((2, 7, 96)).astype(np.float32)
+
+        def loss():
+            pred, stats = model.forecast_normalized(x, 96)
+            return mse(pred, Tensor(instance_normalize(y, stats)[0].data))
+
+        loss().backward()  # first-call allocations stay out of the count
+        held, graph = traced_retained(loss)
+        assert held <= 0.85 * self.VALUE_GRAPH_MB[mixer] * 1e6, held
+        graph.backward()
 
 
 class TestForecast:

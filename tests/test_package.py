@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import icmixer
+from conftest import graph_nodes
 from icmixer import attention, mixers, tensor
 from icmixer.data import generate_lagged_copy, make_windows, standardized
 from icmixer.encoder import EncoderConfig, ForecastEncoder
@@ -103,22 +104,15 @@ GRAPH_NODES_PER_STEP = {MixerKind.INDEPENDENT: 16, MixerKind.CONCAT: 21, MixerKi
                         MixerKind.ICM_STATIC: 22}
 
 
-def test_train_step_graph_size_is_pinned(monkeypatch):
-    """Counts the op nodes of the loss graph of one train step (m=4, batch 16) per mixer."""
-    counts, backward = [], tensor.Tensor.backward
+def desk_train_steps(monkeypatch, measure) -> dict:
+    """One f32 train step (m=4, batch 16) per mixer on criterion 6's model config.
 
-    def counting_backward(loss):
-        seen, stack, n = set(), [loss], 0
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                n += node._backward is not None
-                stack.extend(node._parents)
-        counts.append(n)
-        backward(loss)
-
-    monkeypatch.setattr(tensor.Tensor, "backward", counting_backward)
+    Each backward runs as ``measure(loss, backward)``, which must call
+    ``backward(loss)``; returns {mixer: [what measure returned, per backward]}.
+    """
+    results, backward = [], tensor.Tensor.backward
+    monkeypatch.setattr(tensor.Tensor, "backward",
+                        lambda loss: results.append(measure(loss, backward)))
     series = standardized(generate_lagged_copy(m=4, T=4000, lag=16, noise_std=0.05, seed=0))
     train_cfg = TrainConfig(epochs=1, batch_size=16, max_train_windows=16, precision="f32")
     got = {}
@@ -126,8 +120,64 @@ def test_train_step_graph_size_is_pinned(monkeypatch):
         cfg = EncoderConfig(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8,
                             lookback=256, mixer=kind, horizons=(96,))
         train_supervised(ForecastEncoder(cfg, seed=0, dtype=np.float32), series, train_cfg, 96)
-        got[kind], counts[:] = list(counts), []
+        got[kind], results[:] = list(results), []
+    return got
+
+
+def test_train_step_graph_size_is_pinned(monkeypatch):
+    """Counts the op nodes of the loss graph of one train step per mixer."""
+    def count_op_nodes(loss, backward):
+        n = sum(node._backward is not None for node in graph_nodes(loss))
+        backward(loss)
+        return n
+
+    got = desk_train_steps(monkeypatch, count_op_nodes)
     assert got == {kind: [n] for kind, n in GRAPH_NODES_PER_STEP.items()}
+
+
+def test_backward_closures_capture_no_tensor(monkeypatch):
+    """A closure captures graph nodes and arrays, never a Tensor, so it keeps
+    alive only the arrays its backward reads."""
+    def captured_tensors(loss, backward):
+        found = []
+        for node in graph_nodes(loss):
+            for cell in getattr(node._backward, "__closure__", None) or ():
+                value = cell.cell_contents
+                items = value if isinstance(value, (tuple, list)) else (value,)
+                found += [type(v).__name__ for v in items if isinstance(v, tensor.Tensor)]
+        backward(loss)
+        return found
+
+    assert desk_train_steps(monkeypatch, captured_tensors) == {kind: [[]] for kind in MixerKind}
+
+
+# First gradient contributions that one such step copies rather than adopts:
+# each ``+`` hands one gradient to both operands and ``reshape`` a view of its
+# own, a layer-norm bias may be handed the output gradient itself, and
+# concat's two 0-d channel-bias weights get numpy scalars, not arrays.
+COPIED_FIRST_GRADIENTS = {MixerKind.INDEPENDENT: 9, MixerKind.CONCAT: 15, MixerKind.ICM: 9,
+                          MixerKind.ICM_STATIC: 12}
+
+
+def test_fresh_gradients_are_adopted_not_copied(monkeypatch):
+    """Counts the first contributions to a gradient slot that are copied in one
+    train step per mixer; every other one is adopted as it came."""
+    copies, accumulate = [], tensor.Node._accumulate
+
+    def counting_accumulate(node, grad, fresh=False):
+        first = node.grad is None
+        accumulate(node, grad, fresh)
+        copies.append(first and node.grad is not grad)
+
+    monkeypatch.setattr(tensor.Node, "_accumulate", counting_accumulate)
+
+    def count_copies(loss, backward):
+        copies.clear()
+        backward(loss)
+        return sum(copies)
+
+    got = desk_train_steps(monkeypatch, count_copies)
+    assert got == {kind: [n] for kind, n in COPIED_FIRST_GRADIENTS.items()}
 
 
 def test_readme_lists_the_config_keys_of_each_dataclass():

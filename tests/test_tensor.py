@@ -251,6 +251,18 @@ class TestGraphFreeing:
         assert probe() is None
         assert np.isfinite(loss.item()) and x.grad is not None
 
+    def test_a_value_no_backward_reads_dies_before_backward(self):
+        """A graph node holds no value: an add's output that neither its own
+        backward nor its consumers' read is freed while the loss is alive."""
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        total = x + x
+        probe = weakref.ref(total.data)
+        loss = mse(total + 1.0, np.zeros(6))  # mse saves pred - target, not pred
+        del total
+        assert probe() is None
+        loss.backward()
+        np.testing.assert_allclose(x.grad, 4 * (2 * x.data + 1) / 6, rtol=1e-15)
+
     def test_second_backward_raises(self):
         w, _, _, loss = self.build()
         loss.backward()
