@@ -10,17 +10,16 @@ from .attention import (
     retrieve_memory,
 )
 from .encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
-from .mixers import ChannelBias, MixerKind, StaticChannelEmbedding
+from .mixers import MixerKind
 from .tensor import DimensionError, Parameter, Tensor, no_grad
 from .training import MetricReport, TrainConfig, gradcheck, mse, train_supervised
 
 __all__ = [
-    "ChannelBias", "ConfigError", "DimensionError", "EncoderConfig",
-    "ForecastEncoder", "ICMAttention", "MetricReport", "MixerKind",
-    "MultiHeadSelfAttention", "Parameter", "StaticChannelEmbedding", "Tensor",
-    "TrainConfig", "accumulate_memory", "dot_attention", "gate_combine",
-    "gradcheck", "load_checkpoint", "mse", "no_grad", "retrieve_memory",
-    "save_checkpoint", "train_supervised",
+    "ConfigError", "DimensionError", "EncoderConfig", "ForecastEncoder", "ICMAttention",
+    "MetricReport", "MixerKind", "MultiHeadSelfAttention", "Parameter", "Tensor",
+    "TrainConfig", "accumulate_memory", "dot_attention", "gate_combine", "gradcheck",
+    "load_checkpoint", "mse", "no_grad", "retrieve_memory", "save_checkpoint",
+    "train_supervised",
 ]
 
 __version__ = "0.1.0"

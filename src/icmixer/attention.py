@@ -19,7 +19,6 @@ import numpy as np
 from .tensor import (
     FORWARD_BLOCK_BYTES,
     DimensionError,
-    Parameter,
     Tensor,
     _nodes,
     _unbroadcast,
@@ -273,16 +272,13 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
 class MultiHeadSelfAttention:
     """Vanilla per-sequence attention; leading dims (batch, channel) are batched."""
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator,
-                 prefix: str, param=Parameter):
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator, prefix: str, param):
         self.config = config
         d = config.d_model
         scale = 1.0 / math.sqrt(d)
-
-        def lin(name):
-            return param(rng.standard_normal((d, d)) * scale, f"{prefix}.{name}")
-
-        self.wq, self.wk, self.wv, self.wo = lin("wq"), lin("wk"), lin("wv"), lin("wo")
+        self.wq, self.wk, self.wv, self.wo = (
+            param(f"{prefix}.{name}", (d, d), lambda shape: rng.standard_normal(shape) * scale)
+            for name in ("wq", "wk", "wv", "wo"))
 
     def project_qkv(self, x: Tensor):
         """[..., n, d_model] -> Q, K, V, each [..., n, d_model]."""
@@ -302,9 +298,9 @@ class ICMAttention(MultiHeadSelfAttention):
     before any retrieval, so channel order cannot matter.
     """
 
-    def __init__(self, config, rng, prefix, param=Parameter):
+    def __init__(self, config, rng, prefix, param):
         super().__init__(config, rng, prefix, param)
-        self.beta = param(np.zeros(config.n_heads), f"{prefix}.beta")
+        self.beta = param(f"{prefix}.beta", (config.n_heads,), np.zeros)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4:

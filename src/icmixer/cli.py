@@ -91,7 +91,7 @@ def _build_configs(ns):
         with open(ns.config) as f:
             try:
                 file_cfg = json.load(f)
-            except ValueError as err:
+            except (ValueError, RecursionError) as err:  # RecursionError: nesting too deep
                 raise ConfigError(f"{ns.config}: invalid JSON ({err})") from err
     classes = (EncoderConfig, TrainConfig)
     if not (isinstance(file_cfg, dict) and set(file_cfg) <= {cls.section for cls in classes}
@@ -144,7 +144,7 @@ def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
                 model, part, _ = finetune_beta_and_head(
                     model, series, train_cfg, horizon,
                     log=lambda record: log({**record, "stage": "head+gate"}))
-            reports[cfg.mixer.value].merge(part)
+            reports[cfg.mixer.value].entries.update(part.entries)
             if save_checkpoints:
                 save_checkpoint(model, run_dir / f"checkpoint_h{horizon}.icm")
     return series, run_dir, reports
@@ -153,10 +153,10 @@ def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
 def cmd_train(ns) -> int:
     model_cfg, train_cfg = _build_configs(ns)
     kind = model_cfg.mixer.value
-    _, run_dir, reports = _run(ns, model_cfg, train_cfg, [kind], f"train-{kind}",
-                               finetune_beta=ns.finetune_beta == "true", save_checkpoints=True)
+    series, run_dir, reports = _run(ns, model_cfg, train_cfg, [kind], f"train-{kind}",
+                                    ns.finetune_beta == "true", save_checkpoints=True)
     lines = [f"{'dataset':<40}{'horizon':>8}{'mse':>12}{'mae':>12}"]
-    for rec in reports[kind].to_records():
+    for rec in reports[kind].to_records(series.name):
         lines.append(f"{rec['dataset']:<40}{str(rec['horizon']):>8}"
                      f"{rec['mse']:>12.4f}{rec['mae']:>12.4f}")
     _write_summary(run_dir, lines)
@@ -180,7 +180,7 @@ def cmd_compare(ns) -> int:
     series, run_dir, reports = _run(ns, model_cfg, train_cfg, mixers, "compare")
     width = max(len(k) for k in mixers) + 2
     lines = [f"{'variant':<{width}}{series.name:>24}"]
-    lines += [f"{kind:<{width}}{report.average(series.name)['mse']:>24.4f}"
+    lines += [f"{kind:<{width}}{report.average()['mse']:>24.4f}"
               for kind, report in reports.items()]
     _write_summary(run_dir, lines)
     return 0
@@ -193,8 +193,8 @@ def cmd_eval(ns) -> int:
     for horizon in model.config.horizons:
         windows = make_windows(series, model.config.lookback, horizon, split="test")
         m, a = evaluate(model, windows, horizon)
-        report.add(series.name, horizon, m, a)
-    for rec in report.to_records():
+        report.add(horizon, m, a)
+    for rec in report.to_records(series.name):
         print(json.dumps(rec))
     return 0
 

@@ -10,23 +10,19 @@ head whose outputs are mapped back to the original scale.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .attention import (ConfigError, ICMAttention, MultiHeadSelfAttention, check_integer,
                         check_positive)
-from .mixers import (
-    ChannelBias,
-    ConcatAttention,
-    MixerKind,
-    StaticChannelEmbedding,
-    add_static_channel_embedding,
-)
+from .mixers import ConcatAttention, MixerKind, add_static_channel_embedding
 from .tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, blocks, expit,
                      feed_forward, grad_enabled, layer_norm, linear, row_sum)
 
@@ -81,9 +77,10 @@ class EncoderConfig(ConfigFields):
             check_integer(name, getattr(self, name))
         if not isinstance(self.horizons, (list, tuple)) or not self.horizons:
             raise ConfigError(f"horizons must be a non-empty list, got {self.horizons!r}")
+        first = {}  # horizon -> index of its first appearance
         for i, h in enumerate(self.horizons):
             check_integer(f"horizons[{i}]", h)
-            if h in self.horizons[:i]:
+            if first.setdefault(h, i) != i:
                 raise ConfigError(f"horizons[{i}] repeats horizon {h}")
         self.horizons = tuple(map(int, self.horizons))
         if self.lookback % self.patch_len != 0:
@@ -170,21 +167,26 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
     return table
 
 
+def fan_in_normal(rng):
+    """The init of a [fan_in, ...] weight: standard normal draws over sqrt(fan_in)."""
+    return lambda shape: rng.standard_normal(shape) / np.sqrt(shape[0])
+
+
 class LayerNorm:
-    def __init__(self, d_model: int, prefix: str, param=Parameter):
-        self.gain = param(np.ones(d_model), f"{prefix}.gain")
-        self.bias = param(np.zeros(d_model), f"{prefix}.bias")
+    def __init__(self, d_model: int, prefix: str, param):
+        self.gain = param(f"{prefix}.gain", (d_model,), np.ones)
+        self.bias = param(f"{prefix}.bias", (d_model,), np.zeros)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
 
 class FeedForward:
-    def __init__(self, d_model: int, d_ff: int, rng, prefix: str, param=Parameter):
-        self.w1 = param(rng.standard_normal((d_model, d_ff)) / np.sqrt(d_model), f"{prefix}.w1")
-        self.b1 = param(np.zeros(d_ff), f"{prefix}.b1")
-        self.w2 = param(rng.standard_normal((d_ff, d_model)) / np.sqrt(d_ff), f"{prefix}.w2")
-        self.b2 = param(np.zeros(d_model), f"{prefix}.b2")
+    def __init__(self, d_model: int, d_ff: int, rng, prefix: str, param):
+        self.w1 = param(f"{prefix}.w1", (d_model, d_ff), fan_in_normal(rng))
+        self.b1 = param(f"{prefix}.b1", (d_ff,), np.zeros)
+        self.w2 = param(f"{prefix}.w2", (d_ff, d_model), fan_in_normal(rng))
+        self.b2 = param(f"{prefix}.b2", (d_model,), np.zeros)
 
     def __call__(self, x: Tensor) -> Tensor:
         return feed_forward(x, self.w1, self.b1, self.w2, self.b2)
@@ -193,13 +195,12 @@ class FeedForward:
 class EncoderBlock:
     """Pre-norm residual block: attention sublayer then ReLU feed-forward."""
 
-    def __init__(self, config: EncoderConfig, rng, prefix: str,
-                 channel_bias: ChannelBias | None, param=Parameter):
+    def __init__(self, config: EncoderConfig, rng, prefix: str, param, channel_bias=None):
         self.ln1 = LayerNorm(config.d_model, f"{prefix}.ln1", param)
         if config.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC):
             self.attn = ICMAttention(config, rng, f"{prefix}.attn", param)
         elif config.mixer is MixerKind.CONCAT:
-            self.attn = ConcatAttention(config, rng, f"{prefix}.attn", channel_bias, param)
+            self.attn = ConcatAttention(config, rng, f"{prefix}.attn", param, channel_bias)
         else:
             self.attn = MultiHeadSelfAttention(config, rng, f"{prefix}.attn", param)
         self.ln2 = LayerNorm(config.d_model, f"{prefix}.ln2", param)
@@ -210,76 +211,51 @@ class EncoderBlock:
         return x + self.ffn(self.ln2(x))
 
 
-class _Unfilled(tuple):
-    """The shape of a weight whose values will be read from a checkpoint.
-
-    Scaling it is a no-op, so a layer's ``draw * scale`` initializer computes
-    nothing; the model's ``param`` factory makes it one zeroed array.
-    """
-
-    def __mul__(self, scale):
-        return self
-
-    __truediv__ = __mul__
-
-
-class _ZeroDraws:
-    """Stands in for ``np.random.Generator`` where the draws will be overwritten."""
-
-    @staticmethod
-    def standard_normal(shape):
-        return _Unfilled(shape)
-
-
 class ForecastEncoder:
     """The full trainable model: embedding, encoder stack, per-horizon heads."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64):
-        self._build(config, np.random.default_rng(seed), dtype)
+        self._build(config, np.random.default_rng(seed), dtype,
+                    lambda name, shape, init: init(shape))
 
-    @classmethod
-    def _unfilled(cls, config: EncoderConfig, dtype) -> "ForecastEncoder":
-        """A model of the right shapes whose weights are zeros, to be overwritten.
+    def _build(self, config: EncoderConfig, rng, dtype, make):
+        """Build the layers, which declare each parameter in turn as (name, shape, init).
 
-        It draws nothing and computes nothing weight-sized: each parameter is
-        one ``np.zeros`` array in the model dtype, whose pages the allocator
-        hands out untouched until a checkpoint's bytes are read into them.
+        ``make(name, shape, init)`` returns its array: ``init(shape)`` for a fresh model;
+        a load checks the declaration against the file and returns a zero-stride view.
         """
-        model = cls.__new__(cls)
-        model._build(config, _ZeroDraws, dtype)
-        return model
-
-    def _build(self, config: EncoderConfig, rng, dtype):
         self.config = config
         self.dtype = np.dtype(dtype)
         self._params = {}
         d = config.d_model
 
-        def param(value, name):
+        def param(name, shape, init):
             """The one place a parameter is made: named, cast to the model dtype, registered."""
-            if isinstance(value, _Unfilled):
-                value = np.zeros(value, dtype)
-            p = self._params[name] = Parameter(value, name, dtype=dtype)
+            p = self._params[name] = Parameter(make(name, shape, init), name, dtype=dtype)
             return p
 
-        self.embed_w = param(rng.standard_normal((config.patch_len, d)) / np.sqrt(config.patch_len),
-                             "embed.w")
-        self.embed_b = param(np.zeros(d), "embed.b")
-        self._positions = sinusoidal_positions(config.n_patches, d).astype(dtype)
-
-        self.channel_bias = ChannelBias(param) if config.mixer is MixerKind.CONCAT else None
-        self.channel_embed = (StaticChannelEmbedding(config.max_channels, d, rng, param)
+        self.embed_w = param("embed.w", (config.patch_len, d), fan_in_normal(rng))
+        self.embed_b = param("embed.b", (d,), np.zeros)
+        self.channel_bias = ((param("channel_bias.u1", (), np.zeros),
+                              param("channel_bias.u2", (), np.zeros))
+                             if config.mixer is MixerKind.CONCAT else None)
+        self.channel_embed = (param("channel_embed.table", (config.max_channels, d),
+                                    lambda shape: rng.standard_normal(shape) * 0.02)
                               if config.mixer is MixerKind.ICM_STATIC else None)
 
-        self.blocks = [EncoderBlock(config, rng, f"block.{i}", self.channel_bias, param)
+        self.blocks = [EncoderBlock(config, rng, f"block.{i}", param, self.channel_bias)
                        for i in range(config.n_blocks)]
         self.final_ln = LayerNorm(d, "final_ln", param)
 
         flat = config.n_patches * d
-        self.heads = {horizon: (param(rng.standard_normal((flat, horizon)) / np.sqrt(flat),
-                                      f"head.{horizon}.w"),
-                                param(np.zeros(horizon), f"head.{horizon}.b"))
+        self.heads = {horizon: (param(f"head.{horizon}.w", (flat, horizon), fan_in_normal(rng)),
+                                param(f"head.{horizon}.b", (horizon,), np.zeros))
                       for horizon in config.horizons}
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """The position table, built at the first forward: a load makes it after its checks."""
+        return sinusoidal_positions(self.config.n_patches, self.config.d_model).astype(self.dtype)
 
     # -- parameter registry ---------------------------------------------------
 
@@ -325,11 +301,6 @@ class ForecastEncoder:
         for block in self.blocks:
             out = block(out)
         return self.final_ln(out)
-
-    def encode(self, x) -> Tensor:
-        """[b, m, lookback] -> [b, m, n_patches, d_model]."""
-        x_norm, _ = instance_normalize(self._check_input(x))
-        return self._encode_normalized(x_norm)
 
     def _encode_and_project(self, x_norm: Tensor, horizon: int) -> Tensor:
         enc = self._encode_normalized(x_norm)
@@ -451,11 +422,11 @@ def _read_header(f, path) -> dict:
         raise ConfigError(f"{path}: checkpoint truncated inside the header")
     try:
         header = json.loads(raw_header.decode())
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # RecursionError: nesting too deep
         raise ConfigError(f"{path}: corrupt checkpoint header ({err})") from err
     entries = header.get("params") if isinstance(header, dict) else None
     if not (isinstance(entries, list) and entries and isinstance(header.get("config"), dict)
-            and all(isinstance(e, dict) and all(isinstance(e.get(key), kind)
+            and all(isinstance(e, dict) and all(type(e.get(key)) is kind  # a bool is no int
                                                 for key, kind in _ENTRY_TYPES.items())
                     for e in entries)):
         raise ConfigError(f"{path}: corrupt checkpoint header (expected a config object and "
@@ -469,9 +440,11 @@ def load_checkpoint(path) -> ForecastEncoder:
     The file must hold exactly the model's parameters, each with its shape,
     in one float dtype, with finite values; their buffers follow each other
     in header order and fill the body. Any other file raises ConfigError.
-    Every check on the header runs before a parameter byte is read; then each
-    buffer is read straight into its parameter's own array, so the load holds
-    one copy of the weights.
+    Each parameter is checked against the header as the model declares it, so
+    the first mismatch stops the build before anything weight-sized or sized
+    by the block count is made. Every check runs before a parameter byte is
+    read; then each buffer is read straight into its parameter's own new
+    array, so the load holds one copy of the weights.
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
@@ -481,20 +454,35 @@ def load_checkpoint(path) -> ForecastEncoder:
             dtypes = [np.dtype(e["dtype"]) for e in header["params"]]
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
-        model = ForecastEncoder._unfilled(config, _checkpoint_dtype(dtypes, path))
+        dtype = _checkpoint_dtype(dtypes, path)
+        entries, zero = {entry["name"]: entry for entry in header["params"]}, np.zeros((), dtype)
+
+        def declared(name, shape, init):
+            """A zero-stride stand-in for a parameter that its header entry matches."""
+            entry = entries.get(name)
+            if entry is None:
+                raise ConfigError(
+                    f"{path}: checkpoint parameters do not match the model (missing: {[name]})")
+            if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} shape "
+                                  f"{entry['shape']} != model shape {list(shape)}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > body_len:
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} ({nbytes} bytes) "
+                                  f"lies outside the {body_len}-byte body")
+            return np.broadcast_to(zero, shape)
+
+        model = ForecastEncoder.__new__(ForecastEncoder)
+        model._build(config, None, dtype, declared)
         params = model.parameters()
-        names = [entry["name"] for entry in header["params"]]
-        missing, unknown = sorted(set(params) - set(names)), sorted(set(names) - set(params))
-        if missing or unknown or len(names) != len(params):
+        unknown = sorted(set(entries) - set(params))
+        if unknown or len(header["params"]) != len(params):
             raise ConfigError(
-                f"{path}: checkpoint parameters do not match the model (missing: {missing}, "
-                f"unknown: {unknown}, {len(names)} entries for {len(params)} parameters)")
+                f"{path}: checkpoint parameters do not match the model (unknown: {unknown}, "
+                f"{len(header['params'])} entries for {len(params)} parameters)")
         reads, end = [], 0
         for entry, dt in zip(header["params"], dtypes):
             p = params[entry["name"]]
-            if entry["shape"] != list(p.shape):
-                raise ConfigError(f"checkpoint parameter {entry['name']!r} shape "
-                                  f"{entry['shape']} != model shape {list(p.shape)}")
             start, nbytes = entry["offset"], p.data.nbytes
             if start != end:
                 raise ConfigError(
@@ -509,6 +497,7 @@ def load_checkpoint(path) -> ForecastEncoder:
         if end != body_len:
             raise ConfigError(f"{path}: {body_len - end} bytes after the last checkpoint parameter")
         for p, dt in reads:
+            p.data = np.empty(p.shape, dtype)
             if f.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
                 raise ConfigError(f"{path}: checkpoint ended inside parameter {p.name!r} "
                                   f"while it was read")

@@ -56,30 +56,21 @@ def mse(pred, target) -> Tensor:
 
 @dataclass
 class MetricReport:
-    """Test metrics per (dataset, horizon), with arithmetic horizon averages."""
+    """Test metrics of one series per horizon, with their arithmetic average."""
 
     entries: dict = field(default_factory=dict)
 
-    def add(self, dataset: str, horizon: int, mse_value: float, mae_value: float):
-        self.entries[(dataset, horizon)] = {"mse": float(mse_value), "mae": float(mae_value)}
+    def add(self, horizon: int, mse_value: float, mae_value: float):
+        self.entries[horizon] = {"mse": float(mse_value), "mae": float(mae_value)}
 
-    def merge(self, other: "MetricReport"):
-        self.entries.update(other.entries)
-
-    def datasets(self):
-        return sorted({ds for ds, _ in self.entries})
-
-    def average(self, dataset: str) -> dict:
-        rows = [v for (ds, _), v in self.entries.items() if ds == dataset]
-        if not rows:
-            raise KeyError(dataset)
+    def average(self) -> dict:
+        rows = self.entries.values()
         return {key: sum(r[key] for r in rows) / len(rows) for key in ("mse", "mae")}
 
-    def to_records(self) -> list:
-        recs = [{"dataset": ds, "horizon": h, **v}
-                for (ds, h), v in sorted(self.entries.items())]
-        for ds in self.datasets():
-            recs.append({"dataset": ds, "horizon": "avg", **self.average(ds)})
+    def to_records(self, dataset: str) -> list:
+        recs = [{"dataset": dataset, "horizon": h, **v} for h, v in sorted(self.entries.items())]
+        if recs:
+            recs.append({"dataset": dataset, "horizon": "avg", **self.average()})
         return recs
 
 
@@ -340,7 +331,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     report = MetricReport()
     if len(test_windows):
         test_mse, test_mae = evaluate(model, test_windows, horizon, config.batch_size)
-        report.add(series.name, horizon, test_mse, test_mae)
+        report.add(horizon, test_mse, test_mae)
     return model, report, loss_curve
 
 

@@ -7,6 +7,14 @@ no per-example deadline (timings on a shared machine are not a property).
 
 import tracemalloc
 
+from icmixer.tensor import Parameter
+
+
+def param(name, shape, init):
+    """The parameter factory of a layer built on its own, outside a model:
+    ``init(shape)`` as a float64 Parameter named ``name``, registered nowhere."""
+    return Parameter(init(shape), name)
+
 
 def traced_peak(fn):
     """``(peak, value)``: the peak bytes ``tracemalloc`` traces while ``fn()`` runs, and its value.

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import param
 from icmixer.attention import (
     ICMAttention,
     MultiHeadSelfAttention,
@@ -18,8 +19,8 @@ from icmixer.attention import (
     retrieve_memory,
 )
 from icmixer.data import generate_lagged_copy, load_csv, standardized
-from icmixer.encoder import EncoderConfig, ForecastEncoder
-from icmixer.mixers import ChannelBias, ConcatAttention, MixerKind
+from icmixer.encoder import EncoderConfig, ForecastEncoder, instance_normalize
+from icmixer.mixers import ConcatAttention, MixerKind
 from icmixer.tensor import Tensor
 from icmixer.training import TrainConfig, gradcheck, shrunken_config, train_supervised
 
@@ -77,8 +78,8 @@ def test_criterion_2_gate_closure():
     worst = 0.0
 
     acfg = EncoderConfig(d_model=256, n_heads=4)
-    icm_layer = ICMAttention(acfg, np.random.default_rng(0), "attn")
-    ref_layer = MultiHeadSelfAttention(acfg, np.random.default_rng(0), "attn")
+    icm_layer = ICMAttention(acfg, np.random.default_rng(0), "attn", param)
+    ref_layer = MultiHeadSelfAttention(acfg, np.random.default_rng(0), "attn", param)
     icm_layer.beta.data[:] = -40.0
 
     enc_kwargs = dict(n_blocks=2, d_model=64, n_heads=4, d_ff=128, patch_len=8,
@@ -93,8 +94,9 @@ def test_criterion_2_gate_closure():
         m = (1, 2, 4, 8)[trial % 4]
         x_layer = rng.standard_normal((1, m, 16, 256))
         diff_layer = np.abs(icm_layer(Tensor(x_layer)).data - ref_layer(Tensor(x_layer)).data).max()
-        x_enc = rng.standard_normal((1, m, 64))
-        diff_enc = np.abs(icm_enc.encode(x_enc).data - ind_enc.encode(x_enc).data).max()
+        x_enc = instance_normalize(rng.standard_normal((1, m, 64)))[0]
+        diff_enc = np.abs(icm_enc._encode_normalized(x_enc).data
+                          - ind_enc._encode_normalized(x_enc).data).max()
         worst = max(worst, float(diff_layer), float(diff_enc))
     elapsed = time.time() - start
     report("criterion 2: gate closure", worst < 1e-8 and elapsed < 10.0,
@@ -113,8 +115,8 @@ def test_criterion_3_permutation_equivariance():
         m = int(rng.integers(2, 9))
         x = rng.standard_normal((1, m, 64))
         perm = rng.permutation(m)
-        out = model.encode(x).data
-        out_perm = model.encode(x[:, perm]).data
+        out = model._encode_normalized(instance_normalize(x)[0]).data
+        out_perm = model._encode_normalized(instance_normalize(x[:, perm])[0]).data
         worst = max(worst, float(np.abs(out_perm - out[:, perm]).max()))
     elapsed = time.time() - start
     report("criterion 3: permutation equivariance", worst < 1e-10 and elapsed < 10.0,
@@ -155,7 +157,7 @@ def test_criterion_6_synthetic_cross_channel_benefit():
                             lookback=256, mixer=kind, horizons=(96,))
         model = ForecastEncoder(cfg, seed=0, dtype=np.float32)
         _, rep, _ = train_supervised(model, series, train_cfg, horizon=96)
-        results[kind] = rep.entries[(series.name, 96)]["mse"]
+        results[kind] = rep.entries[96]["mse"]
     elapsed = time.time() - start
     gap = results[MixerKind.INDEPENDENT] - results[MixerKind.ICM]
     report("criterion 6: synthetic cross-channel benefit",
@@ -179,7 +181,7 @@ def test_criterion_7_bounded_reference_reproduction():
     train_cfg = TrainConfig(epochs=10, batch_size=64, learning_rate=1e-4,
                             seed=0, precision="f32")
     _, rep, _ = train_supervised(model, series, train_cfg, horizon=96)
-    test_mse = rep.entries[(series.name, 96)]["mse"]
+    test_mse = rep.entries[96]["mse"]
     report("criterion 7: bounded reference reproduction",
            abs(test_mse - 0.383) <= 0.05, f"test MSE {test_mse:.4f} vs reference 0.383")
 
@@ -189,10 +191,14 @@ def test_criterion_8_concat_softmax_shift_invariance():
     start = time.time()
     acfg = EncoderConfig(d_model=32, n_heads=2)
     rng = np.random.default_rng(11)
-    bias0, biasc = ChannelBias(), ChannelBias()
-    biasc.u1.data = biasc.u2.data = np.asarray(1.3)
-    layer0 = ConcatAttention(acfg, np.random.default_rng(3), "attn", bias0)
-    layerc = ConcatAttention(acfg, np.random.default_rng(3), "attn", biasc)
+
+    def bias(value):
+        """The pair (u1, u2), both ``value``."""
+        return [param(f"channel_bias.{u}", (), lambda shape: np.full(shape, value))
+                for u in ("u1", "u2")]
+
+    layer0 = ConcatAttention(acfg, np.random.default_rng(3), "attn", param, bias(0.0))
+    layerc = ConcatAttention(acfg, np.random.default_rng(3), "attn", param, bias(1.3))
     x = rng.standard_normal((2, 3, 8, 32))
     diff = float(np.abs(layerc(Tensor(x)).data - layer0(Tensor(x)).data).max())
     elapsed = time.time() - start

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import param, traced_peak
 from icmixer.attention import (
     ConfigError,
     ICMAttention,
@@ -16,7 +16,7 @@ from icmixer.attention import (
     retrieve_memory,
 )
 from icmixer.encoder import EncoderConfig
-from icmixer.tensor import DimensionError, Parameter, Tensor
+from icmixer.tensor import DimensionError, Tensor
 from icmixer.training import mse
 
 
@@ -236,8 +236,8 @@ class TestShapeErrors:
 
 def make_layers(d_model=16, n_heads=2, seed=0):
     cfg = EncoderConfig(d_model=d_model, n_heads=n_heads)
-    icm = ICMAttention(cfg, np.random.default_rng(seed), "attn")
-    vanilla = MultiHeadSelfAttention(cfg, np.random.default_rng(seed), "attn")
+    icm = ICMAttention(cfg, np.random.default_rng(seed), "attn", param)
+    vanilla = MultiHeadSelfAttention(cfg, np.random.default_rng(seed), "attn", param)
     for name in ("wq", "wk", "wv", "wo"):
         getattr(vanilla, name).data = getattr(icm, name).data.copy()
     return icm, vanilla
@@ -247,18 +247,18 @@ def registered_parameters(layer_cls):
     """{name: Parameter} of every weight a layer makes through its ``param`` factory."""
     params = {}
 
-    def param(value, name):
-        params[name] = Parameter(value, name)
+    def registering(name, shape, init):
+        params[name] = param(name, shape, init)
         return params[name]
 
-    layer_cls(EncoderConfig(d_model=16, n_heads=2), np.random.default_rng(0), "attn", param)
+    layer_cls(EncoderConfig(d_model=16, n_heads=2), np.random.default_rng(0), "attn", registering)
     return params
 
 
 class TestICMLayer:
     def test_projection_identity_weights(self):
         cfg = EncoderConfig(d_model=4, n_heads=2)
-        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a")
+        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a", param)
         layer.wq.data = np.eye(4)
         x = Tensor(np.arange(8.0).reshape(1, 2, 4))
         q, _, _ = layer.project_qkv(x)
@@ -266,7 +266,7 @@ class TestICMLayer:
 
     def test_projection_zero_weights(self):
         cfg = EncoderConfig(d_model=4, n_heads=2)
-        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a")
+        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(0), "a", param)
         for p in (layer.wq, layer.wk, layer.wv):
             p.data = np.zeros((4, 4))
         q, k, v = layer.project_qkv(Tensor(np.ones((1, 3, 4))))
@@ -274,7 +274,7 @@ class TestICMLayer:
 
     def test_projection_matches_matmul_oracle(self):
         cfg = EncoderConfig(d_model=6, n_heads=2)
-        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(1), "a")
+        layer = MultiHeadSelfAttention(cfg, np.random.default_rng(1), "a", param)
         x = np.random.default_rng(2).standard_normal((2, 5, 6))
         q, _, _ = layer.project_qkv(Tensor(x))
         np.testing.assert_allclose(q.data, x @ layer.wq.data, atol=1e-12)

@@ -239,6 +239,15 @@ class TestTrainCommand:
         assert err.startswith("error:") and "invalid JSON" in err
         assert "Traceback" not in err
 
+    def test_too_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        """Nesting deeper than the JSON decoder recurses is invalid JSON too."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[" * 100000)
+        rc = main(["train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "invalid JSON" in err and err.count("\n") == 1
+
 
 def read_records(run):
     return [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestConfig:
     def test_non_positive_sizes_raise(self, field, value):
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value})
+
+    def test_many_horizons_validate_in_linear_time(self):
+        """A header or a --config file may list any number of horizons."""
+        start = time.perf_counter()
+        assert tiny_config(horizons=list(range(1, 20001))).horizons[-1] == 20000
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ConfigError, match=r"horizons\[20000\] repeats horizon 7"):
+            tiny_config(horizons=[*range(1, 20001), 7, 7])
 
     @pytest.mark.parametrize("field,value", [
         ("d_model", 16.9), ("n_heads", True), ("lookback", "32"), ("patch_len", 8.0),
@@ -116,34 +125,39 @@ class TestPositions:
         assert len({tuple(np.round(r, 9)) for r in table}) == 32
 
 
+def encode(model, x):
+    """[b, m, lookback] -> [b, m, n_patches, d_model]: the encoder output the head reads."""
+    return model._encode_normalized(instance_normalize(x)[0])
+
+
 class TestEncode:
     def test_output_shape_defaults(self):
         model = ForecastEncoder(EncoderConfig(n_blocks=1), seed=0)
-        out = model.encode(np.random.default_rng(0).standard_normal((2, 3, 256)))
+        out = encode(model, np.random.default_rng(0).standard_normal((2, 3, 256)))
         assert out.shape == (2, 3, 32, 256)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_shape_contract_over_channels(self, m):
         model = ForecastEncoder(tiny_config(), seed=0)
-        out = model.encode(np.random.default_rng(m).standard_normal((1, m, 32)))
+        out = encode(model, np.random.default_rng(m).standard_normal((1, m, 32)))
         assert out.shape == (1, m, 4, 16)
 
     def test_channel_independent_matches_split_framing(self):
         model = ForecastEncoder(tiny_config(MixerKind.INDEPENDENT), seed=1)
         x = np.random.default_rng(3).standard_normal((1, 2, 32))
-        joint = model.encode(x).data
-        solo0 = model.encode(x[:, :1]).data
-        solo1 = model.encode(x[:, 1:]).data
+        joint = encode(model, x).data
+        solo0 = encode(model, x[:, :1]).data
+        solo1 = encode(model, x[:, 1:]).data
         np.testing.assert_allclose(joint[:, 0], solo0[:, 0], atol=1e-10)
         np.testing.assert_allclose(joint[:, 1], solo1[:, 0], atol=1e-10)
 
     def test_channel_independence_cross_jacobian_zero(self):
         model = ForecastEncoder(tiny_config(MixerKind.INDEPENDENT), seed=1)
         x = np.random.default_rng(4).standard_normal((1, 2, 32))
-        base = model.encode(x).data
+        base = encode(model, x).data
         x2 = x.copy()
         x2[:, 1] = 0.0
-        perturbed = model.encode(x2).data
+        perturbed = encode(model, x2).data
         np.testing.assert_array_equal(base[:, 0], perturbed[:, 0])
 
     def test_icm_gate_closed_equals_independent(self):
@@ -152,23 +166,23 @@ class TestEncode:
         m_ind = ForecastEncoder(tiny_config(MixerKind.INDEPENDENT), seed=2)
         for block in m_icm.blocks:
             block.attn.beta.data[:] = -40.0
-        np.testing.assert_allclose(m_icm.encode(x).data, m_ind.encode(x).data, atol=1e-8)
+        np.testing.assert_allclose(encode(m_icm, x).data, encode(m_ind, x).data, atol=1e-8)
 
     def test_icm_static_with_zero_table_equals_icm(self):
         x = np.random.default_rng(6).standard_normal((1, 3, 32))
         m_static = ForecastEncoder(tiny_config(MixerKind.ICM_STATIC), seed=3)
         m_icm = ForecastEncoder(tiny_config(MixerKind.ICM), seed=4)
-        m_static.channel_embed.table.data[:] = 0.0
+        m_static.channel_embed.data[:] = 0.0
         for dst, src in zip(m_icm.parameters().values(),
                             (p for n, p in m_static.parameters().items()
                              if not n.startswith("channel_embed"))):
             dst.data = src.data.copy()
-        np.testing.assert_array_equal(m_static.encode(x).data, m_icm.encode(x).data)
+        np.testing.assert_array_equal(encode(m_static, x).data, encode(m_icm, x).data)
 
     def test_wrong_lookback_raises(self):
         model = ForecastEncoder(tiny_config(), seed=0)
         with pytest.raises(DimensionError):
-            model.encode(np.zeros((1, 2, 40)))
+            model.forecast(np.zeros((1, 2, 40)), 8)
 
 
 class TestPrecision:
@@ -597,6 +611,18 @@ class TestCheckpoint:
         path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header
                          + raw[8 + hlen:] + tail)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("offset", False, "corrupt checkpoint header"),
+        ("shape", [8.0, 16], r"'embed.w' shape \[8.0, 16\] != model shape \[8, 16\]"),
+    ], ids=["bool-offset", "float-size"])
+    def test_entry_numbers_must_be_integers(self, tmp_path, key, value, message):
+        """JSON ``false`` equals 0 and ``8.0`` equals 8 in Python; neither is an integer."""
+        path = tmp_path / "model.icm"
+        save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
+        self.edit_entries(path, lambda entries: entries[0].__setitem__(key, value))
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
     @staticmethod
     def alias_wk_to_wq(entries):
         by_name = {e["name"]: e for e in entries}
@@ -673,7 +699,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mixer", list(MixerKind))
     def test_seeded_init_is_pinned(self, mixer, dtype):
-        """The unfilled skeleton shares ``_build`` with seeded inits, which must not move."""
+        """A seeded init draws each parameter from ``init(shape)`` in declaration order.
+
+        ``load_checkpoint`` declares the same parameters without calling ``init``;
+        these digests pin that a fresh model's values do not move.
+        """
         model = ForecastEncoder(tiny_config(mixer, n_blocks=2), seed=5, dtype=dtype)
         digest = hashlib.sha256()
         for name, p in model.parameters().items():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import param
 from icmixer.attention import MultiHeadSelfAttention
 from icmixer.encoder import EncoderConfig
 from icmixer.mixers import (
     CapacityError,
-    ChannelBias,
     ConcatAttention,
     MixerKind,
-    StaticChannelEmbedding,
     add_static_channel_embedding,
     same_channel_mask,
 )
@@ -16,11 +15,10 @@ from icmixer.tensor import Tensor
 
 
 def make_concat(d_model=16, n_heads=2, seed=0, u1=0.0, u2=0.0):
-    bias = ChannelBias()
-    bias.u1.data = np.asarray(u1)
-    bias.u2.data = np.asarray(u2)
+    bias = (param("channel_bias.u1", (), lambda shape: np.full(shape, u1)),
+            param("channel_bias.u2", (), lambda shape: np.full(shape, u2)))
     layer = ConcatAttention(EncoderConfig(d_model=d_model, n_heads=n_heads),
-                            np.random.default_rng(seed), "attn", bias)
+                            np.random.default_rng(seed), "attn", param, bias)
     return layer, bias
 
 
@@ -53,7 +51,7 @@ class TestConcatScores:
 
     def test_zero_bias_equals_attention_over_flattened_tokens(self):
         layer, _ = make_concat(seed=1)
-        vanilla = MultiHeadSelfAttention(layer.config, np.random.default_rng(0), "attn")
+        vanilla = MultiHeadSelfAttention(layer.config, np.random.default_rng(0), "attn", param)
         for name in ("wq", "wk", "wv", "wo"):
             getattr(vanilla, name).data = getattr(layer, name).data.copy()
         x = np.random.default_rng(3).standard_normal((2, 3, 4, 16))
@@ -85,27 +83,29 @@ class TestSameChannelMask:
 
 class TestStaticChannelEmbedding:
     def setup_method(self):
-        self.emb = StaticChannelEmbedding(4, 8, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        self.table = param("channel_embed.table", (4, 8),
+                           lambda shape: rng.standard_normal(shape) * 0.02)
 
     def test_zero_table_is_identity(self):
-        self.emb.table.data = np.zeros((4, 8))
+        self.table.data = np.zeros((4, 8))
         x = np.random.default_rng(1).standard_normal((2, 3, 5, 8))
         np.testing.assert_array_equal(
-            add_static_channel_embedding(Tensor(x), self.emb).data, x)
+            add_static_channel_embedding(Tensor(x), self.table).data, x)
 
     def test_zero_input_exposes_rows(self):
-        out = add_static_channel_embedding(Tensor(np.zeros((1, 2, 3, 8))), self.emb).data
+        out = add_static_channel_embedding(Tensor(np.zeros((1, 2, 3, 8))), self.table).data
         for c in range(2):
             for t in range(3):
-                np.testing.assert_array_equal(out[0, c, t], self.emb.table.data[c])
+                np.testing.assert_array_equal(out[0, c, t], self.table.data[c])
 
     def test_shape_preserved(self):
         x = np.random.default_rng(2).standard_normal((2, 4, 5, 8))
-        assert add_static_channel_embedding(Tensor(x), self.emb).shape == x.shape
+        assert add_static_channel_embedding(Tensor(x), self.table).shape == x.shape
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            add_static_channel_embedding(Tensor(np.zeros((1, 5, 3, 8))), self.emb)
+            add_static_channel_embedding(Tensor(np.zeros((1, 5, 3, 8))), self.table)
 
 
 class TestMixerKind:

@@ -37,22 +37,24 @@ def test_import_loads_numpy_only():
     assert out.stdout.strip() == "['numpy']"
 
 
-# Public members of the engine that no model computation has to reach: the
-# shape properties are read, not called, and the repr is for people.
-ENGINE_EXEMPT = {"shape", "ndim", "size", "dtype", "__repr__"}
+# Public members of the engine and the model that no model computation has to
+# reach: the shape properties are read, not called, and the repr is for people.
+# So is the parameter count, which only ``icmixer inspect`` prints.
+ENGINE_EXEMPT = {"shape", "ndim", "size", "dtype", "__repr__", "parameter_count"}
 
 
 def engine_ops():
-    """{function: [(owner, name), ...]} of every public Tensor method and every
-    public function of the engine and of the layer modules built on it.
+    """{function: [(owner, name), ...]} of every public Tensor and ForecastEncoder
+    method and every public function of the engine and of the layer modules built on it.
 
     Aliases such as ``__radd__ = __add__`` are one function under two names.
     """
     ops = {}
-    for name, attr in vars(tensor.Tensor).items():
-        public = not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
-        if public and name not in ENGINE_EXEMPT and inspect.isfunction(attr):
-            ops.setdefault(attr, []).append((tensor.Tensor, name))
+    for cls in (tensor.Tensor, ForecastEncoder):
+        for name, attr in vars(cls).items():
+            public = not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+            if public and name not in ENGINE_EXEMPT and inspect.isfunction(attr):
+                ops.setdefault(attr, []).append((cls, name))
     for owner in (tensor, attention, mixers):
         for name, attr in vars(owner).items():
             if (not name.startswith("_") and inspect.isfunction(attr)
@@ -65,13 +67,14 @@ def engine_ops():
 
 
 def test_engine_ops_are_all_reached(monkeypatch):
-    """Each op of the engine and of the layers is called by training, evaluation or the reference.
+    """Each op of the engine, the layers and the model is called by training, evaluation
+    or the reference.
 
-    One f32 train step and one ``evaluate`` per mixer, plus the
+    One logged f32 train step and one ``evaluate`` per mixer, plus the
     channel-at-a-time ``icm_attention_reference``, must reach every public
-    member of ``icmixer.tensor`` and every public function of
-    ``icmixer.attention`` and ``icmixer.mixers``: an op that nothing reaches
-    belongs beside the test oracles, not in the package.
+    member of ``icmixer.tensor``, every public method of ``ForecastEncoder``
+    and every public function of ``icmixer.attention`` and ``icmixer.mixers``:
+    an op that nothing reaches belongs beside the test oracles, not in the package.
     """
     ops, calls = engine_ops(), {}
     for fn, bindings in ops.items():
@@ -88,7 +91,7 @@ def test_engine_ops_are_all_reached(monkeypatch):
         cfg = EncoderConfig(n_blocks=1, d_model=16, n_heads=2, d_ff=32, patch_len=8,
                             lookback=32, mixer=kind, horizons=(8,))
         model = ForecastEncoder(cfg, seed=0, dtype=np.float32)
-        train_supervised(model, series, train_cfg, horizon=8)
+        train_supervised(model, series, train_cfg, horizon=8, log=lambda record: None)
         evaluate(model, make_windows(series, 32, 8, split="test"), 8)
         if kind is MixerKind.ICM:
             x = np.random.default_rng(0).standard_normal((3, 4, 16)).astype(np.float32)

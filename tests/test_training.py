@@ -67,18 +67,19 @@ class TestMetrics:
 class TestMetricReport:
     def test_average_is_arithmetic_mean(self):
         report = MetricReport()
-        report.add("ds", 96, 0.3, 0.4)
-        report.add("ds", 192, 0.6, 0.5)
-        report.add("ds", 384, 0.9, 0.6)
-        avg = report.average("ds")
+        report.add(96, 0.3, 0.4)
+        report.add(192, 0.6, 0.5)
+        report.add(384, 0.9, 0.6)
+        avg = report.average()
         assert avg["mse"] == pytest.approx((0.3 + 0.6 + 0.9) / 3)
         assert avg["mae"] == pytest.approx(0.5)
 
     def test_records_include_average_row(self):
         report = MetricReport()
-        report.add("ds", 96, 0.3, 0.4)
-        recs = report.to_records()
-        assert recs[-1]["horizon"] == "avg"
+        report.add(96, 0.3, 0.4)
+        recs = report.to_records("ds")
+        assert recs == [{"dataset": "ds", "horizon": 96, "mse": 0.3, "mae": 0.4},
+                        {"dataset": "ds", "horizon": "avg", "mse": 0.3, "mae": 0.4}]
 
 
 class TestAdam:
@@ -251,7 +252,7 @@ class TestWindowOracle:
             np.testing.assert_array_equal(x, x_expected, strict=True)
             np.testing.assert_array_equal(y, y_expected, strict=True)
         test_windows = window_list(self.series, 32, 8, split="test")
-        assert report.entries[(self.series.name, 8)] == dict(
+        assert report.entries[8] == dict(
             zip(("mse", "mae"), evaluate_oracle(model, test_windows, 8, 16)))
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
