@@ -24,7 +24,7 @@ from .data import (
     save_csv,
     standardized,
 )
-from .encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
+from .encoder import PRECISIONS, EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
 from .mixers import MixerKind, check_capacity
 from .training import (
     MetricReport,
@@ -174,8 +174,12 @@ def cmd_compare(ns) -> int:
     mixers = [m for m in (ns.mixers or "").split(",") if m]
     if not mixers:
         raise ConfigError("--mixers requires a non-empty comma-separated list")
+    unknown = next((name for name in mixers if name not in MIXER_CHOICES), None)
+    if unknown is not None:
+        raise ConfigError(f"mixer must be one of {', '.join(MIXER_CHOICES)}, got {unknown!r}")
+    first = {}  # mixer -> index of its first appearance
     for i, name in enumerate(mixers):
-        if name in mixers[:i]:
+        if first.setdefault(name, i) != i:
             raise ConfigError(f"--mixers repeats mixer {name!r}")
     series, run_dir, reports = _run(ns, model_cfg, train_cfg, mixers, "compare")
     width = max(len(k) for k in mixers) + 2
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-model", dest="d_model", type=int)
         p.add_argument("--n-heads", dest="n_heads", type=int)
         p.add_argument("--d-ff", dest="d_ff", type=int)
-        p.add_argument("--precision", choices=["f32", "f64"])
+        p.add_argument("--precision", choices=list(PRECISIONS))
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:  # a missing file, a directory given as a file, ...
+    except (OSError, MemoryError) as err:  # a missing file, an array too large for memory, ...
         print(f"error: {err}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:

@@ -203,6 +203,9 @@ def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,
         raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
     if T <= m * lag:
         raise ConfigError(f"series length {T} too short for {m} channels at lag {lag}")
+    # Python ints: no overflow. The T x m float64 values outsize the driver's T + (m - 1) * lag.
+    if int(T) * int(m) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"a series of {T} rows x {m} channels is too large for an array")
     rng = np.random.default_rng(seed)
     warmup = (m - 1) * lag
     total = T + warmup
@@ -216,9 +219,12 @@ def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,
 
     values = np.empty((T, m))
     values[:, 0] = driver[warmup:]
-    for j in range(1, m):
-        shifted = driver[warmup - j * lag:total - j * lag]
-        values[:, j] = shifted + rng.standard_normal(T) * noise_std
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for j in range(1, m):
+            shifted = driver[warmup - j * lag:total - j * lag]
+            values[:, j] = shifted + rng.standard_normal(T) * noise_std
+    if not np.isfinite(values).all():
+        raise ConfigError(f"noise_std {noise_std} overflows float64 in the generated series")
     train_end = int(T * DEFAULT_SPLIT[0])
     val_end = train_end + int(T * DEFAULT_SPLIT[1])
     return MultivariateSeries(

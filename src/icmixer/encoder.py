@@ -27,6 +27,7 @@ from .tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, blo
                      feed_forward, grad_enabled, layer_norm, linear, row_sum)
 
 INSTANCE_NORM_EPS = 1e-5
+PRECISIONS = {"f32": np.float32, "f64": np.float64}  # the model dtypes, by CLI name
 
 
 class ConfigFields:
@@ -222,10 +223,12 @@ class ForecastEncoder:
         """Build the layers, which declare each parameter in turn as (name, shape, init).
 
         ``make(name, shape, init)`` returns its array: ``init(shape)`` for a fresh model;
-        a load checks the declaration against the file and returns a zero-stride view.
+        a load checks the declaration against the file's next entry and reads it.
         """
         self.config = config
         self.dtype = np.dtype(dtype)
+        if self.dtype not in PRECISIONS.values():
+            raise ConfigError(f"model dtype {self.dtype} fits no precision in {list(PRECISIONS)}")
         self._params = {}
         d = config.d_model
 
@@ -358,38 +361,32 @@ class ForecastEncoder:
 
 _MAGIC = b"ICM1"
 _ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int}
+_LABELS = {np.dtype(t).newbyteorder("<").str: np.dtype(t) for t in PRECISIONS.values()}
 
 
-def _checkpoint_dtype(dtypes, path) -> np.dtype:
-    """The one float dtype, in native byte order, that ``dtypes`` all share."""
-    dtypes = {np.dtype(d).newbyteorder("=") for d in dtypes}
-    if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
-        raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
-                          f"got {sorted(d.str for d in dtypes)}")
-    return dtypes.pop()
-
-
-def _check_finite(p: Parameter, path):
+def _check_finite(name, data: np.ndarray, path):
     # min and max propagate a NaN and reach an inf, and allocate nothing
     # the size of the parameter.
-    if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):
-        raise ConfigError(f"{path}: checkpoint parameter {p.name!r} holds a non-finite value")
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ConfigError(f"{path}: checkpoint parameter {name!r} holds a non-finite value")
 
 
 def save_checkpoint(model: ForecastEncoder, path):
     """Write ``model`` to ``path``, each parameter's own buffer in turn.
 
-    A model that ``load_checkpoint`` would reject (parameters in more than
-    one dtype, or a non-finite weight) raises ConfigError before an existing
+    A model that ``load_checkpoint`` would reject (parameters not all f32 or
+    all f64, or a non-finite weight) raises ConfigError before an existing
     file at ``path`` is touched.
     """
     params = model.parameters()
-    _checkpoint_dtype([p.dtype for p in params.values()], path)
+    labels = sorted({p.dtype.newbyteorder("<").str for p in params.values()})
+    if len(labels) != 1 or labels[0] not in _LABELS:
+        raise ConfigError(f"{path}: checkpoint parameters must share one float dtype, "
+                          f"{' or '.join(_LABELS)}, got {labels}")
     entries, offset = [], 0
     for name, p in params.items():
-        _check_finite(p, path)
-        entries.append({"name": name, "shape": list(p.shape),
-                        "dtype": p.dtype.newbyteorder("<").str, "offset": offset})
+        _check_finite(name, p.data, path)
+        entries.append({"name": name, "shape": list(p.shape), "dtype": labels[0], "offset": offset})
         offset += p.data.nbytes
     header = json.dumps({"config": model.config.to_dict(), "params": entries}).encode()
     # A new file, not the old one truncated: ext4 (auto_da_alloc) flushes a
@@ -437,71 +434,62 @@ def _read_header(f, path) -> dict:
 def load_checkpoint(path) -> ForecastEncoder:
     """Rebuild a model from ``save_checkpoint`` output.
 
-    The file must hold exactly the model's parameters, each with its shape,
-    in one float dtype, with finite values; their buffers follow each other
-    in header order and fill the body. Any other file raises ConfigError.
-    Each parameter is checked against the header as the model declares it, so
-    the first mismatch stops the build before anything weight-sized or sized
-    by the block count is made. Every check runs before a parameter byte is
-    read; then each buffer is read straight into its parameter's own new
-    array, so the load holds one copy of the weights.
+    The header must list exactly the model's parameters in declaration order,
+    each with its shape and the one dtype label "<f4" or "<f8"; their buffers
+    follow each other in that order and fill the body, with finite values.
+    Any other file raises ConfigError. The load is one pass: as the model
+    declares each parameter, its entry is checked, and only then is its array
+    made and its buffer read straight into it. So the first mismatch stops
+    the build, no array is larger than the file, and the load holds one copy
+    of the weights.
     """
     with open(path, "rb") as f:
         header = _read_header(f, path)
         body_len = os.fstat(f.fileno()).st_size - f.tell()
-        try:
-            config = EncoderConfig.from_dict(header["config"])
-            dtypes = [np.dtype(e["dtype"]) for e in header["params"]]
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{path}: invalid checkpoint header ({err})") from err
-        dtype = _checkpoint_dtype(dtypes, path)
-        entries, zero = {entry["name"]: entry for entry in header["params"]}, np.zeros((), dtype)
+        label = header["params"][0]["dtype"]
+        # Any model dtype will do for another label: the first entry refuses it.
+        dtype = _LABELS.get(label, np.dtype(np.float32))
+        entries, end = iter(header["params"]), 0
 
-        def declared(name, shape, init):
-            """A zero-stride stand-in for a parameter that its header entry matches."""
-            entry = entries.get(name)
+        def read(name, shape, init):
+            """The next entry's buffer, read once the entry matches this declaration."""
+            nonlocal end
+            entry = next(entries, None)
             if entry is None:
                 raise ConfigError(
                     f"{path}: checkpoint parameters do not match the model (missing: {[name]})")
+            if entry["name"] != name:
+                raise ConfigError(f"{path}: checkpoint parameters do not match the model: the "
+                                  f"model declares {name!r} where the header lists "
+                                  f"{entry['name']!r}")
+            if entry["dtype"] != label or label not in _LABELS:
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} has dtype "
+                                  f"{entry['dtype']!r}: parameters must share one float dtype, "
+                                  f"{' or '.join(_LABELS)}")
             if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
                 raise ConfigError(f"{path}: checkpoint parameter {name!r} shape "
                                   f"{entry['shape']} != model shape {list(shape)}")
-            nbytes = math.prod(shape) * dtype.itemsize
-            if nbytes > body_len:
-                raise ConfigError(f"{path}: checkpoint parameter {name!r} ({nbytes} bytes) "
-                                  f"lies outside the {body_len}-byte body")
-            return np.broadcast_to(zero, shape)
-
-        model = ForecastEncoder.__new__(ForecastEncoder)
-        model._build(config, None, dtype, declared)
-        params = model.parameters()
-        unknown = sorted(set(entries) - set(params))
-        if unknown or len(header["params"]) != len(params):
-            raise ConfigError(
-                f"{path}: checkpoint parameters do not match the model (unknown: {unknown}, "
-                f"{len(header['params'])} entries for {len(params)} parameters)")
-        reads, end = [], 0
-        for entry, dt in zip(header["params"], dtypes):
-            p = params[entry["name"]]
-            start, nbytes = entry["offset"], p.data.nbytes
+            start, nbytes = entry["offset"], math.prod(shape) * dtype.itemsize
             if start != end:
-                raise ConfigError(
-                    f"{path}: checkpoint parameter {entry['name']!r} at offset {start}, expected "
-                    f"{end}: buffers must follow each other in header order")
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} at offset {start}, "
+                                  f"expected {end}: buffers must follow each other in header order")
             end += nbytes
             if end > body_len:
-                raise ConfigError(
-                    f"{path}: checkpoint parameter {entry['name']!r} ({nbytes} bytes at offset "
-                    f"{start}) lies outside the {body_len}-byte body")
-            reads.append((p, dt))
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} ({nbytes} bytes at "
+                                  f"offset {start}) lies outside the {body_len}-byte body")
+            data = np.empty(shape, dtype)
+            if f.readinto(memoryview(data).cast("B")) != nbytes:
+                raise ConfigError(f"{path}: checkpoint ended inside parameter {name!r} "
+                                  f"while it was read")
+            _check_finite(name, data, path)
+            return data
+
+        model = ForecastEncoder.__new__(ForecastEncoder)
+        model._build(EncoderConfig.from_dict(header["config"]), None, dtype, read)
+        unknown = next(entries, None)
+        if unknown is not None:
+            raise ConfigError(f"{path}: checkpoint parameters do not match the model "
+                              f"(unknown: {[unknown['name']]})")
         if end != body_len:
             raise ConfigError(f"{path}: {body_len - end} bytes after the last checkpoint parameter")
-        for p, dt in reads:
-            p.data = np.empty(p.shape, dtype)
-            if f.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
-                raise ConfigError(f"{path}: checkpoint ended inside parameter {p.name!r} "
-                                  f"while it was read")
-            if not dt.isnative:
-                p.data.byteswap(inplace=True)
-            _check_finite(p, path)
     return model

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
-from .encoder import ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
+from .encoder import PRECISIONS, ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
 from .tensor import TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad
 
@@ -139,12 +139,12 @@ class TrainConfig(ConfigFields):
             check_integer(name, getattr(self, name))
         check_integer("seed", self.seed, minimum=0)
         check_positive("learning_rate", self.learning_rate)
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
+        if self.precision not in list(PRECISIONS):  # a list: an unhashable value is no key
+            raise ConfigError(f"precision must be in {list(PRECISIONS)}, got {self.precision!r}")
 
     @property
     def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
+        return PRECISIONS[self.precision]
 
 
 def _batch(windows: np.ndarray, idx, lookback: int):

@@ -1,10 +1,12 @@
 """Malformed checkpoints: ``load_checkpoint`` raises ConfigError, fast and small.
 
-A checkpoint's header claims a config, and the model of that config is
-declared against the header before anything is read. So a header may claim
-any sizes: truncated files, flipped bits, and headers with type-confused or
-oversized values must all be refused as ConfigError, each within a small
-time and memory bound, and the CLI reports them as one ``error:`` line.
+A checkpoint's header claims a config, and the model of that config reads
+each parameter as it declares it: the next header entry is checked against
+the declaration and the file size before its array is made. So a header may
+claim any sizes: truncated files, flipped bits, and headers with
+type-confused or oversized values must all be refused as ConfigError, each
+within a small time and memory bound, and the CLI reports them as one
+``error:`` line.
 """
 
 import json

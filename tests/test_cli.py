@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -73,6 +74,23 @@ class TestParseSyntheticSpec:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_memory_error_is_one_error_line_with_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        """A series numpy can index but the host cannot hold fails to allocate. The
+        generator is stubbed, so the host is asked for no memory."""
+        def out_of_memory(**kwargs):
+            raise MemoryError(f"Unable to allocate an array of {kwargs['T']} rows")
+
+        monkeypatch.setattr("icmixer.cli.generate_lagged_copy", out_of_memory)
+        spec = "lagged:T=1000000000000"
+        argv = (["synth", "--spec", spec, "--path", str(tmp_path / "x.csv")]
+                if command == "synth" else ["train", "--synthetic", spec, *COMMON,
+                                            "--out", str(tmp_path)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate an array of 1000000000000 rows\n", err
 
 
 class TestTrainCommand:
@@ -394,6 +412,16 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "bad").exists()
 
+    def test_many_unknown_mixers_are_refused_at_once(self, tmp_path, capsys):
+        """Every name is checked against the mixers before the series loads, in linear time."""
+        names = ",".join(f"x{i}" for i in range(20000))
+        start = time.perf_counter()
+        rc = main(["compare", "--mixers", names, *SYNTH, *COMMON, "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: mixer must be one of independent, concat, icm, icm-static, got 'x0'\n")
+
     def test_empty_variant_list_is_error(self, capsys):
         assert main(["compare", "--mixers", "", *SYNTH]) == 2
 
@@ -420,7 +448,7 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt,message", [
-        (drop_first_parameter, "missing: ['embed.w']"),
+        (drop_first_parameter, "the model declares 'embed.w' where the header lists 'embed.b'"),
         (lambda raw: raw[:-100], "lies outside the"),
         (lambda raw: raw[:-1], "lies outside the"),
         (nan_first_weight, "'embed.w' holds a non-finite value"),

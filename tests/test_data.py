@@ -220,6 +220,17 @@ class TestLaggedCopy:
         with pytest.raises(ConfigError):
             generate_lagged_copy(m=1, T=1000, lag=4, noise_std=0.0)
 
+    @pytest.mark.parametrize("m, T", [(4, 2**62), (4, 2**70), (2**62, 10), (np.int64(2**60), 10)])
+    def test_a_series_no_array_can_hold_is_refused_before_allocating(self, m, T):
+        """Each count of float64s exceeds what numpy can index, computed without overflow;
+        nothing is allocated, so the refusal asks the host for no memory."""
+        with pytest.raises(ConfigError, match=f"a series of {T} rows x {m} channels is too large"):
+            generate_lagged_copy(m=m, T=T, lag=0, noise_std=0.0)
+
+    def test_noise_that_overflows_is_refused(self):
+        with pytest.raises(ConfigError, match=r"noise_std 1e\+308 overflows float64"):
+            generate_lagged_copy(m=2, T=300, lag=4, noise_std=1e308, seed=0)
+
     def test_cross_channel_oracle_regression_beats_own_history(self):
         # Predicting channel 1 one lag ahead: channel 0's present gives it
         # exactly; channel 1's own value requires predicting driver innovations.

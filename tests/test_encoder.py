@@ -201,6 +201,11 @@ class TestPrecision:
         grads = [p.grad for p in model.parameters().values()]
         assert all(g is not None and g.dtype == dtype for g in grads)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble])
+    def test_other_dtypes_are_refused_at_construction(self, dtype):
+        with pytest.raises(ConfigError, match=r"fits no precision in \['f32', 'f64'\]"):
+            ForecastEncoder(tiny_config(), dtype=dtype)
+
 
 class TestActivationMemory:
     def test_loss_graph_keeps_one_ffn_hidden_array(self):
@@ -479,6 +484,17 @@ class TestParameters:
         assert icm.parameter_count() - ind.parameter_count() == 16
 
 
+def swap_entries(arrays: dict, x, y) -> dict:
+    """``arrays`` with the entries named ``x`` and ``y`` in each other's places."""
+    other = {x: y, y: x}
+    return {other.get(k, k): arrays[other.get(k, k)] for k in arrays}
+
+
+def rebind_all(model, dtype):
+    for p in model.parameters().values():
+        p.data = p.data.astype(dtype)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = ForecastEncoder(tiny_config(MixerKind.ICM_STATIC), seed=0)
@@ -555,25 +571,51 @@ class TestCheckpoint:
         assert peaks["save"] <= 2**20, peaks
         assert peaks["load"] <= 1.05 * weight_bytes, (peaks, weight_bytes)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_big_endian_checkpoint_loads_native_values(self, tmp_path, dtype):
-        """Entries labelled >f4/>f8 over big-endian bytes are swapped in place."""
-        model = ForecastEncoder(tiny_config(MixerKind.CONCAT), seed=2, dtype=dtype)
+    @staticmethod
+    def write_arrays(path, config, arrays):
+        """A checkpoint of ``config`` whose header lists ``arrays`` (name -> array) in their
+        order, each labelled with its own dtype, over their bytes laid end to end."""
+        entries, offset = [], 0
+        for name, a in arrays.items():
+            entries.append({"name": name, "shape": list(a.shape), "dtype": a.dtype.str,
+                            "offset": offset})
+            offset += a.nbytes
+        header = json.dumps({"config": config.to_dict(), "params": entries}).encode()
+        path.write_bytes(b"ICM1" + struct.pack("<I", len(header)) + header
+                         + b"".join(a.tobytes() for a in arrays.values()))
+
+    @pytest.mark.parametrize("relabelled, label", [
+        (None, ">f4"), (None, ">f8"), (None, "<f2"), (None, np.dtype(np.longdouble).str),
+        ("block.0.ffn.w1", "<f8"),
+    ], ids=["big-endian-f32", "big-endian-f64", "f16", "longdouble", "mixed"])
+    def test_unwritten_dtype_is_refused(self, tmp_path, relabelled, label):
+        """Save labels every entry "<f4" or "<f8" alike. Each file here is consistent,
+        its bytes in the labelled dtype, and is still refused (None: every entry)."""
+        model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
+        arrays = {name: p.data.astype(label) if relabelled in (None, name) else p.data
+                  for name, p in model.parameters().items()}
         path = tmp_path / "model.icm"
-        save_checkpoint(model, path)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8:8 + hlen])
-        for entry in header["params"]:
-            entry["dtype"] = np.dtype(entry["dtype"]).newbyteorder(">").str
-        new_header = json.dumps(header).encode()
-        body = b"".join(p.data.astype(p.dtype.newbyteorder(">")).tobytes()
-                        for p in model.parameters().values())
-        path.write_bytes(raw[:4] + struct.pack("<I", len(new_header)) + new_header + body)
-        loaded = load_checkpoint(path)
-        for name, p in model.parameters().items():
-            assert loaded.parameters()[name].data.dtype.isnative
-            np.testing.assert_array_equal(loaded.parameters()[name].data, p.data, strict=True)
+        self.write_arrays(path, model.config, arrays)
+        with pytest.raises(ConfigError, match=f"'{relabelled or 'embed.w'}' has dtype '{label}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: swap_entries(a, "block.0.attn.wq", "block.0.attn.wk"),
+         "the model declares 'block.0.attn.wq' where the header lists 'block.0.attn.wk'"),
+        (lambda a: dict(list(a.items())[:-1]), r"\(missing: \['head.16.b'\]\)"),
+        (lambda a: {**a, "extra": np.zeros(2, np.float32)},
+         r"do not match the model \(unknown: \['extra'\]\)"),
+    ], ids=["permuted", "missing", "unknown"])
+    def test_header_lists_the_declarations_in_order(self, tmp_path, edit, message):
+        """The header order is the declaration order. Offsets and body follow each edited
+        list, so only the list itself is at fault: two same-shape entries swapped, the last
+        one dropped, or one added."""
+        model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
+        path = tmp_path / "model.icm"
+        self.write_arrays(path, model.config,
+                          edit({name: p.data for name, p in model.parameters().items()}))
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
 
     def test_big_endian_parameter_is_labelled_with_the_bytes_written(self, tmp_path):
         """A >f4 parameter is written little-endian, so its entry must say <f4."""
@@ -632,16 +674,13 @@ class TestCheckpoint:
         (alias_wk_to_wq, b"junk", r"'block.0.attn.wk' at offset (\d+), expected (?!\1)\d+"),
         (lambda entries: None, b"\0" * 4, "4 bytes after the last checkpoint parameter"),
         (lambda entries: entries.insert(0, entries.pop(1)), b"",
-         "'embed.b' at offset 1024, expected 0: buffers must follow each other"),
+         "the model declares 'embed.w' where the header lists 'embed.b'"),
     ], ids=["aliased-offset-and-trailing-bytes", "trailing-bytes", "entries-out-of-order"])
     def test_buffers_must_fill_the_body_in_header_order(self, tmp_path, edit, tail, message):
-        """Offsets are the running sum of the sizes before them, and the body holds no more.
-
-        The first weight is NaN, so each error shows its check ran before a byte was read.
-        """
+        """Offsets are the running sum of the sizes before them, in declaration order, and
+        the body holds no more."""
         path = tmp_path / "model.icm"
         save_checkpoint(ForecastEncoder(tiny_config(), seed=0), path)
-        self.poke(path, "embed.w", np.nan)
         self.edit_entries(path, edit, tail)
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
@@ -671,7 +710,9 @@ class TestCheckpoint:
          "'block.0.ffn.b1' holds a non-finite value"),
         (lambda model: setattr(model.embed_b, "data", model.embed_b.data.astype(np.float32)),
          "must share one float dtype"),
-    ], ids=["non-finite", "mixed-dtypes"])
+        (lambda model: rebind_all(model, np.float16), r"<f4 or <f8, got \['<f2'\]"),
+        (lambda model: rebind_all(model, np.longdouble), "must share one float dtype, <f4 or <f8"),
+    ], ids=["non-finite", "mixed-dtypes", "all-f16", "all-longdouble"])
     def test_save_refuses_what_load_rejects_and_keeps_the_old_file(self, tmp_path, spoil,
                                                                     message):
         path = tmp_path / "model.icm"
