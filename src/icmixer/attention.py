@@ -25,6 +25,7 @@ from .tensor import (
     blocks,
     expit,
     grad_enabled,
+    linear,
     row_max,
     row_sum,
 )
@@ -126,30 +127,38 @@ def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
     ``q`` is [..., n, d_model] and the head count is read from ``mem``
     [..., h, d_k, d_k + 1]. Numerator and denominator come from one product
     sigma(Q) [M | z]; their quotient is written in merged layout. The
-    backward keeps Q, the memory, the denominator and the output, and
-    recomputes sigma(Q) from Q, bitwise the forward's.
+    backward keeps only Q and the memory: it recomputes sigma(Q) from Q and
+    repeats the product and the quotient, each bitwise the forward's.
     """
     check_positive("epsilon", epsilon)
     h, d_k = mem.shape[-3:-1]
     if q.shape[-1] != h * d_k:
         raise DimensionError(f"query {q.shape} does not match the memory {mem.shape}")
     q_data, mem_data = q.data, mem.data
-    num_den = _heads(h, _sigma(q_data))[0] @ mem_data
-    den = num_den[..., -1:] + epsilon
-    out_data = np.empty((*num_den.shape[:-3], *q.shape[-2:]), dtype=num_den.dtype)
-    out_h = _heads(h, out_data)[0]
-    np.divide(num_den[..., :-1], den, out=out_h)
+
+    def quotient(sq_h):
+        """The denominator sigma(Q) z + epsilon and the quotient, in merged layout."""
+        num_den = sq_h @ mem_data
+        den = num_den[..., -1:] + epsilon
+        out = np.empty((*num_den.shape[:-3], *q_data.shape[-2:]), dtype=num_den.dtype)
+        np.divide(num_den[..., :-1], den, out=_heads(h, out)[0])
+        return den, out
+
+    _, out_data = quotient(_heads(h, _sigma(q_data))[0])
+    out_shape = out_data.shape
     q, mem = _nodes(q, mem)
 
     def bwd(g):  # dL/d(sigma(Q) [M | z]) = [dL/dnum | dL/dden]
         sq = _heads(h, _sigma(q_data))[0]
+        den, out = quotient(sq)
         g_nd = np.empty((*den.shape[:-1], d_k + 1), dtype=den.dtype)
         g_num = np.divide(_heads(h, g)[0], den, out=g_nd[..., :-1])
-        g_nd[..., -1:] = -row_sum(g_num * out_h)
+        g_nd[..., -1:] = -row_sum(g_num * _heads(h, out)[0])
+        del out  # the rebuilt quotient is not needed by the two products below
         if mem.requires_grad:
             mem._accumulate(_unbroadcast(sq.swapaxes(-1, -2) @ g_nd, mem.shape), fresh=True)
         if q.requires_grad:
-            g_sq = _matmul_merged(g_nd, mem_data.swapaxes(-1, -2), out_data.shape, h)
+            g_sq = _matmul_merged(g_nd, mem_data.swapaxes(-1, -2), out_shape, h)
             g_sq_h = _heads(h, g_sq)[0]
             g_sq_h *= np.minimum(sq, 1, out=sq)  # sigma'(Q), over sigma(Q)
             q._accumulate(_unbroadcast(g_sq, q.shape), fresh=True)
@@ -240,8 +249,9 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
     """Per-head convex combination g a_mem + (1 - g) a_dot, g = sigmoid(beta), as one node.
 
     ``a_mem`` and ``a_dot`` are [..., n, h*d_k] with h = len(beta): each
-    head's gate scales its d_k columns. The backward keeps both inputs'
-    values, which the gate's gradient reads.
+    head's gate scales its d_k columns. The backward keeps one array, the
+    difference ``a_mem - a_dot`` that the gate's gradient reads, and only
+    when a graph is recorded and the gate trains.
     """
     h = beta.shape[0] if beta.ndim == 1 else 0
     if a_mem.shape != a_dot.shape or not h or a_mem.shape[-1] % h:
@@ -253,6 +263,7 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
     mem_data, dot_data = a_mem.data, a_dot.data
     out_data = g * mem_data
     out_data += (1.0 - g) * dot_data
+    diff = mem_data - dot_data if grad_enabled() and beta.requires_grad else None
     a_mem, a_dot, beta = _nodes(a_mem, a_dot, beta)
 
     def bwd(grad):
@@ -261,9 +272,8 @@ def gate_combine(a_mem: Tensor, a_dot: Tensor, beta: Tensor) -> Tensor:
         if a_dot.requires_grad:
             a_dot._accumulate(grad * (1.0 - g), fresh=True)
         if beta.requires_grad:
-            diff = mem_data - dot_data
-            diff *= grad
-            per_head = _unbroadcast(diff, g.shape).reshape(h, d_k).sum(axis=-1)
+            diff_grad = np.multiply(diff, grad, out=diff)  # the closure runs once
+            per_head = _unbroadcast(diff_grad, g.shape).reshape(h, d_k).sum(axis=-1)
             beta._accumulate(per_head * s * (1.0 - s), fresh=True)
 
     return Tensor._make(out_data, (a_mem, a_dot, beta), bwd)
@@ -280,12 +290,16 @@ class MultiHeadSelfAttention:
             param(f"{prefix}.{name}", (d, d), lambda shape: rng.standard_normal(shape) * scale)
             for name in ("wq", "wk", "wv", "wo"))
 
-    def project_qkv(self, x: Tensor):
-        """[..., n, d_model] -> Q, K, V, each [..., n, d_model]."""
-        return x @ self.wq, x @ self.wk, x @ self.wv
+    def project_qkv(self, x: Tensor, norm=None):
+        """[..., n, d_model] -> Q, K, V, each [..., n, d_model].
 
-    def __call__(self, x: Tensor) -> Tensor:
-        q, k, v = self.project_qkv(x)
+        ``norm`` is the ``(gain, bias)`` of the layer norm whose normalized
+        output ``x`` is; each projection folds it into its weight (``linear``).
+        """
+        return tuple(linear(x, w, None, norm) for w in (self.wq, self.wk, self.wv))
+
+    def __call__(self, x: Tensor, norm=None) -> Tensor:
+        q, k, v = self.project_qkv(x, norm)
         return dot_attention(q, k, v, self.config.n_heads) @ self.wo
 
 
@@ -302,13 +316,13 @@ class ICMAttention(MultiHeadSelfAttention):
         super().__init__(config, rng, prefix, param)
         self.beta = param(f"{prefix}.beta", (config.n_heads,), np.zeros)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, norm=None) -> Tensor:
         if x.ndim != 4:
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         if x.shape[1] == 0:
             raise DimensionError("at least one channel is required")
         h = self.config.n_heads
-        q, k, v = self.project_qkv(x)
+        q, k, v = self.project_qkv(x, norm)
         a_mem = retrieve_memory(q, accumulate_memory(k, v, h), self.config.epsilon)
         return gate_combine(a_mem, dot_attention(q, k, v, h), self.beta) @ self.wo
 

@@ -54,14 +54,24 @@ DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
 
 def load_csv(path) -> MultivariateSeries:
-    """Parse a benchmark CSV: header row, timestamp column, numeric channels.
+    """Parse a benchmark CSV: UTF-8 text, header row, timestamp column, numeric channels.
 
     The series is named after the file's stem, which picks its split.
     """
     path = Path(path)
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: "
+                         f"{err.reason})") from None
+    except csv.Error as err:  # e.g. a field over the csv module's size limit
+        raise ParseError(f"{path}: malformed CSV ({err})") from None
+
+
+def _read_csv(path: Path) -> MultivariateSeries:
     name = path.stem
     split_fracs = ETT_SPLIT if name.upper().startswith("ETT") else DEFAULT_SPLIT
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -116,16 +126,31 @@ def save_csv(series: MultivariateSeries, path):
     rows = np.asarray(series.values, dtype=np.float64).tolist()
     # A new file, not the old one truncated: see save_checkpoint.
     Path(path).unlink(missing_ok=True)
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(["date"] + list(series.channel_names))
         f.writelines(f"{t},{','.join(map(repr, row))}\r\n" for t, row in enumerate(rows))
 
 
 def standardize_stats(series: MultivariateSeries) -> tuple:
-    """Per-channel mean/std computed on the train split only."""
+    """Per-channel mean/std computed on the train split only.
+
+    ConfigError for an empty train split, and for a channel whose statistics
+    overflow float64 (values beyond ~1e154 square to inf), which would
+    otherwise standardize to all zeros or NaN.
+    """
     lo, hi = series.region("train")
+    if hi <= lo:
+        raise ConfigError(f"{series.name}: the train split has no rows to standardize with")
     train = series.values[lo:hi]
-    return train.mean(axis=0), train.std(axis=0) + 1e-8
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean, std = train.mean(axis=0), train.std(axis=0) + 1e-8
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if len(bad):
+        j = bad[0]
+        raise ConfigError(f"{series.name}: channel {j} ({series.channel_names[j]!r}) has "
+                          f"train-split mean {mean[j]:g} and std {std[j]:g}; its values are "
+                          f"too large to standardize in float64")
+    return mean, std
 
 
 def standardized(series: MultivariateSeries) -> MultivariateSeries:

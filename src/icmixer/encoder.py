@@ -98,25 +98,31 @@ class EncoderConfig(ConfigFields):
     def graph_window_bytes(self, m: int, dtype) -> int:
         """Estimated bytes of one window's training graph over ``m`` channels.
 
-        Per encoder block the backward closures keep eight arrays the size
-        of the residual stream (``m * n_patches * d_model``): each layer
-        norm's normalized input and output, Q, K, V and the attention
-        output. The ICM mixers keep two more, the memory retrieval and the
-        gate's output. Add two ``d_ff``-wide ones (the feed-forward hidden
-        and, in the backward, its gradient) and the attention probabilities:
-        ``n_heads * (m * n_patches)^2`` for concat, which attends over all
-        channel-tokens at once, ``m * n_heads * n_patches^2`` for the others.
-        Residual sums and sublayer outputs are not kept. Embedding, final
-        norm and head add about four residual-sized arrays. This estimate is
-        0.86-1.20x the traced f32 graph of every mixer on the desk config
-        and the default backbone, and of concat over 16 channels.
+        Per encoder block the backward closures keep six arrays the size of
+        the residual stream (``m * n_patches * d_model``): each layer norm's
+        normalized input, which the linear layer that reads it shares, Q, K,
+        V and the attention output. ICM keeps a seventh, the difference of
+        the memory and dot paths that the gate's gradient reads. A block
+        also keeps one ``d_ff``-wide array (the feed-forward hidden) and the
+        attention probabilities: ``n_heads * (m * n_patches)^2`` for concat,
+        which attends over all channel-tokens at once,
+        ``m * n_heads * n_patches^2`` for the others. Residual sums, sublayer
+        outputs and layer-norm outputs are not kept. One more ``d_ff``-wide
+        array (the hidden's gradient) and six residual-sized ones cover the
+        embedding, the head and the gradients alive at the backward's peak;
+        ICM's memory-path gradients add two, and concat, whose peak its
+        probabilities set, takes two fewer. This estimate is 0.92-1.18x the
+        traced f32 graph of every mixer on the desk config and the default
+        backbone, and of concat over 16 channels.
         """
         n, tokens = self.n_patches, m * self.n_patches
-        residuals = 10 if self.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC) else 8
+        icm = self.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC)
         probs = self.n_heads * (tokens * tokens if self.mixer is MixerKind.CONCAT
                                 else m * n * n)
-        per_block = tokens * (residuals * self.d_model + 2 * self.d_ff) + probs
-        return np.dtype(dtype).itemsize * (self.n_blocks * per_block + 4 * tokens * self.d_model)
+        per_block = tokens * ((7 if icm else 6) * self.d_model + self.d_ff) + probs
+        rest = 8 if icm else 4 if self.mixer is MixerKind.CONCAT else 6
+        return np.dtype(dtype).itemsize * (self.n_blocks * per_block
+                                           + tokens * (rest * self.d_model + self.d_ff))
 
 
 def instance_stats(x: np.ndarray):
@@ -174,12 +180,19 @@ def fan_in_normal(rng):
 
 
 class LayerNorm:
+    """A layer norm's parameters and its normalization.
+
+    Calling it gives only the normalized input; the layer that reads it takes
+    ``affine``, the ``(gain, bias)`` pair, and folds it into its own weight.
+    """
+
     def __init__(self, d_model: int, prefix: str, param):
         self.gain = param(f"{prefix}.gain", (d_model,), np.ones)
         self.bias = param(f"{prefix}.bias", (d_model,), np.zeros)
+        self.affine = (self.gain, self.bias)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
+        return layer_norm(x)
 
 
 class FeedForward:
@@ -189,8 +202,9 @@ class FeedForward:
         self.w2 = param(f"{prefix}.w2", (d_ff, d_model), fan_in_normal(rng))
         self.b2 = param(f"{prefix}.b2", (d_model,), np.zeros)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return feed_forward(x, self.w1, self.b1, self.w2, self.b2)
+    def __call__(self, x: Tensor, norm=None) -> Tensor:
+        """The feed-forward of ``x``; ``norm`` is the affine of the layer norm that made it."""
+        return feed_forward(x, self.w1, self.b1, self.w2, self.b2, norm)
 
 
 class EncoderBlock:
@@ -208,8 +222,8 @@ class EncoderBlock:
         self.ffn = FeedForward(config.d_model, config.d_ff, rng, f"{prefix}.ffn", param)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.ffn(self.ln2(x))
+        x = x + self.attn(self.ln1(x), self.ln1.affine)
+        return x + self.ffn(self.ln2(x), self.ln2.affine)
 
 
 class ForecastEncoder:
@@ -300,6 +314,7 @@ class ForecastEncoder:
         return emb
 
     def _encode_normalized(self, x_norm: Tensor) -> Tensor:
+        """The final layer norm's normalized output; the head applies its affine."""
         out = self.embed(x_norm)
         for block in self.blocks:
             out = block(out)
@@ -309,7 +324,7 @@ class ForecastEncoder:
         enc = self._encode_normalized(x_norm)
         b, m, n_patches, d = enc.shape
         w, bias = self.heads[horizon]
-        return linear(enc.reshape(b, m, n_patches * d), w, bias)
+        return linear(enc.reshape(b, m, n_patches * d), w, bias, self.final_ln.affine)
 
     def forecast_normalized(self, x, horizon: int):
         """Forecast in instance-normalized space; returns (pred_norm, stats).

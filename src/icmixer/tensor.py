@@ -56,15 +56,16 @@ _grad_enabled = True
 #   backbone-train benchmark while graph nodes still kept their values
 #   (default 7-channel f32 backbone, ~23 MB a window then, batch 8; peak,
 #   minor faults a step, windows/s in alternating 20 s runs against one
-#   pass): one pass 308-311 MB, 2.8-3.5 k faults; this budget, 2 blocks of
-#   4, 226-230 MB, 3.8-4.7 k, +2.4% (5 of 10 pairs faster); 80 MiB, 2/3/3,
-#   206 MB, 12.5 k; 64 MiB, 4 blocks of 2, 186-188 MB, but faster in 10 of
-#   28 pairs (medians -7.1% to +1.1% over three sets). With nodes that keep
-#   no value a window is ~16-18 MB, still 2 blocks of 4 at this budget.
-#   Any budget of at least ~32 MiB keeps the criterion-6 desk config at
-#   batch 32 in one pass.
+#   pass): one pass 308-311 MB, 2.8-3.5 k faults; 2 blocks of 4, 226-230
+#   MB, 3.8-4.7 k, +2.4% (5 of 10 pairs faster); 2/3/3, 206 MB, 12.5 k; 4
+#   blocks of 2, 186-188 MB, but faster in 10 of 28 pairs (medians -7.1% to
+#   +1.1% over three sets). So that batch runs as 2 blocks of 4. Since layer
+#   norms fold their affine into the next linear layer a window is 12-14 MB,
+#   and 96 MiB would hold independent's batch of 8 in one pass; 64 MiB holds
+#   4-5 windows of every mixer, and any budget of at least ~32 MiB keeps the
+#   criterion-6 desk config at batch 32 in one pass.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
-TRAIN_BLOCK_BYTES = 96 * 1024 * 1024
+TRAIN_BLOCK_BYTES = 64 * 1024 * 1024
 
 
 def blocks(n: int, item_bytes: int, budget: int) -> list:
@@ -384,8 +385,43 @@ def _nodes(*tensors) -> tuple:
     return tuple(None if t is None else t._node for t in tensors)
 
 
-def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype."""
+def _tiled(a: np.ndarray, d: int) -> np.ndarray:
+    """A norm's [d_norm] gain or bias repeated to the ``d`` rows of a weight it folds into."""
+    return a if a.shape[0] == d else np.tile(a, d // a.shape[0])
+
+
+def _untiled(a: np.ndarray, d_norm: int) -> np.ndarray:
+    """The sum over the tiles of a [d] gradient of a ``_tiled`` gain or bias: [d_norm]."""
+    return a if a.shape[0] == d_norm else a.reshape(-1, d_norm).sum(axis=0)
+
+
+def _fold(norm, d: int):
+    """A layer norm's ``(gain, bias)`` Tensors as ``(gain node, bias node, gain array,
+    bias array)``, None for None.
+
+    Both are [d_norm], with ``d_norm`` dividing the ``d`` rows of the weight they fold into.
+    """
+    if norm is None:
+        return None
+    gain, shift = norm
+    if gain.shape != shift.shape or gain.ndim != 1 or d % gain.shape[0]:
+        raise DimensionError(f"a norm folded into {d} weight rows needs equal [d_norm] gain "
+                             f"and bias with d_norm dividing {d}, got {gain.shape}, {shift.shape}")
+    return (*_nodes(gain, shift), gain.data, shift.data)
+
+
+def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None, norm=None) -> np.ndarray:
+    """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype.
+
+    With a ``_fold``-ed norm, ``x2`` is a normalized input and this is
+    ``(x2 * gain + bias) @ w2 + b``, computed as
+    ``x2 @ (gain ⊙rows w2) + (bias @ w2 + b)``: one GEMM, and the normalized
+    input is never scaled.
+    """
+    if norm is not None:
+        gain, shift = (_tiled(a, w2.shape[0]) for a in norm[2:])
+        b = shift @ w2 if b is None else shift @ w2 + b
+        w2 = gain[:, None] * w2
     out = x2 @ w2
     if b is not None:
         out = out.astype(np.result_type(out, b), copy=False)
@@ -393,52 +429,82 @@ def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool):
-    """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``."""
-    if w.requires_grad:
-        w._accumulate(x2.T @ g2, fresh=True)
+def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool, norm=None):
+    """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``.
+
+    ``norm`` is the ``_fold``-ed norm that ``_affine`` folded into ``w2``. Its
+    gradients and the weight's come from weight-sized products of ``x2ᵀ g2``:
+    dW = gain ⊙rows (x2ᵀ g2) + bias ⊗ Σg2, d gain = rowsum(W ⊙ x2ᵀ g2),
+    d bias = W Σg2. The folded weight is rebuilt for dL/dx2, not saved.
+    """
+    if norm is None:
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2, fresh=True)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0), fresh=True)
+        return g2 @ w2.T if need_x else None
+    gain, shift, gain_data, shift_data = norm
+    d, d_norm = w2.shape[0], gain_data.shape[0]
+    gain_t = _tiled(gain_data, d)[:, None]
+    col = g2.sum(axis=0)  # dL/d(bias @ w2 + b)
+    if w.requires_grad or gain.requires_grad:
+        xg = x2.T @ g2
+        if gain.requires_grad:
+            gain._accumulate(_untiled(row_sum(w2 * xg)[:, 0], d_norm), fresh=True)
+        if w.requires_grad:
+            xg *= gain_t
+            xg += _tiled(shift_data, d)[:, None] * col
+            w._accumulate(xg, fresh=True)
+    if shift.requires_grad:
+        shift._accumulate(_untiled(w2 @ col, d_norm), fresh=True)
     if b is not None and b.requires_grad:
-        b._accumulate(g2.sum(axis=0), fresh=True)
-    return g2 @ w2.T if need_x else None
+        b._accumulate(col, fresh=True)
+    return g2 @ (gain_t * w2).T if need_x else None
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, norm=None) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [d, d_out], as one node and one GEMM.
 
     ``x`` is [..., d]; ``b``, if given, is [d_out]. The leading dims of ``x``
     are folded into the GEMM's rows, and the backward keeps the 2-D ``x`` and
-    the ``w`` that were multiplied.
+    the ``w`` that were multiplied. ``norm``, a ``(gain, bias)`` pair of a
+    layer norm whose normalized output is ``x``, applies that norm's affine
+    first: the result is ``(x * gain + bias) @ w + b``, with the pair tiled
+    to ``d`` when they are shorter (the head reads every patch of a window).
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear needs [..., d] @ [d, d_out], got {x.shape} and {w.shape}")
     d, d_out = w.shape
     if b is not None and b.shape != (d_out,):
         raise DimensionError(f"linear bias must have shape ({d_out},), got {b.shape}")
+    norm = _fold(norm, d)
     # numpy's matmul of an N-D left operand with a 2-D right one runs one
     # small GEMM per leading index (M = n_patches rows each). With BLAS on one
     # thread, one [-1, d] GEMM is 1.5-1.7x faster forward and 2.1-2.4x faster
     # for the input gradient at every default-backbone projection shape, with
     # bitwise-equal products.
     x2, w2 = x.data.reshape(-1, d), w.data
-    out_data = _affine(x2, w2, None if b is None else b.data).reshape(*x.shape[:-1], d_out)
+    out_data = _affine(x2, w2, None if b is None else b.data, norm)
     x, w, b = _nodes(x, w, b)
 
     def bwd(g):
-        gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad)
+        gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad, norm)
         if gx is not None:
             x._accumulate(gx.reshape(x.shape), fresh=True)
 
-    return Tensor._make(out_data, (x, w) if b is None else (x, w, b), bwd)
+    parents = (x, w) + ((b,) if b is not None else ()) + (norm[:2] if norm else ())
+    return Tensor._make(out_data.reshape(*x.shape[:-1], d_out), parents, bwd)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node, bitwise equal to that chain.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, norm=None) -> Tensor:
+    """``linear(relu(linear(x, w1, b1, norm)), w2, b2)`` as one node, bitwise equal to that chain.
 
     ReLU and the backward's mask run in place, so the graph keeps one ``d_ff``-wide
     array, the post-ReLU hidden ``h``, besides the 2-D ``x``. NaN propagates.
     """
+    norm = _fold(norm, w1.shape[0])
     x2, w1d, w2d = x.data.reshape(-1, x.shape[-1]), w1.data, w2.data
-    h = _affine(x2, w1d, b1.data)
+    h = _affine(x2, w1d, b1.data, norm)
     np.maximum(h, 0, out=h)  # branch-free, unlike np.where on a data-dependent mask
     out_data = _affine(h, w2d, b2.data)
     x, w1, b1, w2, b2 = _nodes(x, w1, b1, w2, b2)
@@ -446,42 +512,40 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     def bwd(g):
         gh = _affine_backward(h, w2d, w2, b2, g.reshape(out_data.shape), need_x=True)
         gh *= h > 0  # dL/d(pre-ReLU), made even when only w2 and b2 train (no model does)
-        gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad)
+        gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad, norm)
         if gx is not None:
             x._accumulate(gx.reshape(x.shape), fresh=True)
 
-    return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), bwd)
+    return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]),
+                        (x, w1, b1, w2, b2) + (norm[:2] if norm else ()), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Affine layer normalization over the last axis (variance epsilon 1e-5), as one node.
+def layer_norm(x: Tensor) -> Tensor:
+    """Layer normalization over the last axis without its affine (variance epsilon 1e-5).
 
-    The backward is analytic and saves only the normalized input ``xhat``,
-    the reciprocal standard deviation ``rstd`` and the gain's value.
+    Returns ``xhat = (x - mean) * rstd`` as one node. A layer norm's gain and
+    bias are applied by the linear layer that reads ``xhat`` (the ``norm``
+    argument of ``linear`` and ``feed_forward``), which folds them into its
+    weight, so the affine output never exists. The backward keeps ``xhat``
+    and the reciprocal standard deviation ``rstd``. The output is that saved
+    ``xhat``, read-only, so no reader can corrupt the backward's state.
     """
     d = x.shape[-1]
     xhat = x.data - row_sum(x.data) / d
     rstd = 1.0 / np.sqrt(row_sum(xhat * xhat) / d + 1e-5)
     xhat *= rstd
-    gain_data = gain.data
-    out_data = xhat * gain_data + bias.data
-    x, gain, bias = _nodes(x, gain, bias)
+    xhat.flags.writeable = False
+    x, = _nodes(x)
 
-    def bwd(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape), fresh=True)
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+    def bwd(g):  # dL/dx = rstd * (g - mean(g) - xhat * mean(g * xhat))
         if x.requires_grad:
-            gx = g * gain_data
-            # With gx = dL/dxhat: dL/dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)).
-            dx = xhat * (row_sum(gx * xhat) / d)
-            dx += row_sum(gx) / d
-            np.subtract(gx, dx, out=dx)
+            dx = xhat * (row_sum(g * xhat) / d)
+            dx += row_sum(g) / d
+            np.subtract(g, dx, out=dx)
             dx *= rstd
-            x._accumulate(_unbroadcast(dx, x.shape), fresh=True)
+            x._accumulate(dx, fresh=True)
 
-    return Tensor._make(out_data, (x, gain, bias), bwd)
+    return Tensor._make(xhat, (x,), bwd)
 
 
 class Parameter(Tensor):

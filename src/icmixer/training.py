@@ -77,41 +77,55 @@ class MetricReport:
 # -- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction, in place: a step allocates no array, but computes in
-    two scratch buffers the size of the largest parameter, one pair per dtype."""
+    """Adam with bias correction, in place: a step allocates no array.
+
+    Each parameter is updated in chunks of ``CHUNK`` elements, computed in
+    two chunk-sized scratch buffers per dtype, so the scratch does not grow
+    with the largest parameter (the default backbone's head weight is 24x a
+    chunk). Every element's update is the same arithmetic in the same order
+    as one pass over the whole parameter, so chunking changes no bit.
+    """
+
+    CHUNK = 2 ** 15
 
     def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
         check_positive("lr", lr)
         self.params = list(params)
         self.lr, self.betas, self.eps = lr, betas, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        size = max((p.size for p in self.params), default=0)
+        self.m = [np.zeros(p.shape, p.dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, p.dtype) for p in self.params]
+        size = min(max((p.size for p in self.params), default=0), self.CHUNK)
         self._scratch = {dt: np.empty((2, size), dt) for dt in {p.dtype for p in self.params}}
         self.t = 0
 
     def step(self):
         self.t += 1
         b1, b2 = self.betas
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad
-            s1, s2 = (s[:p.size].reshape(p.shape) for s in self._scratch[p.dtype])
-            # p -= lr * m_hat / (sqrt(v_hat) + eps), in that order, bitwise.
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=s1)
-            v *= b2
-            np.multiply(g, 1 - b2, out=s1)
-            s1 *= g
-            v += s1
-            np.divide(m, 1 - b1 ** self.t, out=s1)
-            s1 *= self.lr
-            np.divide(v, 1 - b2 ** self.t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p.data -= s1
+            if not p.data.flags.c_contiguous:  # so that its flat form is a view, not a copy
+                p.data = np.ascontiguousarray(p.data)
+            p_flat, g_flat, m_flat, v_flat = (a.reshape(-1) for a in (p.data, p.grad, m, v))
+            for lo in range(0, p.size, self.CHUNK):
+                hi = min(lo + self.CHUNK, p.size)
+                g, m_c, v_c = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+                s1, s2 = (s[:hi - lo] for s in self._scratch[p.dtype])
+                # p -= lr * m_hat / (sqrt(v_hat) + eps), in that order, bitwise.
+                m_c *= b1
+                m_c += np.multiply(g, 1 - b1, out=s1)
+                v_c *= b2
+                np.multiply(g, 1 - b2, out=s1)
+                s1 *= g
+                v_c += s1
+                np.divide(m_c, c1, out=s1)
+                s1 *= self.lr
+                np.divide(v_c, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += self.eps
+                s1 /= s2
+                p_flat[lo:hi] -= s1
 
     def zero_grad(self):
         for p in self.params:

@@ -2,14 +2,16 @@
 
 These are the forms ``dot_attention``, ``accumulate_memory``,
 ``retrieve_memory``, ``gate_combine`` and ``feed_forward`` had before each
-became one graph node with a hand-written backward. Built from ``matmul``,
-``linear``, ``+``, ``*``, ``neg``, ``truediv``, ``reduce_sum``, ``reshape``,
-``swapaxes``, basic indexing (``index``), ``join``, ``softmax`` (numpy's
-reductions), ``sigma``, ``sigmoid`` and ``relu``, and differentiated by the
-autodiff engine node by node, they are the oracles for the fused nodes'
-values and gradients. Like the fused nodes, the chains take Q, K, V and
-attention outputs in the model's merged layout [..., n, h*d_k]; ``split``
-and ``merge`` move them to and from the per-head layout [..., h, n, d_k].
+became one graph node with a hand-written backward, and the layer norm's
+affine as it ran before ``linear`` and ``feed_forward`` folded it into
+their weights. Built from ``matmul``, ``linear``, ``+``, ``*``, ``neg``,
+``truediv``, ``reduce_sum``, ``reshape``, ``swapaxes``, basic indexing
+(``index``), ``join``, ``softmax`` (numpy's reductions), ``sigma``,
+``sigmoid`` and ``relu``, and differentiated by the autodiff engine node by
+node, they are the oracles for the fused nodes' values and gradients. Like
+the fused nodes, the chains take Q, K, V and attention outputs in the
+model's merged layout [..., n, h*d_k]; ``split`` and ``merge`` move them to
+and from the per-head layout [..., h, n, d_k].
 
 The package's engine has only ``+``, ``*``, ``@`` by a 2-D weight and
 ``reshape``, so the batched product, the sums, the quotient, the negation,
@@ -242,3 +244,24 @@ def gate_combine_chain(a_mem, a_dot, beta):
 
 def feed_forward_chain(x, w1, b1, w2, b2):
     return linear(relu(linear(x, w1, b1)), w2, b2)
+
+
+def norm_affine_chain(xhat, gain, bias):
+    """A layer norm's affine ``xhat * gain + bias``, unfolded.
+
+    ``gain`` and ``bias`` are [d_norm]; a last axis of ``k * d_norm`` (the
+    head's flattened patches) takes them in each of its ``k`` tiles.
+    """
+    *lead, d = xhat.shape
+    tiles = xhat.reshape(*lead, d // gain.shape[0], gain.shape[0])
+    return (tiles * gain + bias).reshape(*lead, d)
+
+
+def folded_linear_chain(xhat, w, b, gain, bias):
+    """``linear(xhat, w, b, (gain, bias))`` as the norm's affine, then the linear layer."""
+    return linear(norm_affine_chain(xhat, gain, bias), w, b)
+
+
+def folded_feed_forward_chain(xhat, w1, b1, w2, b2, gain, bias):
+    """``feed_forward(xhat, ..., (gain, bias))`` as the norm's affine, then the chain."""
+    return feed_forward_chain(norm_affine_chain(xhat, gain, bias), w1, b1, w2, b2)

@@ -128,6 +128,14 @@ class TestTrainCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_a_channel_too_large_to_standardize_is_one_error_line(self, tmp_path, capsys):
+        rc = main(["train", "--mixer", "icm", "--synthetic",
+                   "lagged:m=2,lag=4,noise=1e155,T=700", *COMMON, "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: lagged(m=2,lag=4,noise=1e+155): channel 1 ('copy_lag4') ")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_error_line_with_exit_3(self, tmp_path, capsys):
         rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--learning-rate", "1e100",

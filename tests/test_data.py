@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -299,3 +300,26 @@ class TestStandardize:
         lo, hi = series.region("train")
         np.testing.assert_allclose(series.values[lo:hi].mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(series.values[lo:hi].std(axis=0), 1.0, atol=1e-6)
+
+    @pytest.mark.filterwarnings("error")  # and no numpy overflow warning beside the error
+    def test_statistics_that_overflow_are_refused(self):
+        """A channel beyond ~1e154 squares to inf: std = inf would standardize it to zeros."""
+        series = generate_lagged_copy(m=2, T=700, lag=4, noise_std=1e155)
+        with pytest.raises(ConfigError, match=re.escape(
+                "lagged(m=2,lag=4,noise=1e+155): channel 1 ('copy_lag4') has train-split "
+                "mean ")):
+            standardize_stats(series)
+
+    def test_finite_statistics_are_unchanged(self):
+        series = generate_lagged_copy(m=3, T=700, lag=4, noise_std=1e150)
+        lo, hi = series.region("train")
+        mean, std = standardize_stats(series)
+        train = series.values[lo:hi]
+        assert mean.tobytes() == train.mean(axis=0).tobytes()
+        assert std.tobytes() == (train.std(axis=0) + 1e-8).tobytes()
+
+    def test_an_empty_train_split_is_refused(self):
+        series = generate_lagged_copy(m=2, T=100, lag=4, noise_std=0.1)
+        series.split_bounds = (0, 50)
+        with pytest.raises(ConfigError, match="the train split has no rows"):
+            standardize_stats(series)

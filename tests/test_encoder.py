@@ -258,6 +258,29 @@ class TestActivationMemory:
         graph.backward()
 
 
+    # MB the graph of a 4-window block held after its forward before layer norms
+    # folded their affine into the next linear layer and ICM kept one
+    # memory-path array: default f32 ICM backbone, 7 channels.
+    UNFOLDED_BLOCK_GRAPH_MB = 60.0
+
+    def test_backbone_block_graph_keeps_no_layer_norm_output(self):
+        """The graph of one 4-window train block of the default ICM backbone holds at most
+        0.85x its former bytes: no layer-norm output, retrieval or gate input is saved."""
+        model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 7, 256)).astype(np.float32)
+        y = rng.standard_normal((4, 7, 96)).astype(np.float32)
+
+        def loss():
+            pred, stats = model.forecast_normalized(x, 96)
+            return mse(pred, Tensor(instance_normalize(y, stats)[0].data))
+
+        loss().backward()  # first-call allocations stay out of the count
+        held, graph = traced_retained(loss)
+        assert held <= 0.85 * self.UNFOLDED_BLOCK_GRAPH_MB * 1e6, held
+        graph.backward()
+
+
 class TestForecast:
     def test_tensor_input_runs_in_the_model_dtype(self):
         model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
@@ -328,12 +351,17 @@ class TestForwardBlocks:
 
     @staticmethod
     def single_pass(model, x):
-        """The forecast of one encoder pass over the whole batch."""
+        """The forecast of one encoder pass over the whole batch.
+
+        The encoder ends in the final layer norm's normalized output; the
+        head folds that norm's affine in.
+        """
         x_norm, stats = instance_normalize(Tensor(x, dtype=model.dtype))
         enc = model._encode_normalized(x_norm)
         b, m, n_patches, d = enc.shape
         w, bias = model.heads[8]
-        return denormalize(linear(enc.reshape(b, m, n_patches * d), w, bias), stats)
+        return denormalize(linear(enc.reshape(b, m, n_patches * d), w, bias,
+                                  model.final_ln.affine), stats)
 
     @staticmethod
     def record_blocks(model, monkeypatch):

@@ -156,10 +156,15 @@ def test_backward_closures_capture_no_tensor(monkeypatch):
 
 # First gradient contributions that one such step copies rather than adopts:
 # each ``+`` hands one gradient to both operands and ``reshape`` a view of its
-# own, a layer-norm bias may be handed the output gradient itself, and
-# concat's two 0-d channel-bias weights get numpy scalars, not arrays.
-COPIED_FIRST_GRADIENTS = {MixerKind.INDEPENDENT: 9, MixerKind.CONCAT: 15, MixerKind.ICM: 9,
-                          MixerKind.ICM_STATIC: 12}
+# own, and concat's two 0-d channel-bias weights get numpy scalars, not arrays.
+# Counted from the graph: the embedding's ``+ positions`` (1), the two
+# residual ``+`` (4) and the head's ``reshape`` (1) make 6. Concat adds its
+# two token ``reshape`` nodes, the ``+`` of its score bias (2) and its two
+# scalars; icm-static adds its channel-embedding ``+`` (2) and ``reshape``.
+# A layer-norm gain and bias get fresh products from the linear that folds
+# them in, which are adopted.
+COPIED_FIRST_GRADIENTS = {MixerKind.INDEPENDENT: 6, MixerKind.CONCAT: 12, MixerKind.ICM: 6,
+                          MixerKind.ICM_STATIC: 9}
 
 
 def test_fresh_gradients_are_adopted_not_copied(monkeypatch):

@@ -125,6 +125,55 @@ class TestAdam:
                 assert p.data.dtype == dtype and p.data.tobytes() == np.asarray(w).tobytes()
 
 
+    @staticmethod
+    def unchunked_step(params, m, v, t, lr, betas, eps):
+        """The in-place Adam step over each whole parameter at once."""
+        b1, b2 = betas
+        for p, m_p, v_p in zip(params, m, v):
+            g = p.grad
+            m_p *= b1
+            m_p += g * (1 - b1)
+            v_p *= b2
+            v_p += (g * (1 - b2)) * g
+            update = m_p / (1 - b1 ** t) * lr
+            update /= np.sqrt(v_p / (1 - b2 ** t)) + eps
+            p.data -= update
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_step_equals_one_pass_bitwise(self, dtype):
+        """Parameters of 2.3 chunks, of rows that straddle chunk ends (one of them
+        transposed, so not C-contiguous) and of three elements step bitwise as
+        one pass over each parameter would."""
+        rng = np.random.default_rng(5)
+        shapes = [(Adam.CHUNK * 2 + Adam.CHUNK // 3,), (300, 250), (250, 300), (3,)]
+        params = [Parameter(rng.standard_normal(shape), f"p{i}", dtype=dtype)
+                  for i, shape in enumerate(shapes)]
+        params[2] = Parameter(rng.standard_normal((300, 250)).T, "p2", dtype=dtype)
+        assert not params[2].data.flags.c_contiguous
+        want = [Parameter(p.data.copy(), p.name) for p in params]
+        opt = Adam(params, lr=3e-3)
+        m, v = ([np.zeros(p.shape, dtype) for p in params] for _ in range(2))
+        for t in range(1, 5):
+            for p, w in zip(params, want):
+                p.grad = w.grad = np.asarray(
+                    rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6, 2), dtype)
+            opt.step()
+            self.unchunked_step(want, m, v, t, opt.lr, opt.betas, opt.eps)
+            for p, w in zip(params, want):
+                assert p.data.dtype == dtype and p.data.tobytes() == w.data.tobytes(), p.name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_is_two_chunks(self, dtype):
+        """The default backbone's largest parameter, its head weight, is 24 chunks;
+        the scratch stays two chunks per dtype."""
+        model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=dtype)
+        opt = Adam(model.parameters().values())
+        assert max(p.size for p in opt.params) == 24 * Adam.CHUNK
+        assert Adam.CHUNK == 2 ** 15
+        nbytes = sum(s.nbytes for s in opt._scratch.values())
+        assert nbytes <= 2 * Adam.CHUNK * np.dtype(dtype).itemsize
+
+
 class TestTrainSupervised:
     def test_loss_decreases_on_linear_trend(self):
         series = standardized(generate_linear_trend(600))
@@ -468,6 +517,13 @@ class TestTrainBlocks:
                     for b in (k, 2 * k))
         traced = (two - one) / k
         assert 0.7 <= model.config.graph_window_bytes(m, np.float32) / traced <= 1.5, traced
+
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_backbone_batch_of_8_runs_as_two_blocks_of_4(self, mixer):
+        """The benchmark's step (default f32 backbone, 8 windows of 7 channels) keeps
+        two blocks of 4: one pass would hold twice the graph."""
+        model = self.model(mixer, np.float32, BACKBONE_MODEL)
+        assert training.train_blocks(model, 8, 7) == [slice(0, 4), slice(4, 8)]
 
     @pytest.mark.parametrize("mixer", list(MixerKind))
     def test_criterion_6_config_trains_in_one_pass(self, mixer):
