@@ -107,7 +107,7 @@ class EncoderConfig(ConfigFields):
         attention probabilities: ``n_heads * (m * n_patches)^2`` for concat,
         which attends over all channel-tokens at once,
         ``m * n_heads * n_patches^2`` for the others. Residual sums, sublayer
-        outputs and layer-norm outputs are not kept. One more ``d_ff``-wide
+        outputs and the blocks' layer-norm outputs are not kept. One more ``d_ff``-wide
         array (the hidden's gradient) and six residual-sized ones cover the
         embedding, the head and the gradients alive at the backward's peak;
         ICM's memory-path gradients add two, and concat, whose peak its
@@ -321,10 +321,17 @@ class ForecastEncoder:
         return self.final_ln(out)
 
     def _encode_and_project(self, x_norm: Tensor, horizon: int) -> Tensor:
-        enc = self._encode_normalized(x_norm)
+        """The head's forecast from the encoder output.
+
+        The final layer norm's affine is applied to the head's input, which
+        holds far fewer elements than the head's weight, not folded into
+        that weight as a block's norms are.
+        """
+        gain, shift = self.final_ln.affine
+        enc = self._encode_normalized(x_norm) * gain + shift
         b, m, n_patches, d = enc.shape
         w, bias = self.heads[horizon]
-        return linear(enc.reshape(b, m, n_patches * d), w, bias, self.final_ln.affine)
+        return linear(enc.reshape(b, m, n_patches * d), w, bias)
 
     def forecast_normalized(self, x, horizon: int):
         """Forecast in instance-normalized space; returns (pred_norm, stats).

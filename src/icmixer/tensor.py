@@ -34,36 +34,13 @@ class GraphError(RuntimeError):
 
 _grad_enabled = True
 
-# Byte budgets of the package's three blocked loops. Each loop cuts its
-# batch with ``blocks``: the fewest near-equal blocks of whole items whose
-# bytes fit the budget, each at least one item.
-# - ``FORWARD_BLOCK_BYTES``, about one core's L2 cache, has two users.
-#   - A forecast that builds no graph (``forecast_normalized``) runs its
-#     batch in blocks of whole windows whose residual stream
-#     ([m, n_patches, d_model] per window) fits it. ICM attention holds about
-#     nine arrays of that size at once, so a forward-only pass keeps ~17 MB
-#     of activations alive whatever the batch; on the default 7-channel f32
-#     backbone a block is at most 9 windows. Budgets of 1 and 4 MiB ran
-#     within noise of this one.
-#   - ``dot_attention`` runs forward and backward in tiles of whole batch
-#     items whose scores fit it, so that only the saved probabilities are
-#     score-sized; concat's scores are the ones that exceed it.
-# - ``TRAIN_BLOCK_BYTES`` bounds the graph of one block of a train step
-#   (``training.batch_gradients``), each window's graph sized by
-#   ``EncoderConfig.graph_window_bytes``. Every extra block reads every
-#   weight and adds every weight gradient once more, and glibc may give the
-#   freed heap back between blocks and fault it in again. Measured on the
-#   backbone-train benchmark while graph nodes still kept their values
-#   (default 7-channel f32 backbone, ~23 MB a window then, batch 8; peak,
-#   minor faults a step, windows/s in alternating 20 s runs against one
-#   pass): one pass 308-311 MB, 2.8-3.5 k faults; 2 blocks of 4, 226-230
-#   MB, 3.8-4.7 k, +2.4% (5 of 10 pairs faster); 2/3/3, 206 MB, 12.5 k; 4
-#   blocks of 2, 186-188 MB, but faster in 10 of 28 pairs (medians -7.1% to
-#   +1.1% over three sets). So that batch runs as 2 blocks of 4. Since layer
-#   norms fold their affine into the next linear layer a window is 12-14 MB,
-#   and 96 MiB would hold independent's batch of 8 in one pass; 64 MiB holds
-#   4-5 windows of every mixer, and any budget of at least ~32 MiB keeps the
-#   criterion-6 desk config at batch 32 in one pass.
+# Byte budgets of the package's blocked loops, each cut by ``blocks``; the
+# measurements behind them are in CHANGES.md.
+# - ``FORWARD_BLOCK_BYTES``, about one core's L2 cache, bounds a no-graph
+#   forecast block's residual stream and a ``dot_attention`` tile's scores.
+# - ``TRAIN_BLOCK_BYTES`` bounds the graph of one train-step block: it keeps
+#   the default backbone's batch of 8 at 2 blocks of 4, as fewer blocks peak
+#   higher and more blocks reread every weight.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
 TRAIN_BLOCK_BYTES = 64 * 1024 * 1024
 
@@ -131,10 +108,23 @@ def expit(x) -> np.ndarray:
 # once.
 
 def row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, [..., n] -> [..., 1], as one GEMV against ones."""
+    """Sum over the last axis, [..., n] -> [..., 1], as a GEMV against ones.
+
+    The GEMV runs over whole groups of 4 rows, the last 0-3 rows copied into
+    a zeroed group: BLAS sums the rows past the last multiple of 4 in
+    another order, so a row's sum would depend on how many rows share the call.
+    """
     n = x.shape[-1]
-    rows = x.reshape(math.prod(x.shape[:-1]), n) @ np.ones(n, x.dtype)
-    return rows.reshape(*x.shape[:-1], 1)
+    rows = math.prod(x.shape[:-1])
+    x2, ones = x.reshape(rows, n), np.ones(n, x.dtype)
+    full = rows - rows % 4
+    out = np.empty(rows, x.dtype)
+    np.matmul(x2[:full], ones, out=out[:full])
+    if full < rows:
+        tail = np.zeros((4, n), x.dtype)
+        tail[:rows - full] = x2[full:]
+        out[full:] = (tail @ ones)[:rows - full]
+    return out.reshape(*x.shape[:-1], 1)
 
 
 def row_max(x: np.ndarray) -> np.ndarray:
@@ -385,28 +375,18 @@ def _nodes(*tensors) -> tuple:
     return tuple(None if t is None else t._node for t in tensors)
 
 
-def _tiled(a: np.ndarray, d: int) -> np.ndarray:
-    """A norm's [d_norm] gain or bias repeated to the ``d`` rows of a weight it folds into."""
-    return a if a.shape[0] == d else np.tile(a, d // a.shape[0])
-
-
-def _untiled(a: np.ndarray, d_norm: int) -> np.ndarray:
-    """The sum over the tiles of a [d] gradient of a ``_tiled`` gain or bias: [d_norm]."""
-    return a if a.shape[0] == d_norm else a.reshape(-1, d_norm).sum(axis=0)
-
-
 def _fold(norm, d: int):
     """A layer norm's ``(gain, bias)`` Tensors as ``(gain node, bias node, gain array,
     bias array)``, None for None.
 
-    Both are [d_norm], with ``d_norm`` dividing the ``d`` rows of the weight they fold into.
+    Both are [d], one value per row of the weight they fold into.
     """
     if norm is None:
         return None
     gain, shift = norm
-    if gain.shape != shift.shape or gain.ndim != 1 or d % gain.shape[0]:
-        raise DimensionError(f"a norm folded into {d} weight rows needs equal [d_norm] gain "
-                             f"and bias with d_norm dividing {d}, got {gain.shape}, {shift.shape}")
+    if gain.shape != (d,) or shift.shape != (d,):
+        raise DimensionError(f"a norm folded into {d} weight rows needs a [{d}] gain and bias, "
+                             f"got {gain.shape}, {shift.shape}")
     return (*_nodes(gain, shift), gain.data, shift.data)
 
 
@@ -419,7 +399,7 @@ def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None, norm=None) -> 
     input is never scaled.
     """
     if norm is not None:
-        gain, shift = (_tiled(a, w2.shape[0]) for a in norm[2:])
+        gain, shift = norm[2:]
         b = shift @ w2 if b is None else shift @ w2 + b
         w2 = gain[:, None] * w2
     out = x2 @ w2
@@ -444,19 +424,18 @@ def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool, norm=Non
             b._accumulate(g2.sum(axis=0), fresh=True)
         return g2 @ w2.T if need_x else None
     gain, shift, gain_data, shift_data = norm
-    d, d_norm = w2.shape[0], gain_data.shape[0]
-    gain_t = _tiled(gain_data, d)[:, None]
+    gain_t = gain_data[:, None]
     col = g2.sum(axis=0)  # dL/d(bias @ w2 + b)
     if w.requires_grad or gain.requires_grad:
         xg = x2.T @ g2
         if gain.requires_grad:
-            gain._accumulate(_untiled(row_sum(w2 * xg)[:, 0], d_norm), fresh=True)
+            gain._accumulate(row_sum(w2 * xg)[:, 0], fresh=True)
         if w.requires_grad:
             xg *= gain_t
-            xg += _tiled(shift_data, d)[:, None] * col
+            xg += shift_data[:, None] * col
             w._accumulate(xg, fresh=True)
     if shift.requires_grad:
-        shift._accumulate(_untiled(w2 @ col, d_norm), fresh=True)
+        shift._accumulate(w2 @ col, fresh=True)
     if b is not None and b.requires_grad:
         b._accumulate(col, fresh=True)
     return g2 @ (gain_t * w2).T if need_x else None
@@ -469,8 +448,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, norm=None) -> Tensor:
     are folded into the GEMM's rows, and the backward keeps the 2-D ``x`` and
     the ``w`` that were multiplied. ``norm``, a ``(gain, bias)`` pair of a
     layer norm whose normalized output is ``x``, applies that norm's affine
-    first: the result is ``(x * gain + bias) @ w + b``, with the pair tiled
-    to ``d`` when they are shorter (the head reads every patch of a window).
+    first: the result is ``(x * gain + bias) @ w + b``.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear needs [..., d] @ [d, d_out], got {x.shape} and {w.shape}")

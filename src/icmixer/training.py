@@ -260,6 +260,11 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     peak resident set so far (``peak_rss_mb``), the most windows one block of
     a train step holds (``windows_per_block``, see ``batch_gradients``), and
     for ICM mixers the per-block, per-head gate openness ``gate``.
+
+    The returned model holds its parameters only: every parameter's ``grad``
+    is dropped once the last step has run, before the best epoch is restored,
+    and also when ``TrainingDiverged`` is raised. ``batch_gradients`` is the
+    way to get a batch's gradients.
     """
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
@@ -286,57 +291,61 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     best_state = None
     patience_left = config.patience
     loss_curve = []
-    for epoch in range(config.epochs):
-        order = keep[rng.permutation(len(keep))]
-        epoch_losses, grad_norm = [], 0.0
-        epoch_start = time.perf_counter()
-        # A diverging step overflows; the finite-loss and finite-validation
-        # checks report it, so numpy's floating-point warnings would only
-        # repeat it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start in range(0, len(order), config.batch_size):
-                x, y = _batch(train_windows, order[start:start + config.batch_size], lookback)
-                loss, bad = batch_gradients(model, x, y, horizon)
-                if bad is not None:
-                    raise _diverged(f"training loss at epoch {epoch}, batch offset {start}, "
-                                    f"block offset {start + bad}", model, config, horizon)
-                if log is not None:  # np.maximum keeps a NaN norm; max would drop it
-                    grad_norm = float(np.maximum(grad_norm, math.sqrt(sum(
-                        float(np.vdot(p.grad, p.grad)) for p in trainable if p.grad is not None))))
-                optimizer.step()
-                epoch_losses.append(loss)
-            seconds = time.perf_counter() - epoch_start
-            loss_curve.append(float(np.mean(epoch_losses)))
+    try:
+        for epoch in range(config.epochs):
+            order = keep[rng.permutation(len(keep))]
+            epoch_losses, grad_norm = [], 0.0
+            epoch_start = time.perf_counter()
+            # A diverging step overflows; the finite-loss and finite-validation
+            # checks report it, so numpy's floating-point warnings would only
+            # repeat it.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for start in range(0, len(order), config.batch_size):
+                    x, y = _batch(train_windows, order[start:start + config.batch_size], lookback)
+                    loss, bad = batch_gradients(model, x, y, horizon)
+                    if bad is not None:
+                        raise _diverged(f"training loss at epoch {epoch}, batch offset {start}, "
+                                        f"block offset {start + bad}", model, config, horizon)
+                    if log is not None:  # np.maximum keeps a NaN norm; max would drop it
+                        grad_norm = float(np.maximum(grad_norm, math.sqrt(sum(
+                            float(np.vdot(p.grad, p.grad))
+                            for p in trainable if p.grad is not None))))
+                    optimizer.step()
+                    epoch_losses.append(loss)
+                seconds = time.perf_counter() - epoch_start
+                loss_curve.append(float(np.mean(epoch_losses)))
 
-            if len(val_windows):
-                val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
+                if len(val_windows):
+                    val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
+                else:
+                    val_mse = loss_curve[-1]
+            if not np.isfinite(val_mse):
+                raise _diverged(f"validation MSE at epoch {epoch}", model, config, horizon)
+            if log is not None:
+                record = {"dataset": series.name, "mixer": model.config.mixer.value,
+                          "horizon": horizon, "epoch": epoch,
+                          "train_loss": loss_curve[-1], "val_mse": val_mse,
+                          "seconds": seconds, "windows_per_s": len(order) / seconds,
+                          "grad_norm": grad_norm, "windows_per_block": windows_per_block,
+                          "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+                gates = model.gates()
+                if gates:
+                    record["gate"] = gates
+                log(record)
+            if val_mse < best_val:
+                best_val = val_mse
+                if best_state is None:  # one snapshot, overwritten in place after this
+                    best_state = {p.name: p.data.copy() for p in trainable}
+                else:
+                    for p in trainable:
+                        np.copyto(best_state[p.name], p.data)
+                patience_left = config.patience
             else:
-                val_mse = loss_curve[-1]
-        if not np.isfinite(val_mse):
-            raise _diverged(f"validation MSE at epoch {epoch}", model, config, horizon)
-        if log is not None:
-            record = {"dataset": series.name, "mixer": model.config.mixer.value,
-                      "horizon": horizon, "epoch": epoch,
-                      "train_loss": loss_curve[-1], "val_mse": val_mse,
-                      "seconds": seconds, "windows_per_s": len(order) / seconds,
-                      "grad_norm": grad_norm, "windows_per_block": windows_per_block,
-                      "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-            gates = model.gates()
-            if gates:
-                record["gate"] = gates
-            log(record)
-        if val_mse < best_val:
-            best_val = val_mse
-            if best_state is None:  # one snapshot, overwritten in place after this
-                best_state = {p.name: p.data.copy() for p in trainable}
-            else:
-                for p in trainable:
-                    np.copyto(best_state[p.name], p.data)
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
+                patience_left -= 1
+                if patience_left <= 0:
+                    break
+    finally:  # the last step's gradients have no reader left, diverged or not
+        model.zero_grad()
 
     if best_state is not None:
         for p in trainable:

@@ -247,14 +247,8 @@ def feed_forward_chain(x, w1, b1, w2, b2):
 
 
 def norm_affine_chain(xhat, gain, bias):
-    """A layer norm's affine ``xhat * gain + bias``, unfolded.
-
-    ``gain`` and ``bias`` are [d_norm]; a last axis of ``k * d_norm`` (the
-    head's flattened patches) takes them in each of its ``k`` tiles.
-    """
-    *lead, d = xhat.shape
-    tiles = xhat.reshape(*lead, d // gain.shape[0], gain.shape[0])
-    return (tiles * gain + bias).reshape(*lead, d)
+    """A layer norm's affine ``xhat * gain + bias``, unfolded."""
+    return xhat * gain + bias
 
 
 def folded_linear_chain(xhat, w, b, gain, bias):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from composite_chains import norm_affine_chain
 from conftest import graph_nodes, traced_peak, traced_retained
 from icmixer.attention import ConfigError
 from icmixer.encoder import (
@@ -281,6 +282,30 @@ class TestActivationMemory:
         graph.backward()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [4, 7])
+@pytest.mark.parametrize("mixer", list(MixerKind))
+def test_a_windows_forecast_does_not_depend_on_its_batch(mixer, m, dtype):
+    """Each window's forecast in a batch of 9 is bitwise its forecast in batches of 2, 3, 5.
+
+    The model has a real model's row lengths: instance norm over 256 steps,
+    layer norms over 64, attention over 32 patches (concat: all channels'
+    tokens). One case is left out, as BLAS-specific: a one-window batch of 4
+    channels. Its head GEMM has 4 rows, and OpenBLAS sums a GEMM of 1-5 rows
+    of this [2048, 96] head in another order than one of 6 or more (of the
+    default backbone's [8192, 96] head, a 1-row GEMM only). GEMM rows are not
+    padded for it.
+    """
+    config = EncoderConfig(n_blocks=2, d_model=64, n_heads=4, d_ff=128, patch_len=8,
+                           lookback=256, mixer=mixer, horizons=(96,))
+    model = ForecastEncoder(config, seed=0, dtype=dtype)
+    x = np.random.default_rng(m).standard_normal((9, m, 256)) * 2 + 1
+    with no_grad():
+        nine = model.forecast(x, 96).data
+        for b in (2, 3, 5):
+            assert model.forecast(x[:b], 96).data.tobytes() == nine[:b].tobytes(), b
+
+
 class TestForecast:
     def test_tensor_input_runs_in_the_model_dtype(self):
         model = ForecastEncoder(tiny_config(), seed=0, dtype=np.float32)
@@ -351,17 +376,13 @@ class TestForwardBlocks:
 
     @staticmethod
     def single_pass(model, x):
-        """The forecast of one encoder pass over the whole batch.
-
-        The encoder ends in the final layer norm's normalized output; the
-        head folds that norm's affine in.
-        """
+        """The forecast of one encoder pass over the whole batch, then the head as
+        the unfolded chain: the final norm's affine, then the linear layer."""
         x_norm, stats = instance_normalize(Tensor(x, dtype=model.dtype))
-        enc = model._encode_normalized(x_norm)
+        enc = norm_affine_chain(model._encode_normalized(x_norm), *model.final_ln.affine)
         b, m, n_patches, d = enc.shape
         w, bias = model.heads[8]
-        return denormalize(linear(enc.reshape(b, m, n_patches * d), w, bias,
-                                  model.final_ln.affine), stats)
+        return denormalize(linear(enc.reshape(b, m, n_patches * d), w, bias), stats)
 
     @staticmethod
     def record_blocks(model, monkeypatch):

@@ -10,8 +10,7 @@ out-of-place formula.
 
 ``layer_norm`` only normalizes: ``linear`` and ``feed_forward`` fold the
 norm's gain and bias into their first weight. They are checked against the
-unfolded chains of ``composite_chains.py`` (the affine, then the layer), on
-a plain and on a tiled, head-shaped input.
+unfolded chains of ``composite_chains.py`` (the affine, then the layer).
 
 Tolerances were fixed before any result was seen. Each error is measured
 relative to the largest magnitude of the checked array, taken over the
@@ -154,19 +153,16 @@ def test_layer_norm_matches_node_chain(xg):
 def fold_case(draw):
     """``(dtype, xhat, gain, bias)`` of a layer that reads a layer norm's output.
 
-    ``gain`` and ``bias`` are [d_norm] and neither 0 nor 1 anywhere. The
-    layer's input is 1 or 3 tiles of ``d_norm`` wide: the head reads every
-    patch of a window, each normalized on its own.
+    ``gain`` and ``bias`` are [d], ``xhat``'s width, and neither 0 nor 1 anywhere.
     """
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     width = np.dtype(dtype).itemsize * 8
-    d_norm, tiles = draw(st.integers(1, 6)), draw(st.sampled_from([1, 1, 3]))
+    d = draw(st.integers(1, 18))
     lead = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
-    xhat = draw(hnp.arrays(dtype, (*lead, tiles * d_norm),
-                           elements=st.floats(-4.0, 4.0, width=width)))
+    xhat = draw(hnp.arrays(dtype, (*lead, d), elements=st.floats(-4.0, 4.0, width=width)))
     affine = (st.floats(0.125, 4.0, width=width) | st.floats(-4.0, -0.125, width=width)).filter(
         lambda v: v != 1.0)
-    gain, bias = (draw(hnp.arrays(dtype, (d_norm,), elements=affine)) for _ in range(2))
+    gain, bias = (draw(hnp.arrays(dtype, (d,), elements=affine)) for _ in range(2))
     return dtype, xhat, gain, bias
 
 
@@ -180,22 +176,19 @@ def fold_run(fn, xhat, weights, gain, bias, g_seed):
 
 
 def affine_magnitudes(xhat, gain, bias):
-    """|xhat| |gain| + |bias| with the [d_norm] pair tiled along xhat's last axis, in float64."""
-    d = xhat.shape[-1]
-    gain, bias = (np.tile(np.abs(a.astype(np.float64)), d // a.shape[0]) for a in (gain, bias))
+    """(|xhat| |gain| + |bias|, |gain|), in float64."""
+    gain, bias = (np.abs(a.astype(np.float64)) for a in (gain, bias))
     return np.abs(xhat.astype(np.float64)) * gain + bias, gain
 
 
 def norm_affine(xhat, gain, bias):
-    """xhat * gain + bias with the pair tiled along the last axis, in float64."""
-    d = xhat.shape[-1]
-    return (xhat.astype(np.float64) * np.tile(gain.astype(np.float64), d // gain.shape[0])
-            + np.tile(bias.astype(np.float64), d // bias.shape[0]))
+    """xhat * gain + bias, in float64."""
+    return xhat.astype(np.float64) * gain.astype(np.float64) + bias.astype(np.float64)
 
 
-def untile(a, d_norm):
-    """Sum a [..., k * d_norm] array over its leading axes and its k tiles: [d_norm]."""
-    return a.reshape(-1, d_norm).sum(axis=0)
+def column_sums(a):
+    """Sum a [..., d] array over its leading axes: [d]."""
+    return a.reshape(-1, a.shape[-1]).sum(axis=0)
 
 
 @hypothesis.settings(max_examples=150)
@@ -205,7 +198,7 @@ def test_folded_linear_matches_affine_then_linear(case, data):
     norm's affine, then the linear layer. Values and the gradients of xhat,
     w, b, gain and bias, relative to the magnitudes of the terms that form them."""
     dtype, xhat, gain, bias = case
-    d, d_norm = xhat.shape[-1], gain.shape[0]
+    d = xhat.shape[-1]
     d_out = data.draw(st.integers(1, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     w = rng.uniform(-2.0, 2.0, (d, d_out)).astype(dtype)
@@ -221,8 +214,8 @@ def test_folded_linear_matches_affine_then_linear(case, data):
     scales = [gy * gain_t,                               # xhat
               y2.T @ g2,                                 # w
               g2.sum(axis=0),                            # b
-              untile(gy * x2, d_norm),                   # gain
-              untile(gy, d_norm)]                        # bias
+              column_sums(gy * x2),                      # gain
+              column_sums(gy)]                           # bias
     tol = TOLERANCE[dtype]
     assert_close(got, want, tol, y @ w64 + np.abs(b.astype(np.float64)))
     for got_grad, want_grad, scale in zip(got_grads, want_grads, scales):
@@ -237,7 +230,7 @@ def test_folded_feed_forward_matches_affine_then_chain(case, data):
     rounding of 0 may switch sides of the ReLU between the two, so draws with
     one closer to 0 than 100x the tolerance of its term magnitude are skipped."""
     dtype, xhat, gain, bias = case
-    d, d_norm = xhat.shape[-1], gain.shape[0]
+    d = xhat.shape[-1]
     d_ff, d_out = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     weights = [rng.uniform(-2.0, 2.0, shape).astype(dtype)
@@ -266,17 +259,19 @@ def test_folded_feed_forward_matches_affine_then_chain(case, data):
     scales = [(gy * gain_t).reshape(xhat.shape),         # xhat
               y2.T @ gh, gh.sum(axis=0),                 # w1, b1
               hmag.T @ g2, g2.sum(axis=0),               # w2, b2
-              untile(gy * x2, d_norm), untile(gy, d_norm)]  # gain, bias
+              column_sums(gy * x2), column_sums(gy)]     # gain, bias
     assert_close(got, want, tol, (hmag @ w2 + b2).reshape(got.shape))
     for got_grad, want_grad, scale in zip(got_grads, want_grads, scales):
         assert_close(got_grad, want_grad, tol, scale)
 
 
-@pytest.mark.parametrize("gain, bias", [((3,), (3,)), ((4,), (2,)), ((2, 2), (2, 2))],
-                         ids=["not-dividing", "unequal", "not-1-d"])
+@pytest.mark.parametrize("gain, bias", [((2,), (2,)), ((3,), (3,)), ((4,), (2,)),
+                                        ((2, 2), (2, 2))],
+                         ids=["a-tile-of-the-rows", "not-dividing", "unequal", "not-1-d"])
 def test_a_norm_that_does_not_fit_the_weight_is_refused(gain, bias):
+    """A norm folds into a weight with one gain and one bias value per row, no fewer."""
     x, w = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3)))
-    with pytest.raises(DimensionError, match="a norm folded into 4 weight rows"):
+    with pytest.raises(DimensionError, match=r"a norm folded into 4 weight rows needs a \[4\]"):
         linear(x, w, None, (Tensor(np.ones(gain)), Tensor(np.ones(bias))))
 
 

@@ -453,22 +453,24 @@ class TestTrainBlocks:
         assert bad is None
         return loss, {name: p.grad.copy() for name, p in model.parameters().items()}
 
-    @pytest.mark.parametrize("dtype, m", [(np.float32, 4), (np.float64, 4), (np.float64, 3)])
+    @pytest.mark.parametrize("dtype, m, shape", [
+        (np.float32, 4, DESK_MODEL), (np.float64, 4, DESK_MODEL), (np.float64, 3, DESK_MODEL),
+        (np.float32, 7, BACKBONE_MODEL),
+    ], ids=["float32-4", "float64-4", "float64-3", "float32-7-backbone"])
     @pytest.mark.parametrize("mixer", list(MixerKind))
-    def test_blocked_gradients_equal_one_pass(self, mixer, dtype, m, monkeypatch):
+    def test_blocked_gradients_equal_one_pass(self, mixer, dtype, m, shape, monkeypatch):
         """Blocks of 2 and of 1 window give the one-pass loss and gradients.
 
         Tolerance set before measuring: every gradient within 256 eps of the
         dtype relative to its largest magnitude, for the sums that the blocks
-        reorder. With 4 channels a block's forward is bitwise that of one
-        pass. With 3, BLAS may round a window's instance statistics
-        differently in another block (its GEMV sums the rows of an odd row
-        count in another order), and a ReLU input within that rounding of 0
-        switches side, which moves a whole term of a feed-forward gradient:
-        up to 1.6e-3 relative in float32 on the default backbone, against
-        4e-14 in float64 there. So 3 channels run in float64 only.
+        reorder. A block's forward is bitwise that of one pass, since
+        ``row_sum`` sums each row alike whatever rows share its call. When
+        BLAS summed a window's instance statistics in another order in another
+        block (3 or 7 channels), a ReLU input within that rounding of 0
+        switched side and moved a whole term of a feed-forward gradient: 8.6e-4
+        relative in float32 on the default backbone at 7 channels.
         """
-        model = self.model(mixer, dtype)
+        model = self.model(mixer, dtype, shape)
         x, y = self.batch(6, m)
         self.blocks_of(monkeypatch, model, m, 6)
         loss, expected = self.gradients(model, x, y)
@@ -577,13 +579,70 @@ class TestFinetune:
     def test_frozen_backbone_bitwise_unchanged(self):
         model = ForecastEncoder(small_config(), seed=0)
         before = {n: p.data.copy() for n, p in model.parameters().items()}
+        records = []
+
+        def check_gradients(record):
+            """At an epoch's end the last step's gradients still exist: only trained ones."""
+            for name, p in model.parameters().items():
+                assert (p.grad is not None) == beta_and_head_mask(name), name
+            records.append(record)
+
         finetune_beta_and_head(model, self.series, small_train_config(epochs=2),
-                               horizon=8)
+                               horizon=8, log=check_gradients)
+        assert len(records) == 2
         for name, p in model.parameters().items():
             assert p.requires_grad, name  # restored after the run
             if not beta_and_head_mask(name):
                 assert np.array_equal(p.data, before[name]), name
-                assert p.grad is None, name  # never computed
+
+
+class TestTrainedModelHoldsNoGradient:
+    """``train_supervised`` drops every gradient once its last step has run."""
+
+    def setup_method(self):
+        self.series = standardized(generate_lagged_copy(m=2, T=800, lag=4, noise_std=0.1, seed=0))
+        self.model = ForecastEncoder(small_config(), seed=1)
+        self.epochs_with_gradients = []
+
+    def log(self, record):
+        """Count the epochs whose end finds every parameter holding a gradient."""
+        if all(p.grad is not None for p in self.model.parameters().values()):
+            self.epochs_with_gradients.append(record["epoch"])
+
+    def assert_no_gradient(self):
+        assert [n for n, p in self.model.parameters().items() if p.grad is not None] == []
+
+    def test_after_a_run(self):
+        train_supervised(self.model, self.series, small_train_config(epochs=2), horizon=8,
+                         log=self.log)
+        assert self.epochs_with_gradients == [0, 1]
+        self.assert_no_gradient()
+
+    def test_after_a_run_cut_short_by_patience(self, monkeypatch):
+        monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: (1.0, 1.0))
+        train_supervised(self.model, self.series, small_train_config(epochs=5, patience=1),
+                         horizon=8, log=self.log)
+        assert self.epochs_with_gradients == [0, 1]  # epoch 1 did not improve: stop
+        self.assert_no_gradient()
+
+    def test_after_a_diverged_run(self, monkeypatch):
+        """A NaN loss at the second step raises with the first step's gradients alive."""
+        alive = []
+
+        def mse_nan_at_second_step(pred, target):
+            alive.append(all(p.grad is not None for p in self.model.parameters().values()))
+            return Tensor(np.nan) if len(alive) == 2 else mse(pred, target)
+
+        monkeypatch.setattr(training, "mse", mse_nan_at_second_step)
+        with pytest.raises(TrainingDiverged, match="at epoch 0, batch offset 32, "):
+            train_supervised(self.model, self.series, small_train_config(), horizon=8)
+        assert alive == [False, True]
+        self.assert_no_gradient()
+
+    def test_after_a_fine_tune(self):
+        finetune_beta_and_head(self.model, self.series, small_train_config(epochs=2),
+                               horizon=8)
+        self.assert_no_gradient()
 
 
 class TestGradcheck:
