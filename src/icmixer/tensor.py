@@ -18,6 +18,7 @@ computes and differentiates in float32.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 
@@ -39,10 +40,10 @@ _grad_enabled = True
 # - ``FORWARD_BLOCK_BYTES``, about one core's L2 cache, bounds a no-graph
 #   forecast block's residual stream and a ``dot_attention`` tile's scores.
 # - ``TRAIN_BLOCK_BYTES`` bounds the graph of one train-step block: it keeps
-#   the default backbone's batch of 8 at 2 blocks of 4, as fewer blocks peak
-#   higher and more blocks reread every weight.
+#   the default backbone's batch of 8 at 4 blocks of 2, as larger blocks peak
+#   higher and one-window blocks reread every weight for little memory.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
-TRAIN_BLOCK_BYTES = 64 * 1024 * 1024
+TRAIN_BLOCK_BYTES = 32 * 1024 * 1024
 
 
 def blocks(n: int, item_bytes: int, budget: int) -> list:
@@ -107,6 +108,10 @@ def expit(x) -> np.ndarray:
 # costs 5-40x a pass over the whole array. These kernels reduce all rows at
 # once.
 
+# ``row_sum``'s vectors of ones, one per (length, dtype), shared and never written.
+_ones = functools.lru_cache(maxsize=32)(np.ones)
+
+
 def row_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, [..., n] -> [..., 1], as a GEMV against ones.
 
@@ -116,7 +121,7 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     """
     n = x.shape[-1]
     rows = math.prod(x.shape[:-1])
-    x2, ones = x.reshape(rows, n), np.ones(n, x.dtype)
+    x2, ones = x.reshape(rows, n), _ones(n, x.dtype)
     full = rows - rows % 4
     out = np.empty(rows, x.dtype)
     np.matmul(x2[:full], ones, out=out[:full])
@@ -456,11 +461,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, norm=None) -> Tensor:
     if b is not None and b.shape != (d_out,):
         raise DimensionError(f"linear bias must have shape ({d_out},), got {b.shape}")
     norm = _fold(norm, d)
-    # numpy's matmul of an N-D left operand with a 2-D right one runs one
-    # small GEMM per leading index (M = n_patches rows each). With BLAS on one
-    # thread, one [-1, d] GEMM is 1.5-1.7x faster forward and 2.1-2.4x faster
-    # for the input gradient at every default-backbone projection shape, with
-    # bitwise-equal products.
+    # One [-1, d] GEMM, not numpy's N-D matmul, which runs one small GEMM per
+    # leading index (M = n_patches rows each): the same products, faster.
     x2, w2 = x.data.reshape(-1, d), w.data
     out_data = _affine(x2, w2, None if b is None else b.data, norm)
     x, w, b = _nodes(x, w, b)

@@ -172,9 +172,8 @@ def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64
 
     ``windows`` is ``[n, m, lookback + horizon]``. The forecasts run under
     ``no_grad``, so each batch streams through the encoder in blocks of
-    windows (``ForecastEncoder.forecast_normalized``): on the default
-    7-channel f32 backbone the activations alive at once are ~17 MB for any
-    ``batch_size``, against ~133 MB for one pass over a batch of 64.
+    windows (``ForecastEncoder.forecast_normalized``) and the activations
+    alive at once do not grow with ``batch_size``.
     """
     check_integer("batch_size", batch_size)
     lookback = model.config.lookback
@@ -212,8 +211,8 @@ def batch_gradients(model: ForecastEncoder, x, y, horizon: int):
     graph is alive at a time and ``.grad`` sums to the batch's gradient. A
     batch that fits one block runs as one pass, with no weight. The old
     gradients are dropped just before the first backward, as a one-pass step
-    always did: dropping them before the first forward made the allocator
-    give back and fault in again ~3x the pages per default-backbone step.
+    always did: dropped before the first forward, their pages went back to
+    the system and were faulted in again within the step.
 
     Returns ``(loss, None)``, the loss being the sum of the weighted block
     losses; or, at the first block whose loss is not finite, ``(that loss,

@@ -521,11 +521,27 @@ class TestTrainBlocks:
         assert 0.7 <= model.config.graph_window_bytes(m, np.float32) / traced <= 1.5, traced
 
     @pytest.mark.parametrize("mixer", list(MixerKind))
-    def test_backbone_batch_of_8_runs_as_two_blocks_of_4(self, mixer):
-        """The benchmark's step (default f32 backbone, 8 windows of 7 channels) keeps
-        two blocks of 4: one pass would hold twice the graph."""
+    def test_backbone_batch_of_8_runs_as_four_blocks_of_2(self, mixer):
+        """The benchmark's step (default f32 backbone, 8 windows of 7 channels) runs
+        four blocks of 2: two blocks of 4 would hold twice the graph."""
         model = self.model(mixer, np.float32, BACKBONE_MODEL)
-        assert training.train_blocks(model, 8, 7) == [slice(0, 4), slice(4, 8)]
+        assert training.train_blocks(model, 8, 7) == [slice(2 * i, 2 * i + 2) for i in range(4)]
+
+    def test_backbone_step_peak_holds_one_block_of_2(self):
+        """The default f32 ICM step at batch 8 over 7 channels peaks below its new
+        gradient set plus three windows' graph estimate (``graph_window_bytes``).
+
+        Bound set before measuring: the gradients and one 2-window block's
+        graph, with one window's graph of slack for the backward's transients.
+        Blocks of 4 windows would hold two windows' graph more.
+        """
+        model = self.model(MixerKind.ICM, np.float32, BACKBONE_MODEL)
+        x, y = self.batch(8, 7)
+        self.gradients(model, x, y)  # first-call allocations stay out of the peak
+        model.zero_grad()
+        peak, _ = traced_peak(lambda: training.batch_gradients(model, x, y, 96))
+        grads = sum(p.data.nbytes for p in model.parameters().values())
+        assert peak <= grads + 3 * model.config.graph_window_bytes(7, np.float32), peak
 
     @pytest.mark.parametrize("mixer", list(MixerKind))
     def test_criterion_6_config_trains_in_one_pass(self, mixer):
