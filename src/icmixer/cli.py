@@ -110,24 +110,39 @@ def _parse_horizons(text):
     return tuple(int(h) for h in text.split(","))
 
 
-def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
-         save_checkpoints=False) -> tuple:
+def _parse_bool(text):
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# The config fields whose flag is not typed from the field's default.
+CONFIG_FLAGS = {"horizons": {"type": _parse_horizons}, "precision": {"choices": list(PRECISIONS)},
+                "max_train_windows": {"type": int},
+                "finetune_beta": {"type": _parse_bool, "metavar": "{true,false}",
+                                  "help": "run a head+gate fine-tuning stage after training"}}
+
+
+def _run(ns, model_cfg, train_cfg, mixers, run_name, save_checkpoints=False) -> tuple:
     """Train one single-horizon model per (mixer, horizon): the loop of train and compare.
 
     Each model holds only the head it trains, so its init does not depend on
-    the other horizons. A head+gate stage's records carry ``"stage": "head+gate"``.
+    the other horizons. A ``finetune_beta`` stage's records carry ``"stage": "head+gate"``.
     Returns the series, the run directory and one MetricReport per mixer.
     """
-    series = _load_series(ns, model_cfg, splits=("test", "val"))
-    # Each model's config is built, and so checked, before anything is written.
+    # Each distinct mixer's configs are built, so checked, before the repeat check and any I/O.
     configs = [replace(model_cfg, mixer=kind, horizons=(horizon,))
-               for kind in mixers for horizon in model_cfg.horizons]
+               for kind in dict.fromkeys(mixers) for horizon in model_cfg.horizons]
+    repeated = next((name for i, name in enumerate(mixers) if name in mixers[:i]), None)
+    if repeated is not None:  # found by the fifth name: at most four are distinct mixers
+        raise ConfigError(f"--mixers repeats mixer {repeated!r}")
+    series = _load_series(ns, model_cfg, splits=("test", "val"))
     if any(cfg.mixer is MixerKind.ICM_STATIC for cfg in configs):
         check_capacity(series.n_channels, model_cfg.max_channels)
     run_dir = Path(ns.out or "runs") / (ns.name or run_name)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(json.dumps(
-        {"command": ns.command, "mixers": mixers, "finetune_beta": finetune_beta,
+        {"command": ns.command, "mixers": mixers,
          "model": {k: v for k, v in model_cfg.to_dict().items() if k != "mixer"},
          "train": train_cfg.to_dict(), "data": ns.data, "synthetic": ns.synthetic},
         indent=2))
@@ -140,7 +155,7 @@ def _run(ns, model_cfg, train_cfg, mixers, run_name, finetune_beta=False,
             horizon = cfg.horizons[0]
             model = ForecastEncoder(cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
             model, part, _ = train_supervised(model, series, train_cfg, horizon, log=log)
-            if finetune_beta:
+            if train_cfg.finetune_beta:
                 model, part, _ = finetune_beta_and_head(
                     model, series, train_cfg, horizon,
                     log=lambda record: log({**record, "stage": "head+gate"}))
@@ -154,7 +169,7 @@ def cmd_train(ns) -> int:
     model_cfg, train_cfg = _build_configs(ns)
     kind = model_cfg.mixer.value
     series, run_dir, reports = _run(ns, model_cfg, train_cfg, [kind], f"train-{kind}",
-                                    ns.finetune_beta == "true", save_checkpoints=True)
+                                    save_checkpoints=True)
     lines = [f"{'dataset':<40}{'horizon':>8}{'mse':>12}{'mae':>12}"]
     for rec in reports[kind].to_records(series.name):
         lines.append(f"{rec['dataset']:<40}{str(rec['horizon']):>8}"
@@ -174,13 +189,6 @@ def cmd_compare(ns) -> int:
     mixers = [m for m in (ns.mixers or "").split(",") if m]
     if not mixers:
         raise ConfigError("--mixers requires a non-empty comma-separated list")
-    unknown = next((name for name in mixers if name not in MIXER_CHOICES), None)
-    if unknown is not None:
-        raise ConfigError(f"mixer must be one of {', '.join(MIXER_CHOICES)}, got {unknown!r}")
-    first = {}  # mixer -> index of its first appearance
-    for i, name in enumerate(mixers):
-        if first.setdefault(name, i) != i:
-            raise ConfigError(f"--mixers repeats mixer {name!r}")
     series, run_dir, reports = _run(ns, model_cfg, train_cfg, mixers, "compare")
     width = max(len(k) for k in mixers) + 2
     lines = [f"{'variant':<{width}}{series.name:>24}"]
@@ -249,27 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         add_data(p)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output root directory (default: runs)")
         p.add_argument("--name", help="run name under the output root")
-        p.add_argument("--lookback", type=int)
-        p.add_argument("--horizons", type=_parse_horizons)
-        p.add_argument("--n-blocks", dest="n_blocks", type=int)
-        p.add_argument("--d-model", dest="d_model", type=int)
-        p.add_argument("--n-heads", dest="n_heads", type=int)
-        p.add_argument("--d-ff", dest="d_ff", type=int)
-        p.add_argument("--precision", choices=list(PRECISIONS))
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--train-stride", dest="train_stride", type=int)
-        p.add_argument("--max-train-windows", dest="max_train_windows", type=int)
+        for f in (*fields(EncoderConfig), *fields(TrainConfig)):
+            if f.name != "mixer":  # --mixer or --mixers, added by the command
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               **CONFIG_FLAGS.get(f.name, {"type": type(f.default)}))
 
     p_train = sub.add_parser("train", help="supervised training per horizon")
     add_common(p_train)
     p_train.add_argument("--mixer", choices=MIXER_CHOICES)
-    p_train.add_argument("--finetune-beta", choices=["true", "false"], default="false",
-                         help="run a head+gate fine-tuning stage after training")
     p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare", help="train several mixer variants side by side")

@@ -295,7 +295,8 @@ class ForecastEncoder:
     # -- forward --------------------------------------------------------------
 
     def _check_input(self, x) -> Tensor:
-        x = Tensor(x, dtype=self.dtype)
+        # In C order: a cast of a window view would otherwise keep the view's channel-major order.
+        x = Tensor(np.asarray(x.data if isinstance(x, Tensor) else x, self.dtype, order="C"))
         if x.ndim != 3:
             raise DimensionError(f"expected [batch, channels, lookback], got shape {x.shape}")
         if x.shape[1] < 1:

@@ -144,6 +144,7 @@ class TrainConfig(ConfigFields):
     patience: int = 3
     train_stride: int = 1
     max_train_windows: int | None = None  # seeded subsample cap, for desk-scale runs
+    finetune_beta: bool = False  # then a head+gate stage (finetune_beta_and_head)
 
     def __post_init__(self):
         counts = ["epochs", "batch_size", "train_stride", "patience"]
@@ -155,6 +156,8 @@ class TrainConfig(ConfigFields):
         check_positive("learning_rate", self.learning_rate)
         if self.precision not in list(PRECISIONS):  # a list: an unhashable value is no key
             raise ConfigError(f"precision must be in {list(PRECISIONS)}, got {self.precision!r}")
+        if not isinstance(self.finetune_beta, bool):
+            raise ConfigError(f"finetune_beta must be true or false, got {self.finetune_beta!r}")
 
     @property
     def dtype(self):
@@ -162,7 +165,7 @@ class TrainConfig(ConfigFields):
 
 
 def _batch(windows: np.ndarray, idx, lookback: int):
-    """Gather windows ``idx`` of a make_windows array; returns (input, target)."""
+    """Windows ``idx`` (indices gather, a slice is a view) of make_windows; (input, target)."""
     batch = windows[idx]
     return batch[..., :lookback], batch[..., lookback:]
 
@@ -186,10 +189,8 @@ def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64
     sq_sum = abs_sum = count = 0.0
     with no_grad():
         for start in range(0, len(windows), batch_size):
-            x, y = _batch(windows, np.arange(start, min(start + batch_size, len(windows))),
-                          lookback)
-            pred = model.forecast(x, horizon).data
-            err = pred.astype(np.float64) - y
+            x, y = _batch(windows, slice(start, start + batch_size), lookback)
+            err = model.forecast(x, horizon).data.astype(np.float64) - y
             sq_sum += float((err * err).sum())
             abs_sum += float(np.abs(err).sum())
             count += err.size
@@ -222,9 +223,9 @@ def batch_gradients(model: ForecastEncoder, x, y, horizon: int):
     parts = train_blocks(model, b, m)
     total = 0.0
     for part in parts:
-        pred_norm, stats = model.forecast_normalized(x[part].astype(model.dtype), horizon)
+        pred_norm, stats = model.forecast_normalized(x[part], horizon)
         y_norm, _ = instance_normalize(y[part], stats)
-        loss = mse(pred_norm, Tensor(y_norm.data.astype(model.dtype)))
+        loss = mse(pred_norm, y_norm.data.astype(model.dtype, copy=False))
         if len(parts) > 1:
             loss = loss * ((part.stop - part.start) / b)
         if not np.isfinite(loss.item()):

@@ -1,14 +1,21 @@
+import argparse
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icmixer.cli import main, parse_synthetic_spec
+from icmixer.cli import build_parser, main, parse_synthetic_spec
 from icmixer.data import load_csv
 from icmixer.encoder import EncoderConfig, ForecastEncoder, load_checkpoint, save_checkpoint
+from icmixer.training import TrainConfig
 
 
 COMMON = ["--lookback", "32", "--horizons", "8", "--epochs", "1",
@@ -256,6 +263,17 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("value", [1, "true", None], ids=["one", "string", "null"])
+    def test_non_bool_finetune_beta_is_one_error_line(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {"finetune_beta": value}}))
+        rc = main(["train", "--mixer", "icm", *SYNTH, *COMMON, "--config", str(cfg_path),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == \
+            ("", f"error: finetune_beta must be true or false, got {value!r}\n")
+        assert not list(tmp_path.glob("*/metrics.jsonl"))
+
     def test_invalid_json_config_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"model": {"d_model": 16,}}')
@@ -310,7 +328,7 @@ class TestRunLoop:
         records = read_records(tmp_path / "cmp")
         assert [(r["mixer"], r["epoch"]) for r in records] == [("independent", 0), ("icm", 0)]
         config = json.loads((tmp_path / "cmp" / "config.json").read_text())
-        assert (config["command"], config["mixers"], config["finetune_beta"]) == \
+        assert (config["command"], config["mixers"], config["train"]["finetune_beta"]) == \
             ("compare", ["independent", "icm"], False)
         assert not list((tmp_path / "cmp").glob("*.icm"))
 
@@ -322,13 +340,21 @@ class TestRunLoop:
             [(None, 0), (None, 1), ("head+gate", 0), ("head+gate", 1)]
         assert all(r["mixer"] == "icm" for r in records)
         config = json.loads((tmp_path / "ft" / "config.json").read_text())
-        assert (config["command"], config["mixers"], config["finetune_beta"]) == \
+        assert (config["command"], config["mixers"], config["train"]["finetune_beta"]) == \
             ("train", ["icm"], True)
 
-    def test_replay_from_config_json_is_bitwise_equal(self, tmp_path):
+    def test_compare_runs_the_finetune_stage_for_each_mixer(self, tmp_path):
+        assert main(["compare", "--mixers", "independent,icm", *SYNTH, *COMMON,
+                     "--finetune-beta", "true", "--out", str(tmp_path), "--name", "cmp"]) == 0
+        assert [(r["mixer"], r.get("stage"), r["epoch"]) for r in read_records(tmp_path / "cmp")] \
+            == [("independent", None, 0), ("independent", "head+gate", 0),
+                ("icm", None, 0), ("icm", "head+gate", 0)]
+
+    @staticmethod
+    def assert_replays(tmp_path, extra=()):
         """A run's config.json model and train sections, given as --config, replay the run."""
         args = ["train", "--mixer", "icm", *SYNTH, "--out", str(tmp_path)]
-        assert main([*args, *COMMON, "--horizons", "8,16", "--name", "first"]) == 0
+        assert main([*args, *COMMON, *extra, "--horizons", "8,16", "--name", "first"]) == 0
         record = json.loads((tmp_path / "first" / "config.json").read_text())
         cfg_path = tmp_path / "replay.json"
         cfg_path.write_text(json.dumps({"model": record["model"], "train": record["train"]}))
@@ -338,6 +364,12 @@ class TestRunLoop:
         for name in outputs:
             assert (tmp_path / "replay" / name).read_bytes() == \
                 (tmp_path / "first" / name).read_bytes()
+
+    def test_replay_from_config_json_is_bitwise_equal(self, tmp_path):
+        self.assert_replays(tmp_path)
+
+    def test_finetune_replay_from_config_json_is_bitwise_equal(self, tmp_path):
+        self.assert_replays(tmp_path, ["--finetune-beta", "true"])
 
     def test_patience_from_config_file_reaches_the_run(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -606,3 +638,44 @@ def test_directory_as_input_file_is_one_error_line(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize("command, mixer_flag", [("train", "mixer"), ("compare", "mixers")])
+def test_one_flag_per_config_field(command, mixer_flag):
+    """train and compare have one --<field> flag per config field but mixer, and the config
+    flags are all their flags but the run's data, config file, output and mixer flags."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    config_fields = [f.name for cls in (EncoderConfig, TrainConfig) for f in fields(cls)
+                     if f.name != "mixer"]
+    for name in config_fields:
+        assert [a.option_strings for a in actions if a.dest == name] == \
+            [["--" + name.replace("_", "-")]], name
+    assert {a.dest for a in actions} - set(config_fields) == \
+        {"help", "data", "synthetic", "config", "out", "name", mixer_flag}
+
+
+def run_module(*argv):
+    """``python -m icmixer.cli *argv`` in a fresh process, with this checkout's ``src`` first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "icmixer.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+class TestProcess:
+    """The module's exit status is main's return code."""
+
+    def test_bad_config_exits_2_with_one_error_line(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"d_modle": 16}}))
+        proc = run_module("train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: unknown model config key(s): d_modle\n")
+
+    def test_synth_exits_0(self, tmp_path):
+        csv_path = tmp_path / "synth.csv"
+        proc = run_module("synth", "--spec", "lagged:m=2,lag=4,noise=0.1,T=50",
+                          "--path", str(csv_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert load_csv(csv_path).values.shape == (50, 2)

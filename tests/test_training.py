@@ -294,7 +294,7 @@ class TestWindowOracle:
             order = rng.permutation(len(windows))
             for start in range(0, len(order), 16):
                 x, y = stack_batch(windows, order[start:start + 16])
-                expected.append((x.astype(config.dtype), y))
+                expected.append((x, y))  # the model casts its input
         steps = [batch for batch in trained if len(batch) == 2]
         assert len(steps) == len(expected) == 2 * 3
         for (x, y), (x_expected, y_expected) in zip(steps, expected):
