@@ -171,8 +171,8 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     """Bidirectional multi-head scaled dot-product attention, as one node.
 
     Per head, ``softmax(Q K^T / sqrt(d_k) + bias) V`` on [..., n, d_model]
-    Q, K and V, with an optional additive ``bias`` that broadcasts to the
-    [..., h, n_q, n_k] scores; the heads come back merged, [..., n_q, d_model].
+    Q, K and V, with an optional additive ``bias`` [n_q, n_k] that every item
+    and head shares; the heads come back merged, [..., n_q, d_model].
     Besides the inputs, the backward keeps only the probabilities, never the
     scores.
 
@@ -192,13 +192,10 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     scale = 1.0 / math.sqrt(q_h.shape[-1])
     shape = (*q_h.shape[:-1], k_h.shape[-2])  # of the scores, [..., h, n_q, n_k]
     dtype = np.result_type(q_h, k_h)
+    if bias is not None and bias.shape != shape[-2:]:
+        raise DimensionError(f"attention bias must be [n_q, n_k] = {shape[-2:]}, got {bias.shape}")
     tiles = blocks(shape[0], math.prod(shape[1:]) * dtype.itemsize, FORWARD_BLOCK_BYTES)
-    # The bias at the scores' rank: a first axis at full extent is sliced per
-    # tile, one that broadcasts is used whole.
-    b_data = None if bias is None else bias.data.reshape(
-        (1,) * (len(shape) - bias.ndim) + bias.shape)
-    sliced = b_data is not None and b_data.shape[0] > 1
-    b_shape = None if b_data is None else b_data.shape
+    b_data = None if bias is None else bias.data
 
     q, k, v, bias = _nodes(q, k, v, bias)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
@@ -211,7 +208,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         np.matmul(q_h[t], k_h[t].swapaxes(-1, -2), out=p_t)
         p_t *= scale
         if b_data is not None:
-            p_t += b_data[t] if sliced else b_data
+            p_t += b_data
         p_t -= row_max(p_t)  # softmax over keys, in place
         np.exp(p_t, out=p_t)
         p_t /= row_sum(p_t)
@@ -222,7 +219,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         g_dtype = np.result_type(p, g_h, v_h)
         g_v, g_q, g_k = (np.empty(t.shape, g_dtype) for t in (v, q, k))
         g_v_h, g_q_h, g_k_h = _heads(n_heads, g_v, g_q, g_k)
-        g_b = np.zeros(b_shape, g_dtype) if bias is not None and bias.requires_grad else None
+        g_b = np.zeros(b_data.shape, g_dtype) if bias is not None and bias.requires_grad else None
         for t in tiles:
             p_t, g_t = p[t], g_h[t]
             if v.requires_grad:
@@ -230,9 +227,8 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             g_scores = g_t @ v_h[t].swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
             g_scores -= row_sum(g_scores * p_t)
             g_scores *= p_t
-            if g_b is not None:
-                g_b_t = g_b[t] if sliced else g_b
-                g_b_t += _unbroadcast(g_scores, g_b_t.shape)
+            if g_b is not None:  # summed over the tile's items, then its heads
+                g_b += _unbroadcast(g_scores, g_b.shape)
             g_scores *= scale
             if q.requires_grad:
                 np.matmul(g_scores, k_h[t], out=g_q_h[t])
@@ -240,7 +236,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 np.matmul(g_scores.swapaxes(-1, -2), q_h[t], out=g_k_h[t])
         for t, grad in ((v, g_v), (bias, g_b), (q, g_q), (k, g_k)):
             if t is not None and t.requires_grad:
-                t._accumulate(grad.reshape(t.shape), fresh=True)
+                t._accumulate(grad, fresh=True)
 
     return Tensor._make(out_data, parents, bwd)
 

@@ -107,7 +107,10 @@ def _build_configs(ns):
 
 
 def _parse_horizons(text):
-    return tuple(int(h) for h in text.split(","))
+    try:
+        return tuple(int(h) for h in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _parse_bool(text):
@@ -230,9 +233,10 @@ def cmd_inspect(ns) -> int:
 
 def cmd_gradcheck(ns) -> int:
     mixers = [MixerKind(ns.mixer)] if ns.mixer else list(MixerKind)
+    given = {k: v for k, v in vars(ns).items() if k in ("tolerance", "seed") and v is not None}
     ok = True
     for kind in mixers:
-        report = gradcheck(shrunken_config(kind), tolerance=ns.tolerance, seed=ns.seed or 0)
+        report = gradcheck(shrunken_config(kind), **given)
         print(report.summary())
         ok = ok and report.passed
     return 0 if ok else 1
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_gc.add_argument("--mixer", choices=MIXER_CHOICES)
-    p_gc.add_argument("--tolerance", type=float, default=1e-4)
+    p_gc.add_argument("--tolerance", type=float)
     p_gc.add_argument("--seed", type=int)
     p_gc.set_defaults(func=cmd_gradcheck)
 
@@ -295,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--path", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False  # exact flags: a new flag cannot make a prefix ambiguous
     return parser
 
 

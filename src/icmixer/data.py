@@ -160,8 +160,8 @@ def standardized(series: MultivariateSeries) -> MultivariateSeries:
                               split_bounds=series.split_bounds)
 
 
-def make_windows(series: MultivariateSeries, lookback: int = 256, horizon: int = 96,
-                 stride: int = 1, split: str = "train") -> np.ndarray:
+def make_windows(series: MultivariateSeries, lookback: int, horizon: int, stride: int = 1,
+                 split: str = "train") -> np.ndarray:
     """All windows fully inside the split region, as one read-only array.
 
     Returns ``[N, m, lookback + horizon]``: window ``i`` holds the rows from

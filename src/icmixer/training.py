@@ -87,11 +87,12 @@ class Adam:
     """
 
     CHUNK = 2 ** 15
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
 
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         check_positive("lr", lr)
-        self.params = list(params)
-        self.lr, self.betas, self.eps = lr, betas, eps
+        self.params, self.lr = list(params), lr
         self.m = [np.zeros(p.shape, p.dtype) for p in self.params]
         self.v = [np.zeros(p.shape, p.dtype) for p in self.params]
         size = min(max((p.size for p in self.params), default=0), self.CHUNK)
@@ -100,7 +101,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
@@ -123,7 +124,7 @@ class Adam:
                 s1 *= self.lr
                 np.divide(v_c, c2, out=s2)
                 np.sqrt(s2, out=s2)
-                s2 += self.eps
+                s2 += self.EPS
                 s1 /= s2
                 p_flat[lo:hi] -= s1
 
@@ -251,6 +252,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                      config: TrainConfig, horizon: int, log=None):
     """Train the parameters that require grad on MSE, select by validation MSE.
 
+    The given model is the first candidate: with validation windows it is
+    scored before epoch 0, and an epoch replaces it only by scoring lower.
     Returns (model, MetricReport, loss_curve) where loss_curve is the list of
     per-epoch mean training losses. `series` should already be standardized.
     Each epoch's ``log`` record also carries the wall time of its training
@@ -287,10 +290,11 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     windows_per_block = max(part.stop - part.start for part in train_blocks(
         model, min(config.batch_size, len(keep)), train_windows.shape[1]))
 
-    best_val = np.inf
-    best_state = None
-    patience_left = config.patience
-    loss_curve = []
+    best_val, best_state = np.inf, None
+    if len(val_windows):  # an epoch must beat the given model to replace it
+        best_val, _ = evaluate(model, val_windows, horizon, config.batch_size)
+        best_state = {p.name: p.data.copy() for p in trainable}
+    patience_left, loss_curve = config.patience, []
     try:
         for epoch in range(config.epochs):
             order = keep[rng.permutation(len(keep))]
@@ -315,10 +319,8 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                 seconds = time.perf_counter() - epoch_start
                 loss_curve.append(float(np.mean(epoch_losses)))
 
-                if len(val_windows):
-                    val_mse, _ = evaluate(model, val_windows, horizon, config.batch_size)
-                else:
-                    val_mse = loss_curve[-1]
+                val_mse = (evaluate(model, val_windows, horizon, config.batch_size)[0]
+                           if len(val_windows) else loss_curve[-1])
             if not np.isfinite(val_mse):
                 raise _diverged(f"validation MSE at epoch {epoch}", model, config, horizon)
             if log is not None:
@@ -328,8 +330,7 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
                           "seconds": seconds, "windows_per_s": len(order) / seconds,
                           "grad_norm": grad_norm, "windows_per_block": windows_per_block,
                           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-                gates = model.gates()
-                if gates:
+                if gates := model.gates():
                     record["gate"] = gates
                 log(record)
             if val_mse < best_val:
@@ -378,6 +379,9 @@ def finetune_beta_and_head(model: ForecastEncoder, series: MultivariateSeries,
 
 
 # -- gradient verification ----------------------------------------------------
+# gradcheck's central-difference step, coordinates probed per parameter and input channels.
+GRADCHECK_STEP, GRADCHECK_COORDS, GRADCHECK_CHANNELS = 1e-5, 24, 2
+
 
 def shrunken_config(mixer: MixerKind) -> EncoderConfig:
     """Small double-precision-friendly configuration for finite differences."""
@@ -405,26 +409,21 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(config: EncoderConfig | None = None, tolerance: float = 1e-4,
-              seed: int = 0, h: float = 1e-5, max_coords: int = 24,
-              n_channels: int = 2) -> GradcheckReport:
+def gradcheck(config: EncoderConfig, tolerance: float = 1e-4, seed: int = 0) -> GradcheckReport:
     """Compare autodiff gradients of the MSE loss against central differences.
 
     Every parameter tensor is checked; within large tensors a seeded sample of
-    at most `max_coords` coordinates is probed (exhaustive for small tensors).
-    ``tolerance`` and the step ``h`` must be finite and > 0: a NaN or infinite
+    at most ``GRADCHECK_COORDS`` coordinates is probed (exhaustive for small
+    tensors). ``tolerance`` must be finite and > 0: a NaN or infinite
     tolerance passes anything. A non-finite error fails its parameter.
     """
     check_integer("seed", seed, minimum=0)
     check_positive("tolerance", tolerance)
-    check_positive("h", h)
-    if config is None:
-        config = shrunken_config(MixerKind.ICM)
     model = ForecastEncoder(config, seed=seed, dtype=np.float64)
     horizon = config.horizons[0]
     rng = np.random.default_rng(seed + 1)
-    x = rng.uniform(-2, 2, (1, n_channels, config.lookback))
-    y = rng.uniform(-2, 2, (1, n_channels, horizon))
+    x = rng.uniform(-2, 2, (1, GRADCHECK_CHANNELS, config.lookback))
+    y = rng.uniform(-2, 2, (1, GRADCHECK_CHANNELS, horizon))
 
     def loss_value() -> float:
         with no_grad():
@@ -439,19 +438,17 @@ def gradcheck(config: EncoderConfig | None = None, tolerance: float = 1e-4,
     for name, p in model.parameters().items():
         flat = p.data.reshape(-1)
         grad = p.grad.reshape(-1) if p.grad is not None else np.zeros_like(flat)
-        if flat.size <= max_coords:
-            coords = range(flat.size)
-        else:
-            coords = coord_rng.choice(flat.size, size=max_coords, replace=False)
+        coords = (range(flat.size) if flat.size <= GRADCHECK_COORDS
+                  else coord_rng.choice(flat.size, size=GRADCHECK_COORDS, replace=False))
         errs = []
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADCHECK_STEP
             fp = loss_value()
-            flat[i] = orig - h
+            flat[i] = orig - GRADCHECK_STEP
             fm = loss_value()
             flat[i] = orig
-            fd = (fp - fm) / (2 * h)
+            fd = (fp - fm) / (2 * GRADCHECK_STEP)
             denom = max(abs(fd), abs(grad[i]), 1e-6)
             errs.append(abs(fd - grad[i]) / denom)
         # np.max, unlike max, propagates a NaN error, and a NaN is not < tolerance.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,17 @@ class TestShapeErrors:
         q, kv = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5)))
         with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 5\)"):
             dot_attention(q, kv, kv, 1)
+
+    @pytest.mark.parametrize("bias_shape", [(1, 3, 4), (2, 1, 3, 4), (2, 2, 3, 4), (3, 1), (4,),
+                                            (), (4, 3)],
+                             ids=["leading-1", "per-item", "per-item-and-head", "column", "row",
+                                  "scalar", "transposed"])
+    def test_dot_attention_bias_of_another_shape(self, bias_shape):
+        """The bias is one [n_q, n_k] matrix: a broadcasting or per-item one is refused."""
+        q, k = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 4)))
+        with pytest.raises(DimensionError, match=re.escape(
+                f"attention bias must be [n_q, n_k] = (3, 4), got {bias_shape}")):
+            dot_attention(q, k, k, 2, Tensor(np.zeros(bias_shape)))
 
     @pytest.mark.parametrize("kernel", ["dot_attention", "accumulate_memory"])
     def test_width_not_divisible_by_heads(self, kernel):

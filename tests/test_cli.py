@@ -263,6 +263,15 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("value", ["8,a", ""], ids=["letter", "empty"])
+    def test_malformed_horizons_say_what_a_horizon_list_is(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mixer", "icm", *SYNTH, "--horizons", value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --horizons: expected comma-separated integers, got {value!r}\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("value", [1, "true", None], ids=["one", "string", "null"])
     def test_non_bool_finetune_beta_is_one_error_line(self, tmp_path, capsys, value):
         cfg_path = tmp_path / "cfg.json"
@@ -653,6 +662,21 @@ def test_one_flag_per_config_field(command, mixer_flag):
             [["--" + name.replace("_", "-")]], name
     assert {a.dest for a in actions} - set(config_fields) == \
         {"help", "data", "synthetic", "config", "out", "name", mixer_flag}
+
+
+@pytest.mark.parametrize("argv, abbreviation", [
+    (["train", "--mixer", "icm", *SYNTH, "--epo", "3"], "--epo 3"),
+    (["compare", "--mixers", "icm", *SYNTH, "--lookb", "32"], "--lookb 32"),
+    (["gradcheck", "--mix", "icm"], "--mix icm"),
+], ids=["train", "compare", "gradcheck"])
+def test_flags_are_exact(capsys, argv, abbreviation):
+    """A prefix of a flag is not that flag, so a new flag cannot make it ambiguous."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"icmixer: error: unrecognized arguments: {abbreviation}\n")
 
 
 def run_module(*argv):
