@@ -178,12 +178,14 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     Forward and backward run in the fewest near-equal tiles of whole items
     along the first axis of the scores that keep a tile's scores within
-    ``FORWARD_BLOCK_BYTES`` (``blocks``), so every score-sized temporary
-    stays tile-sized and in cache. A graph's forward writes each tile's
-    probabilities into the one saved array; without a graph all tiles share
-    one tile-sized buffer. Each element is computed as in one untiled pass,
-    so outputs and the q/k/v gradients do not depend on the tiling; only the
-    bias gradient, summed tile by tile, rounds differently.
+    ``FORWARD_BLOCK_BYTES // 2`` (``blocks``): a tile's backward holds two
+    more arrays of its scores' size, dL/dp and its product with p, so half
+    the budget keeps a tile's working set near one core's L2 cache. A
+    graph's forward writes each tile's probabilities into the one saved
+    array; without a graph all tiles share one tile-sized buffer. Each
+    element is computed as in one untiled pass, so outputs and the q/k/v
+    gradients do not depend on the tiling; only the bias gradient, summed
+    tile by tile, rounds differently.
     """
     if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention needs Q, K and V of equal leading dims and as many "
@@ -194,7 +196,7 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     dtype = np.result_type(q_h, k_h)
     if bias is not None and bias.shape != shape[-2:]:
         raise DimensionError(f"attention bias must be [n_q, n_k] = {shape[-2:]}, got {bias.shape}")
-    tiles = blocks(shape[0], math.prod(shape[1:]) * dtype.itemsize, FORWARD_BLOCK_BYTES)
+    tiles = blocks(shape[0], math.prod(shape[1:]) * dtype.itemsize, FORWARD_BLOCK_BYTES // 2)
     b_data = None if bias is None else bias.data
 
     q, k, v, bias = _nodes(q, k, v, bias)

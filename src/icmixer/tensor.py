@@ -38,7 +38,8 @@ _grad_enabled = True
 # Byte budgets of the package's blocked loops, each cut by ``blocks``; the
 # measurements behind them are in CHANGES.md.
 # - ``FORWARD_BLOCK_BYTES``, about one core's L2 cache, bounds a no-graph
-#   forecast block's residual stream and a ``dot_attention`` tile's scores.
+#   forecast block's residual stream. Half of it bounds a ``dot_attention``
+#   tile's scores, as that tile's backward holds two more arrays its size.
 # - ``TRAIN_BLOCK_BYTES`` bounds the graph of one train-step block: it keeps
 #   the default backbone's batch of 8 at 4 blocks of 2, as larger blocks peak
 #   higher and one-window blocks reread every weight for little memory.

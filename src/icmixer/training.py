@@ -90,7 +90,7 @@ class Adam:
     BETAS = (0.9, 0.999)
     EPS = 1e-8
 
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         check_positive("lr", lr)
         self.params, self.lr = list(params), lr
         self.m = [np.zeros(p.shape, p.dtype) for p in self.params]

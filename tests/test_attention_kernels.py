@@ -16,11 +16,11 @@ equal its chain bitwise except in the ``beta`` gradient, whose sum runs in
 another order, and ``feed_forward`` must equal ``linear -> relu -> linear``
 bitwise everywhere, NaN included.
 
-``dot_attention`` runs in tiles of batch items sized by
-``FORWARD_BLOCK_BYTES``. Over several tiles its output and q/k/v gradients
-must equal one-item calls bitwise, a bias with a full batch axis must match
-the chain, and ``tracemalloc`` pins that no score-sized temporary is
-allocated beside the saved probabilities.
+``dot_attention`` runs in tiles of batch items whose scores fit
+``FORWARD_BLOCK_BYTES // 2``. Over several tiles its output and q/k/v
+gradients must equal one-item calls bitwise, and ``tracemalloc`` pins that
+no score-sized temporary is allocated beside the saved probabilities: a
+backward holds at most two half-budget tiles above its gradients.
 
 Tolerances were fixed before any result was seen: float64 1e-12 and
 float32 1e-5, relative to the summed magnitudes of the terms that form each
@@ -42,11 +42,12 @@ from composite_chains import (
     retrieve_memory_chain,
 )
 from conftest import traced_peak
+from icmixer import attention
 from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
 from icmixer.encoder import EncoderConfig, ForecastEncoder
 from icmixer.mixers import MixerKind, same_channel_mask
-from icmixer.tensor import (FORWARD_BLOCK_BYTES, Tensor, expit, feed_forward, no_grad, row_max,
-                            row_sum)
+from icmixer.tensor import (FORWARD_BLOCK_BYTES, Tensor, blocks, expit, feed_forward, no_grad,
+                            row_max, row_sum)
 from icmixer.training import mse
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -220,13 +221,14 @@ def check_dot_attention(h, q, k, v, bias):
 
 
 # Tiles along the scores' first axis: H heads of N = 4 channels x 10 tokens,
-# concat's layout, so that a tile holds FORWARD_BLOCK_BYTES // (H N^2 itemsize)
-# batch items (163 in float32, 81 in float64).
+# concat's layout, so that a tile holds FORWARD_BLOCK_BYTES // 2 // (H N^2
+# itemsize) batch items (81 in float32, 40 in float64).
 H, N, D_K = 2, 40, 4
+TILE_BYTES = FORWARD_BLOCK_BYTES // 2
 
 
 def items_per_tile(dtype):
-    return FORWARD_BLOCK_BYTES // (H * N * N * np.dtype(dtype).itemsize)
+    return TILE_BYTES // (H * N * N * np.dtype(dtype).itemsize)
 
 
 def attention_and_grads(q, k, v, g, bias):
@@ -266,8 +268,8 @@ def test_concat_train_step_peak_falls_with_tiles():
     """One f32 desk concat step at m = 8, batch 16 holds one score-sized array, not three.
 
     Untiled, the saved probabilities, dL/dp and their product (16.8 MB each)
-    were alive at once: a traced peak of 58-59 MB. Tiled, the step peaks at
-    ~30 MB.
+    were alive at once: a traced peak of 58-59 MB. In half-budget tiles the
+    step peaks at 25.5 MB.
     """
     config = EncoderConfig(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8,
                            lookback=256, mixer=MixerKind.CONCAT, horizons=(96,))
@@ -277,6 +279,45 @@ def test_concat_train_step_peak_falls_with_tiles():
     y = Tensor(rng.standard_normal((16, 8, 96)).astype(np.float32))
     peak, _ = traced_peak(lambda: mse(model.forecast_normalized(x, 96)[0], y).backward())
     assert peak <= 0.6 * 58.6e6, peak
+
+
+def test_concat_attention_backward_holds_two_half_budget_tiles():
+    """One f32 backward at the desk concat shape stays within its gradients and two tiles.
+
+    Batch 32 of 4 heads over 4 channels x 32 patches is 8 MiB of scores, 8
+    tiles of 4 items. Above the saved probabilities, the backward holds dq,
+    dk, dv, the bias gradient and per tile dL/dp and its product with p, so
+    it peaks at most two half-budget tiles above its gradients.
+    """
+    b, n, d = 32, 128, 32
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((b, n, d)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = same_channel_mask(4, n // 4, np.float32)
+    bias = Tensor(0.7 * mask - 0.3 * (1 - mask), requires_grad=True)
+    out = dot_attention(q, k, v, 4, bias)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    peak, _ = traced_peak(lambda: out._backward(g))
+    grads = 3 * q.data.nbytes + bias.data.nbytes
+    assert peak <= grads + 2 * TILE_BYTES + 64 * 1024, (peak, grads)
+
+
+def test_default_backbone_forecast_block_attends_in_one_tile(monkeypatch):
+    """An 8-window f32 block of the default 7-channel backbone, the largest forecast
+    block ``evaluate`` runs, takes each attention's scores (0.92 MB) in one tile."""
+    tile_counts = []
+
+    def counted(n, item_bytes, budget):
+        tiles = blocks(n, item_bytes, budget)
+        tile_counts.append(len(tiles))
+        return tiles
+
+    monkeypatch.setattr(attention, "blocks", counted)
+    model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=np.float32)
+    x = np.random.default_rng(0).standard_normal((8, 7, 256)).astype(np.float32)
+    with no_grad():
+        model.forecast_normalized(x, 96)
+    assert tile_counts == [1] * model.config.n_blocks
 
 
 def test_no_grad_concat_attention_holds_no_score_sized_array():

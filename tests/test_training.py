@@ -167,7 +167,7 @@ class TestAdam:
         """The default backbone's largest parameter, its head weight, is 24 chunks;
         the scratch stays two chunks per dtype."""
         model = ForecastEncoder(EncoderConfig(horizons=(96,)), seed=0, dtype=dtype)
-        opt = Adam(model.parameters().values())
+        opt = Adam(model.parameters().values(), lr=1e-4)
         assert max(p.size for p in opt.params) == 24 * Adam.CHUNK
         assert Adam.CHUNK == 2 ** 15
         nbytes = sum(s.nbytes for s in opt._scratch.values())
