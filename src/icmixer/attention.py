@@ -23,6 +23,7 @@ from .tensor import (
     _nodes,
     _unbroadcast,
     blocks,
+    draw_normal,
     expit,
     grad_enabled,
     linear,
@@ -285,7 +286,8 @@ class MultiHeadSelfAttention:
         d = config.d_model
         scale = 1.0 / math.sqrt(d)
         self.wq, self.wk, self.wv, self.wo = (
-            param(f"{prefix}.{name}", (d, d), lambda shape: rng.standard_normal(shape) * scale)
+            param(f"{prefix}.{name}", (d, d),
+                  lambda shape, dtype: draw_normal(rng, shape, dtype, lambda z: z * scale))
             for name in ("wq", "wk", "wv", "wo"))
 
     def project_qkv(self, x: Tensor, norm=None):

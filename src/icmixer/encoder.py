@@ -23,8 +23,9 @@ import numpy as np
 from .attention import (ConfigError, ICMAttention, MultiHeadSelfAttention, check_integer,
                         check_positive)
 from .mixers import ConcatAttention, MixerKind, add_static_channel_embedding
-from .tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, blocks, expit,
-                     feed_forward, grad_enabled, layer_norm, linear, row_sum)
+from .tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, blocks,
+                     draw_normal, expit, feed_forward, grad_enabled, layer_norm, linear,
+                     row_sum)
 
 INSTANCE_NORM_EPS = 1e-5
 PRECISIONS = {"f32": np.float32, "f64": np.float64}  # the model dtypes, by CLI name
@@ -50,7 +51,9 @@ class ConfigFields:
     def from_dict(cls, d: dict):
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
-            raise ConfigError(f"unknown {cls.section} config key(s): {', '.join(unknown)}")
+            # As reprs: a key may hold a line break or a lone surrogate.
+            raise ConfigError(f"unknown {cls.section} config key(s): "
+                              f"{', '.join(map(repr, unknown))}")
         return cls(**d)
 
 
@@ -176,7 +179,7 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
 
 def fan_in_normal(rng):
     """The init of a [fan_in, ...] weight: standard normal draws over sqrt(fan_in)."""
-    return lambda shape: rng.standard_normal(shape) / np.sqrt(shape[0])
+    return lambda shape, dtype: draw_normal(rng, shape, dtype, lambda z: z / np.sqrt(shape[0]))
 
 
 class LayerNorm:
@@ -231,13 +234,16 @@ class ForecastEncoder:
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64):
         self._build(config, np.random.default_rng(seed), dtype,
-                    lambda name, shape, init: init(shape))
+                    lambda name, shape, init: init(shape, dtype))
 
     def _build(self, config: EncoderConfig, rng, dtype, make):
         """Build the layers, which declare each parameter in turn as (name, shape, init).
 
-        ``make(name, shape, init)`` returns its array: ``init(shape)`` for a fresh model;
-        a load checks the declaration against the file's next entry and reads it.
+        ``make(name, shape, init)`` returns its array. For a fresh model that is
+        ``init(shape, dtype)``, an array made in the model dtype (``np.zeros``,
+        ``np.ones`` or a ``draw_normal`` init, which draws chunk by chunk), so
+        construction holds the parameters and one chunk. A load checks the
+        declaration against the file's next entry and reads it.
         """
         self.config = config
         self.dtype = np.dtype(dtype)
@@ -247,7 +253,7 @@ class ForecastEncoder:
         d = config.d_model
 
         def param(name, shape, init):
-            """The one place a parameter is made: named, cast to the model dtype, registered."""
+            """The one place a parameter is made: named, in the model dtype, registered."""
             p = self._params[name] = Parameter(make(name, shape, init), name, dtype=dtype)
             return p
 
@@ -256,9 +262,10 @@ class ForecastEncoder:
         self.channel_bias = ((param("channel_bias.u1", (), np.zeros),
                               param("channel_bias.u2", (), np.zeros))
                              if config.mixer is MixerKind.CONCAT else None)
-        self.channel_embed = (param("channel_embed.table", (config.max_channels, d),
-                                    lambda shape: rng.standard_normal(shape) * 0.02)
-                              if config.mixer is MixerKind.ICM_STATIC else None)
+        self.channel_embed = (
+            param("channel_embed.table", (config.max_channels, d),
+                  lambda shape, dtype: draw_normal(rng, shape, dtype, lambda z: z * 0.02))
+            if config.mixer is MixerKind.ICM_STATIC else None)
 
         self.blocks = [EncoderBlock(config, rng, f"block.{i}", param, self.channel_bias)
                        for i in range(config.n_blocks)]

@@ -45,6 +45,10 @@ _grad_enabled = True
 #   higher and one-window blocks reread every weight for little memory.
 FORWARD_BLOCK_BYTES = 2 * 1024 * 1024
 TRAIN_BLOCK_BYTES = 32 * 1024 * 1024
+# Elements of a parameter that a pass over it takes at once (256 KiB of
+# float64): an Adam update and a fresh init's draws run chunk by chunk, so
+# neither holds a temporary the size of the default backbone's head weight.
+PARAM_CHUNK = 2 ** 15
 
 
 def blocks(n: int, item_bytes: int, budget: int) -> list:
@@ -527,6 +531,22 @@ def layer_norm(x: Tensor) -> Tensor:
             x._accumulate(dx, fresh=True)
 
     return Tensor._make(xhat, (x,), bwd)
+
+
+def draw_normal(rng, shape, dtype, transform) -> np.ndarray:
+    """A fresh ``dtype`` array of ``shape``: ``transform`` of ``rng``'s standard normal draws.
+
+    The draws come ``PARAM_CHUNK`` at a time; each chunk is transformed in
+    float64 and cast into place, so no float64 array of the whole shape is
+    made. The chunks continue one stream, so the values are bitwise those of
+    ``transform(rng.standard_normal(shape)).astype(dtype)``.
+    """
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, PARAM_CHUNK):
+        hi = min(lo + PARAM_CHUNK, flat.size)
+        flat[lo:hi] = transform(rng.standard_normal(hi - lo))
+    return out
 
 
 class Parameter(Tensor):

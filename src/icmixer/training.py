@@ -18,7 +18,7 @@ from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
 from .encoder import PRECISIONS, ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
-from .tensor import TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad
+from .tensor import PARAM_CHUNK, TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,7 +86,7 @@ class Adam:
     as one pass over the whole parameter, so chunking changes no bit.
     """
 
-    CHUNK = 2 ** 15
+    CHUNK = PARAM_CHUNK
     BETAS = (0.9, 0.999)
     EPS = 1e-8
 

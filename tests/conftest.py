@@ -7,13 +7,15 @@ no per-example deadline (timings on a shared machine are not a property).
 
 import tracemalloc
 
+import numpy as np
+
 from icmixer.tensor import Parameter
 
 
 def param(name, shape, init):
     """The parameter factory of a layer built on its own, outside a model:
-    ``init(shape)`` as a float64 Parameter named ``name``, registered nowhere."""
-    return Parameter(init(shape), name)
+    ``init(shape, np.float64)`` as a Parameter named ``name``, registered nowhere."""
+    return Parameter(init(shape, np.float64), name)
 
 
 def traced_peak(fn):

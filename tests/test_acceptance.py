@@ -194,7 +194,7 @@ def test_criterion_8_concat_softmax_shift_invariance():
 
     def bias(value):
         """The pair (u1, u2), both ``value``."""
-        return [param(f"channel_bias.{u}", (), lambda shape: np.full(shape, value))
+        return [param(f"channel_bias.{u}", (), lambda shape, dtype: np.full(shape, value, dtype))
                 for u in ("u1", "u2")]
 
     layer0 = ConcatAttention(acfg, np.random.default_rng(3), "attn", param, bias(0.0))

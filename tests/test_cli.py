@@ -194,8 +194,8 @@ class TestTrainCommand:
         assert written["model"]["d_model"] == 16
 
     @pytest.mark.parametrize("file_cfg,message", [
-        ({"model": {"d_modle": 16}}, "unknown model config key(s): d_modle"),
-        ({"train": {"epochz": 1}}, "unknown train config key(s): epochz"),
+        ({"model": {"d_modle": 16}}, "unknown model config key(s): 'd_modle'"),
+        ({"train": {"epochz": 1}}, "unknown train config key(s): 'epochz'"),
         ({"trian": {"epochs": 1}}, "expected a JSON object with at most a 'model' and a 'train' "
                                    "section"),
         ({"model": {"mixer": "bogus"}},
@@ -212,6 +212,14 @@ class TestTrainCommand:
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert not list(tmp_path.glob("*/metrics.jsonl"))
+
+    def test_unknown_key_with_a_line_break_is_one_error_line(self, tmp_path, capsys):
+        """Unknown keys print as reprs: a raw line break in one split its error in two."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"d_model\n": 16}}))
+        rc = main(["train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown model config key(s): 'd_model\\n'\n"
 
     @pytest.mark.parametrize("key, value", [("epochs", 1.7), ("batch_size", "16"),
                                             ("train_stride", 2.0)])
@@ -695,7 +703,7 @@ class TestProcess:
         cfg_path.write_text(json.dumps({"model": {"d_modle": 16}}))
         proc = run_module("train", *SYNTH, "--config", str(cfg_path), "--out", str(tmp_path))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
-            (2, "", "error: unknown model config key(s): d_modle\n")
+            (2, "", "error: unknown model config key(s): 'd_modle'\n")
 
     def test_synth_exits_0(self, tmp_path):
         csv_path = tmp_path / "synth.csv"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -21,8 +22,8 @@ from icmixer.encoder import (
     sinusoidal_positions,
 )
 from icmixer.mixers import MixerKind
-from icmixer.tensor import (FORWARD_BLOCK_BYTES, DimensionError, Parameter, Tensor, linear,
-                            no_grad)
+from icmixer.tensor import (FORWARD_BLOCK_BYTES, PARAM_CHUNK, DimensionError, Parameter, Tensor,
+                            linear, no_grad)
 from icmixer.training import mse, shrunken_config
 
 
@@ -544,6 +545,57 @@ def rebind_all(model, dtype):
         p.data = p.data.astype(dtype)
 
 
+def one_shot_init(model, seed):
+    """(name, array) of each parameter of a fresh ``model`` built at ``seed``, in its order.
+
+    The init formulas transcribed with one float64 draw of each weight's
+    whole shape from ``default_rng(seed)``, cast to the model dtype: fan-in
+    weights divide by sqrt(fan_in), attention projections multiply by
+    1/sqrt(d_model), the static channel table multiplies by 0.02, layer-norm
+    gains are ones and every other parameter zeros.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(model.config.d_model)
+    for name, p in model.parameters().items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("wq", "wk", "wv", "wo"):
+            value = rng.standard_normal(p.shape) * scale
+        elif leaf == "table":
+            value = rng.standard_normal(p.shape) * 0.02
+        elif leaf in ("w", "w1", "w2"):
+            value = rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
+        elif leaf == "gain":
+            value = np.ones(p.shape)
+        else:
+            value = np.zeros(p.shape)
+        yield name, value.astype(p.dtype)
+
+
+class TestInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mixer", list(MixerKind))
+    def test_chunked_draws_equal_one_shot_draws(self, mixer, dtype):
+        """The default backbone's weights span many draw chunks (its 384-step head
+        ~96), and every parameter is bitwise the one-shot transcription's."""
+        model = ForecastEncoder(EncoderConfig(mixer=mixer), seed=3, dtype=dtype)
+        assert model.heads[384][0].size > 90 * PARAM_CHUNK
+        params = model.parameters()
+        for name, expected in one_shot_init(model, 3):
+            got = params[name].data
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("horizons", [(96,), EncoderConfig().horizons], ids=["h96", "default"])
+    def test_construction_holds_one_copy_of_the_weights(self, horizons):
+        """An f32 backbone draws each weight into its own array a chunk at a time,
+        so building it holds no float64 copy of its largest weight."""
+        ForecastEncoder(tiny_config())  # the first default_rng imports numpy.random: not traced
+        peak, model = traced_peak(
+            lambda: ForecastEncoder(EncoderConfig(horizons=horizons), seed=0, dtype=np.float32))
+        weight_bytes = sum(p.data.nbytes for p in model.parameters().values())
+        assert peak <= 1.05 * weight_bytes, (peak, weight_bytes)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = ForecastEncoder(tiny_config(MixerKind.ICM_STATIC), seed=0)
@@ -789,7 +841,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mixer", list(MixerKind))
     def test_seeded_init_is_pinned(self, mixer, dtype):
-        """A seeded init draws each parameter from ``init(shape)`` in declaration order.
+        """A seeded init draws each parameter from ``init(shape, dtype)`` in declaration order.
 
         ``load_checkpoint`` declares the same parameters without calling ``init``;
         these digests pin that a fresh model's values do not move.

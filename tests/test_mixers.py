@@ -11,12 +11,12 @@ from icmixer.mixers import (
     add_static_channel_embedding,
     same_channel_mask,
 )
-from icmixer.tensor import Tensor
+from icmixer.tensor import Tensor, draw_normal
 
 
 def make_concat(d_model=16, n_heads=2, seed=0, u1=0.0, u2=0.0):
-    bias = (param("channel_bias.u1", (), lambda shape: np.full(shape, u1)),
-            param("channel_bias.u2", (), lambda shape: np.full(shape, u2)))
+    bias = (param("channel_bias.u1", (), lambda shape, dtype: np.full(shape, u1, dtype)),
+            param("channel_bias.u2", (), lambda shape, dtype: np.full(shape, u2, dtype)))
     layer = ConcatAttention(EncoderConfig(d_model=d_model, n_heads=n_heads),
                             np.random.default_rng(seed), "attn", param, bias)
     return layer, bias
@@ -84,8 +84,8 @@ class TestSameChannelMask:
 class TestStaticChannelEmbedding:
     def setup_method(self):
         rng = np.random.default_rng(0)
-        self.table = param("channel_embed.table", (4, 8),
-                           lambda shape: rng.standard_normal(shape) * 0.02)
+        self.table = param("channel_embed.table", (4, 8), lambda shape, dtype: draw_normal(
+            rng, shape, dtype, lambda z: z * 0.02))
 
     def test_zero_table_is_identity(self):
         self.table.data = np.zeros((4, 8))
