@@ -26,7 +26,6 @@ from .tensor import (
     draw_normal,
     expit,
     grad_enabled,
-    linear,
     row_max,
     row_sum,
 )
@@ -290,16 +289,12 @@ class MultiHeadSelfAttention:
                   lambda shape, dtype: draw_normal(rng, shape, dtype, lambda z: z * scale))
             for name in ("wq", "wk", "wv", "wo"))
 
-    def project_qkv(self, x: Tensor, norm=None):
-        """[..., n, d_model] -> Q, K, V, each [..., n, d_model].
+    def project_qkv(self, x: Tensor):
+        """[..., n, d_model] -> Q, K, V, each [..., n, d_model]; the three share ``x``."""
+        return tuple(x @ w for w in (self.wq, self.wk, self.wv))
 
-        ``norm`` is the ``(gain, bias)`` of the layer norm whose normalized
-        output ``x`` is; each projection folds it into its weight (``linear``).
-        """
-        return tuple(linear(x, w, None, norm) for w in (self.wq, self.wk, self.wv))
-
-    def __call__(self, x: Tensor, norm=None) -> Tensor:
-        q, k, v = self.project_qkv(x, norm)
+    def __call__(self, x: Tensor) -> Tensor:
+        q, k, v = self.project_qkv(x)
         return dot_attention(q, k, v, self.config.n_heads) @ self.wo
 
 
@@ -316,13 +311,13 @@ class ICMAttention(MultiHeadSelfAttention):
         super().__init__(config, rng, prefix, param)
         self.beta = param(f"{prefix}.beta", (config.n_heads,), np.zeros)
 
-    def __call__(self, x: Tensor, norm=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         if x.shape[1] == 0:
             raise DimensionError("at least one channel is required")
         h = self.config.n_heads
-        q, k, v = self.project_qkv(x, norm)
+        q, k, v = self.project_qkv(x)
         a_mem = retrieve_memory(q, accumulate_memory(k, v, h), self.config.epsilon)
         return gate_combine(a_mem, dot_attention(q, k, v, h), self.beta) @ self.wo
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, sliding windows, channel capping, synthetic generators.
+"""Dataset ingestion, sliding windows, synthetic generators.
 
 CSV layout follows the public long-horizon forecasting benchmarks: a header
 row, a timestamp in the first column, and one numeric column per channel.
@@ -182,33 +182,6 @@ def make_windows(series: MultivariateSeries, lookback: int, horizon: int, stride
     # Channel-major, so each gathered window row is contiguous in time.
     region = np.ascontiguousarray(series.values[lo:hi].T)
     return sliding_window_view(region, window, axis=1)[:, ::stride].swapaxes(0, 1)
-
-
-def cap_channels(m: int, cap: int = 8, seed: int = 0) -> np.ndarray:
-    """Sorted indices of at most `cap` of m channels (without replacement, seeded)."""
-    check_integer("m", m)
-    check_integer("channel cap", cap)
-    if m <= cap:
-        return np.arange(m)
-    return np.sort(np.random.default_rng(seed).choice(m, size=cap, replace=False))
-
-
-def partition_channels(m: int, cap: int = 8, seed: int = 0) -> list:
-    """Split m channels into groups of exactly `cap`, oversampling the remainder.
-
-    A shuffled partition into ceil(m / cap) groups; a final group smaller than
-    `cap` is filled by repeating channels already used in earlier groups.
-    """
-    check_integer("m", m)
-    check_integer("channel cap", cap)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(m)
-    groups = [order[i:i + cap].tolist() for i in range(0, m, cap)]
-    if len(groups) > 1 and len(groups[-1]) < cap:
-        used = np.concatenate(groups[:-1])
-        fill = rng.choice(used, size=cap - len(groups[-1]), replace=False)
-        groups[-1] = groups[-1] + fill.tolist()
-    return groups
 
 
 def generate_lagged_copy(m: int, T: int, lag: int, noise_std: float,

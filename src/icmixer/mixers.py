@@ -69,11 +69,11 @@ class ConcatAttention(MultiHeadSelfAttention):
         super().__init__(config, rng, prefix, param)
         self.u1, self.u2 = bias
 
-    def __call__(self, x: Tensor, norm=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise DimensionError(f"expected [batch, m, n, d_model], got {x.shape}")
         b, m, n, d = x.shape
-        q, k, v = self.project_qkv(x.reshape(b, m * n, d), norm)
+        q, k, v = self.project_qkv(x.reshape(b, m * n, d))
         mask = same_channel_mask(m, n, x.dtype)
         bias = self.u1 * Tensor(mask) + self.u2 * Tensor(1.0 - mask)
         att = dot_attention(q, k, v, self.config.n_heads, bias)

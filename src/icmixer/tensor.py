@@ -8,7 +8,8 @@ each node as its closure finishes, so only leaves keep ``.grad``. A node
 holds no value: an op computes its output from its operands' arrays, then
 rebinds the operand names to their nodes (``_nodes``), so that its closure
 captures nodes and exactly the arrays it reads. A value no backward reads,
-such as a residual sum, dies with its last ``Tensor``.
+such as a residual sum, dies with its last ``Tensor``. The layers' kernels
+here, ``linear``, ``feed_forward`` and ``layer_norm``, are one node each.
 Broadcasting follows numpy rules on leading batch dimensions, and gradients
 are summed back down to the original operand shapes. Python scalars and
 array constants take the dtype of the Tensor they meet, so a float32 graph
@@ -113,7 +114,8 @@ def expit(x) -> np.ndarray:
 # costs 5-40x a pass over the whole array. These kernels reduce all rows at
 # once.
 
-# ``row_sum``'s vectors of ones, one per (length, dtype), shared and never written.
+# The vectors of ones of ``row_sum`` and of the layer norm's column sums, one
+# per (length, dtype), shared and never written.
 _ones = functools.lru_cache(maxsize=32)(np.ones)
 
 
@@ -385,33 +387,8 @@ def _nodes(*tensors) -> tuple:
     return tuple(None if t is None else t._node for t in tensors)
 
 
-def _fold(norm, d: int):
-    """A layer norm's ``(gain, bias)`` Tensors as ``(gain node, bias node, gain array,
-    bias array)``, None for None.
-
-    Both are [d], one value per row of the weight they fold into.
-    """
-    if norm is None:
-        return None
-    gain, shift = norm
-    if gain.shape != (d,) or shift.shape != (d,):
-        raise DimensionError(f"a norm folded into {d} weight rows needs a [{d}] gain and bias, "
-                             f"got {gain.shape}, {shift.shape}")
-    return (*_nodes(gain, shift), gain.data, shift.data)
-
-
-def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None, norm=None) -> np.ndarray:
-    """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype.
-
-    With a ``_fold``-ed norm, ``x2`` is a normalized input and this is
-    ``(x2 * gain + bias) @ w2 + b``, computed as
-    ``x2 @ (gain ⊙rows w2) + (bias @ w2 + b)``: one GEMM, and the normalized
-    input is never scaled.
-    """
-    if norm is not None:
-        gain, shift = norm[2:]
-        b = shift @ w2 if b is None else shift @ w2 + b
-        w2 = gain[:, None] * w2
+def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``x2 @ w2 + b`` on a 2-D ``x2``, the bias added in place in the promoted dtype."""
     out = x2 @ w2
     if b is not None:
         out = out.astype(np.result_type(out, b), copy=False)
@@ -419,118 +396,101 @@ def _affine(x2: np.ndarray, w2: np.ndarray, b: np.ndarray | None, norm=None) -> 
     return out
 
 
-def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool, norm=None):
-    """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``.
-
-    ``norm`` is the ``_fold``-ed norm that ``_affine`` folded into ``w2``. Its
-    gradients and the weight's come from weight-sized products of ``x2ᵀ g2``:
-    dW = gain ⊙rows (x2ᵀ g2) + bias ⊗ Σg2, d gain = rowsum(W ⊙ x2ᵀ g2),
-    d bias = W Σg2. The folded weight is rebuilt for dL/dx2, not saved.
-    """
-    if norm is None:
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2, fresh=True)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0), fresh=True)
-        return g2 @ w2.T if need_x else None
-    gain, shift, gain_data, shift_data = norm
-    gain_t = gain_data[:, None]
-    col = g2.sum(axis=0)  # dL/d(bias @ w2 + b)
-    if w.requires_grad or gain.requires_grad:
-        xg = x2.T @ g2
-        if gain.requires_grad:
-            gain._accumulate(row_sum(w2 * xg)[:, 0], fresh=True)
-        if w.requires_grad:
-            xg *= gain_t
-            xg += shift_data[:, None] * col
-            w._accumulate(xg, fresh=True)
-    if shift.requires_grad:
-        shift._accumulate(w2 @ col, fresh=True)
+def _affine_backward(x2, w2, w: Node, b: Node | None, g2, need_x: bool):
+    """Accumulate the gradients of ``w`` and ``b``; return dL/dx2 if ``need_x``."""
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2, fresh=True)
     if b is not None and b.requires_grad:
-        b._accumulate(col, fresh=True)
-    return g2 @ (gain_t * w2).T if need_x else None
+        b._accumulate(g2.sum(axis=0), fresh=True)
+    return g2 @ w2.T if need_x else None
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, norm=None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [d, d_out], as one node and one GEMM.
 
     ``x`` is [..., d]; ``b``, if given, is [d_out]. The leading dims of ``x``
     are folded into the GEMM's rows, and the backward keeps the 2-D ``x`` and
-    the ``w`` that were multiplied. ``norm``, a ``(gain, bias)`` pair of a
-    layer norm whose normalized output is ``x``, applies that norm's affine
-    first: the result is ``(x * gain + bias) @ w + b``.
+    the ``w`` that were multiplied.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear needs [..., d] @ [d, d_out], got {x.shape} and {w.shape}")
     d, d_out = w.shape
     if b is not None and b.shape != (d_out,):
         raise DimensionError(f"linear bias must have shape ({d_out},), got {b.shape}")
-    norm = _fold(norm, d)
     # One [-1, d] GEMM, not numpy's N-D matmul, which runs one small GEMM per
     # leading index (M = n_patches rows each): the same products, faster.
     x2, w2 = x.data.reshape(-1, d), w.data
-    out_data = _affine(x2, w2, None if b is None else b.data, norm)
+    out_data = _affine(x2, w2, None if b is None else b.data)
     x, w, b = _nodes(x, w, b)
 
     def bwd(g):
-        gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad, norm)
+        gx = _affine_backward(x2, w2, w, b, g.reshape(-1, d_out), x.requires_grad)
         if gx is not None:
             x._accumulate(gx.reshape(x.shape), fresh=True)
 
-    parents = (x, w) + ((b,) if b is not None else ()) + (norm[:2] if norm else ())
+    parents = (x, w) if b is None else (x, w, b)
     return Tensor._make(out_data.reshape(*x.shape[:-1], d_out), parents, bwd)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, norm=None) -> Tensor:
-    """``linear(relu(linear(x, w1, b1, norm)), w2, b2)`` as one node, bitwise equal to that chain.
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node, bitwise equal to that chain.
 
     ReLU and the backward's mask run in place, so the graph keeps one ``d_ff``-wide
     array, the post-ReLU hidden ``h``, besides the 2-D ``x``. NaN propagates.
     """
-    norm = _fold(norm, w1.shape[0])
     x2, w1d, w2d = x.data.reshape(-1, x.shape[-1]), w1.data, w2.data
-    h = _affine(x2, w1d, b1.data, norm)
+    h = _affine(x2, w1d, b1.data)
     np.maximum(h, 0, out=h)  # branch-free, unlike np.where on a data-dependent mask
     out_data = _affine(h, w2d, b2.data)
     x, w1, b1, w2, b2 = _nodes(x, w1, b1, w2, b2)
 
     def bwd(g):
-        gh = _affine_backward(h, w2d, w2, b2, g.reshape(out_data.shape), need_x=True)
+        gh = _affine_backward(h, w2d, w2, b2, g.reshape(len(h), -1), need_x=True)
         gh *= h > 0  # dL/d(pre-ReLU), made even when only w2 and b2 train (no model does)
-        gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad, norm)
+        gx = _affine_backward(x2, w1d, w1, b1, gh, x.requires_grad)
         if gx is not None:
             x._accumulate(gx.reshape(x.shape), fresh=True)
 
-    return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]),
-                        (x, w1, b1, w2, b2) + (norm[:2] if norm else ()), bwd)
+    return Tensor._make(out_data.reshape(*x.shape[:-1], w2d.shape[1]), (x, w1, b1, w2, b2), bwd)
 
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Layer normalization over the last axis without its affine (variance epsilon 1e-5).
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer normalization over the last axis (variance epsilon 1e-5), as one node.
 
-    Returns ``xhat = (x - mean) * rstd`` as one node. A layer norm's gain and
-    bias are applied by the linear layer that reads ``xhat`` (the ``norm``
-    argument of ``linear`` and ``feed_forward``), which folds them into its
-    weight, so the affine output never exists. The backward keeps ``xhat``
-    and the reciprocal standard deviation ``rstd``. The output is that saved
-    ``xhat``, read-only, so no reader can corrupt the backward's state.
+    Returns ``xhat * gain + bias`` with ``xhat = (x - mean) * rstd`` and a
+    [d] ``gain`` and ``bias``. The backward keeps ``xhat`` and the reciprocal
+    standard deviation ``rstd``, not the output, and makes the gradient of
+    each of x, gain and bias only when that input requires it.
     """
     d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(f"a layer norm over {d} features needs a [{d}] gain and bias, "
+                             f"got {gain.shape}, {bias.shape}")
+    gain_data = gain.data
     xhat = x.data - row_sum(x.data) / d
     rstd = 1.0 / np.sqrt(row_sum(xhat * xhat) / d + 1e-5)
     xhat *= rstd
-    xhat.flags.writeable = False
-    x, = _nodes(x)
+    out = xhat * gain_data
+    out += bias.data
+    x, gain, bias = _nodes(x, gain, bias)
 
-    def bwd(g):  # dL/dx = rstd * (g - mean(g) - xhat * mean(g * xhat))
-        if x.requires_grad:
-            dx = xhat * (row_sum(g * xhat) / d)
-            dx += row_sum(g) / d
-            np.subtract(g, dx, out=dx)
+    def bwd(g):
+        # Column sums as a GEMV against ones: numpy's ``sum(axis=0)`` of a
+        # narrow [rows, d] array is several times slower.
+        ones = _ones(g.size // d, g.dtype)
+        if gain.requires_grad:
+            gain._accumulate(ones @ (g * xhat).reshape(-1, d), fresh=True)
+        if bias.requires_grad:
+            bias._accumulate(ones @ g.reshape(-1, d), fresh=True)
+        if x.requires_grad:  # dL/dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat))
+            gx = g * gain_data  # dL/dxhat
+            dx = xhat * (row_sum(gx * xhat) / d)
+            dx += row_sum(gx) / d
+            np.subtract(gx, dx, out=dx)
             dx *= rstd
             x._accumulate(dx, fresh=True)
 
-    return Tensor._make(xhat, (x,), bwd)
+    return Tensor._make(out, (x, gain, bias), bwd)
 
 
 def draw_normal(rng, shape, dtype, transform) -> np.ndarray:

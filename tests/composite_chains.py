@@ -2,9 +2,7 @@
 
 These are the forms ``dot_attention``, ``accumulate_memory``,
 ``retrieve_memory``, ``gate_combine`` and ``feed_forward`` had before each
-became one graph node with a hand-written backward, and the layer norm's
-affine as it ran before ``linear`` and ``feed_forward`` folded it into
-their weights. Built from ``matmul``, ``linear``, ``+``, ``*``, ``neg``,
+became one graph node with a hand-written backward. Built from ``matmul``, ``linear``, ``+``, ``*``, ``neg``,
 ``truediv``, ``reduce_sum``, ``reshape``, ``swapaxes``, basic indexing
 (``index``), ``join``, ``softmax`` (numpy's reductions), ``sigma``,
 ``sigmoid`` and ``relu``, and differentiated by the autodiff engine node by
@@ -244,18 +242,3 @@ def gate_combine_chain(a_mem, a_dot, beta):
 
 def feed_forward_chain(x, w1, b1, w2, b2):
     return linear(relu(linear(x, w1, b1)), w2, b2)
-
-
-def norm_affine_chain(xhat, gain, bias):
-    """A layer norm's affine ``xhat * gain + bias``, unfolded."""
-    return xhat * gain + bias
-
-
-def folded_linear_chain(xhat, w, b, gain, bias):
-    """``linear(xhat, w, b, (gain, bias))`` as the norm's affine, then the linear layer."""
-    return linear(norm_affine_chain(xhat, gain, bias), w, b)
-
-
-def folded_feed_forward_chain(xhat, w1, b1, w2, b2, gain, bias):
-    """``feed_forward(xhat, ..., (gain, bias))`` as the norm's affine, then the chain."""
-    return feed_forward_chain(norm_affine_chain(xhat, gain, bias), w1, b1, w2, b2)

@@ -9,11 +9,9 @@ import pytest
 from icmixer.attention import ConfigError
 from icmixer.data import (
     ParseError,
-    cap_channels,
     generate_lagged_copy,
     load_csv,
     make_windows,
-    partition_channels,
     save_csv,
     standardize_stats,
     standardized,
@@ -161,46 +159,6 @@ class TestMakeWindows:
                 np.testing.assert_array_equal(windows[-1], values[last:last + 352].T)
 
 
-class TestCapChannels:
-    def test_under_cap_identity(self):
-        np.testing.assert_array_equal(cap_channels(7, cap=8, seed=0), np.arange(7))
-        np.testing.assert_array_equal(cap_channels(8, cap=8, seed=0), np.arange(8))
-
-    def test_over_cap_samples_distinct(self):
-        pick = cap_channels(16, cap=8, seed=0)
-        assert len(pick) == 8 and len(set(pick.tolist())) == 8
-        assert np.all(np.diff(pick) > 0) and 0 <= pick[0] and pick[-1] < 16
-
-    def test_deterministic_under_seed(self):
-        np.testing.assert_array_equal(cap_channels(16, cap=8, seed=5),
-                                      cap_channels(16, cap=8, seed=5))
-        expected = np.sort(np.random.default_rng(5).choice(16, size=8, replace=False))
-        np.testing.assert_array_equal(cap_channels(16, cap=8, seed=5), expected)
-
-    def test_bad_cap_raises(self):
-        with pytest.raises(ConfigError):
-            cap_channels(4, cap=0)
-
-
-class TestPartitionChannels:
-    def test_twelve_channels_two_groups_with_oversampling(self):
-        groups = partition_channels(12, cap=8, seed=0)
-        assert len(groups) == 2
-        assert all(len(g) == 8 for g in groups)
-        assert sorted(groups[0] + groups[1][:4]) == list(range(12)) or \
-            sorted(set(groups[0] + groups[1])) == list(range(12))
-        # the second group's fill channels were already used in the first
-        fill = set(groups[1]) - (set(range(12)) - set(groups[0]))
-        assert fill <= set(groups[0])
-
-    def test_exact_multiple_no_oversampling(self):
-        groups = partition_channels(16, cap=8, seed=1)
-        assert sorted(sum(groups, [])) == list(range(16))
-
-    def test_deterministic(self):
-        assert partition_channels(20, 8, seed=3) == partition_channels(20, 8, seed=3)
-
-
 class TestLaggedCopy:
     def test_exact_shift_identity_without_noise(self):
         series = generate_lagged_copy(m=3, T=500, lag=4, noise_std=0.0, seed=0)
@@ -273,14 +231,8 @@ LAGGED = dict(m=2, T=1000, lag=4, noise_std=0.1, seed=0)
      "lookback must be an integer >= 1, got 0"),
     (lambda: make_windows(generate_lagged_copy(**LAGGED), -5, 8),
      "lookback must be an integer >= 1, got -5"),
-    (lambda: cap_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
-    (lambda: partition_channels(10, cap=2.5), "channel cap must be an integer >= 1, got 2.5"),
-    (lambda: cap_channels(2.5), "m must be an integer >= 1, got 2.5"),
-    (lambda: cap_channels(-3), "m must be an integer >= 1, got -3"),
-    (lambda: partition_channels(2.5), "m must be an integer >= 1, got 2.5"),
 ], ids=["m-float", "T-float", "lag-float", "seed-float", "noise-bool", "stride-float",
-        "lookback-zero", "lookback-negative", "cap-float", "partition-cap-float",
-        "cap-m-float", "cap-m-negative", "partition-m-float"])
+        "lookback-zero", "lookback-negative"])
 def test_bad_argument_is_config_error(call, message):
     """A non-integer count or size is a ConfigError naming it, not a numpy TypeError."""
     with pytest.raises(ConfigError) as err:

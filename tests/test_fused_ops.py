@@ -8,14 +8,14 @@ element in Python, ``layer_norm`` as the chain of primitive ops it used to
 be (differentiated step by step in numpy), and ``softmax`` as the
 out-of-place formula.
 
-``layer_norm`` only normalizes: ``linear`` and ``feed_forward`` fold the
-norm's gain and bias into their first weight. They are checked against the
-unfolded chains of ``composite_chains.py`` (the affine, then the layer).
+``layer_norm`` applies its own gain and bias: it is checked against the
+normalization chain followed by ``* gain + bias``, with the gain and bias
+trained or frozen.
 
 Tolerances were fixed before any result was seen. Each error is measured
 relative to the largest magnitude of the checked array, taken over the
 terms that form it (see ``assert_close``): float64 1e-12 for values and for
-the weight, gain and bias gradients, 1e-9 for the layer_norm input
+the gain and bias gradients, 1e-9 for the layer_norm input
 gradient, whose terms cancel, and float32 1e-5 for everything. Inputs are
 zero or at least 2**-10 in magnitude, so that no term lands in the
 subnormal range.
@@ -26,9 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from composite_chains import (folded_feed_forward_chain, folded_linear_chain, reduce_sum, relu,
-                              sigma, softmax)
-from icmixer.tensor import DimensionError, Tensor, feed_forward, layer_norm, linear
+from composite_chains import reduce_sum, relu, sigma, softmax
+from icmixer.tensor import DimensionError, Tensor, layer_norm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,60 +137,12 @@ def layer_norm_chain(x, g, eps=1e-5):
     return normed, d_x
 
 
-@hypothesis.settings(max_examples=300)
-@hypothesis.given(case())
-def test_layer_norm_matches_node_chain(xg):
-    x, g = xg
-    dtype = x.dtype.type
-    value, grad, _ = run(layer_norm, x, g)
-    expected, expected_grad = layer_norm_chain(x, g)
-
-    # Term magnitudes: xhat = (x - mean) * rstd is formed from terms up to
-    # (|x| + |mean|) * rstd, and the gradient is a sum of products of those.
-    x64, g64 = x.astype(np.float64), np.abs(g.astype(np.float64))
-    mean = x64.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(((x64 - mean) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-    xmag = (np.abs(x64) + np.abs(mean)) * rstd
-
-    assert_close(value, expected, TOLERANCE[dtype], xmag)
-    x_grad_scale = rstd * (g64 + g64.mean(axis=-1, keepdims=True)
-                           + xmag * (g64 * xmag).mean(axis=-1, keepdims=True))
-    assert_close(grad, expected_grad, LN_INPUT_GRAD_TOLERANCE[dtype], x_grad_scale)
-
-
 @st.composite
-def fold_case(draw):
-    """``(dtype, xhat, gain, bias)`` of a layer that reads a layer norm's output.
-
-    ``gain`` and ``bias`` are [d], ``xhat``'s width, and neither 0 nor 1 anywhere.
-    """
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    d = draw(st.integers(1, 18))
-    lead = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
-    xhat = draw(hnp.arrays(dtype, (*lead, d), elements=floats(dtype, 4.0)))
-    affine = magnitudes(dtype, 0.125, 4.0).filter(lambda v: v != 1.0)
-    gain, bias = (draw(hnp.arrays(dtype, (d,), elements=affine)) for _ in range(2))
-    return dtype, xhat, gain, bias
-
-
-def fold_run(fn, xhat, weights, gain, bias, g_seed):
-    """(value, [dL/dxhat, dL/dweights..., dL/dgain, dL/dbias]) of L = sum(g * fn(...))."""
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in (xhat, *weights, gain, bias)]
-    out = fn(*leaves)
-    g = np.random.default_rng(g_seed).uniform(-10.0, 10.0, out.shape).astype(out.dtype)
-    reduce_sum(out * Tensor(g)).backward()
-    return out.data, [t.grad for t in leaves], np.abs(g.astype(np.float64))
-
-
-def affine_magnitudes(xhat, gain, bias):
-    """(|xhat| |gain| + |bias|, |gain|), in float64."""
-    gain, bias = (np.abs(a.astype(np.float64)) for a in (gain, bias))
-    return np.abs(xhat.astype(np.float64)) * gain + bias, gain
-
-
-def norm_affine(xhat, gain, bias):
-    """xhat * gain + bias, in float64."""
-    return xhat.astype(np.float64) * gain.astype(np.float64) + bias.astype(np.float64)
+def affine(draw, dtype, d):
+    """A layer norm's [d] gain and bias: a fresh model's 1 and 0, or drawn."""
+    if draw(st.booleans()):
+        return np.ones(d, dtype), np.zeros(d, dtype)
+    return tuple(draw(hnp.arrays(dtype, (d,), elements=floats(dtype, 4.0))) for _ in range(2))
 
 
 def column_sums(a):
@@ -199,88 +150,52 @@ def column_sums(a):
     return a.reshape(-1, a.shape[-1]).sum(axis=0)
 
 
-@hypothesis.settings(max_examples=150)
-@hypothesis.given(fold_case(), st.data())
-def test_folded_linear_matches_affine_then_linear(case, data):
-    """``linear(xhat, w, b, (gain, bias))`` against the unfolded chain: the
-    norm's affine, then the linear layer. Values and the gradients of xhat,
-    w, b, gain and bias, relative to the magnitudes of the terms that form them."""
-    dtype, xhat, gain, bias = case
-    d = xhat.shape[-1]
-    d_out = data.draw(st.integers(1, 5))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    w = rng.uniform(-2.0, 2.0, (d, d_out)).astype(dtype)
-    b = rng.uniform(-2.0, 2.0, d_out).astype(dtype)
-    got, got_grads, g = fold_run(lambda x, w, b, gain, bias: linear(x, w, b, (gain, bias)),
-                                 xhat, (w, b), gain, bias, d_out)
-    want, want_grads, _ = fold_run(folded_linear_chain, xhat, (w, b), gain, bias, d_out)
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(case(), st.data())
+def test_layer_norm_matches_node_chain(xg, data):
+    """``layer_norm(x, gain, bias)`` against the normalization chain, then ``* gain + bias``:
+    the value and the gradients of x, gain and bias. A frozen gain and bias, as in the
+    head+gate stage, get no gradient and leave x's unchanged."""
+    x, g = xg
+    dtype = x.dtype.type
+    gain, bias = data.draw(affine(dtype, x.shape[-1]))
+    frozen = data.draw(st.booleans())
+    value, grad, param_grads = run(layer_norm, x, g, *(Tensor(a, requires_grad=not frozen)
+                                                       for a in (gain, bias)))
+    normed, expected_grad = layer_norm_chain(x, g * gain)
 
-    y, gain_t = affine_magnitudes(xhat, gain, bias)
-    w64 = np.abs(w.astype(np.float64))
-    y2, g2, x2 = y.reshape(-1, d), g.reshape(-1, d_out), np.abs(xhat.astype(np.float64))
-    gy = g @ w64.T                                       # |dL/d(affine output)|
-    scales = [gy * gain_t,                               # xhat
-              y2.T @ g2,                                 # w
-              g2.sum(axis=0),                            # b
-              column_sums(gy * x2),                      # gain
-              column_sums(gy)]                           # bias
+    # Term magnitudes: xhat = (x - mean) * rstd is formed from terms up to
+    # (|x| + |mean|) * rstd, and the gradient is a sum of products of those.
+    x64, gain64 = x.astype(np.float64), np.abs(gain.astype(np.float64))
+    g64 = np.abs(g.astype(np.float64))
+    mean = x64.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(((x64 - mean) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    xmag = (np.abs(x64) + np.abs(mean)) * rstd
+
     tol = TOLERANCE[dtype]
-    assert_close(got, want, tol, y @ w64 + np.abs(b.astype(np.float64)))
-    for got_grad, want_grad, scale in zip(got_grads, want_grads, scales):
-        assert_close(got_grad, want_grad, tol, scale)
+    assert_close(value, normed * gain + bias, tol, xmag * gain64 + np.abs(bias))
+    gx64 = g64 * gain64  # |dL/dxhat|
+    x_grad_scale = rstd * (gx64 + gx64.mean(axis=-1, keepdims=True)
+                           + xmag * (gx64 * xmag).mean(axis=-1, keepdims=True))
+    assert_close(grad, expected_grad, LN_INPUT_GRAD_TOLERANCE[dtype], x_grad_scale)
+    if frozen:
+        assert param_grads == [None, None]
+        return
+    expected_gain_grad = column_sums(g.astype(np.float64) * normed).astype(dtype)
+    assert_close(param_grads[0], expected_gain_grad, tol, column_sums(g64 * xmag))
+    assert_close(param_grads[1], column_sums(g.astype(np.float64)).astype(dtype), tol,
+                 column_sums(g64))
 
 
-@hypothesis.settings(max_examples=150)
-@hypothesis.given(fold_case(), st.data())
-def test_folded_feed_forward_matches_affine_then_chain(case, data):
-    """``feed_forward(xhat, ..., (gain, bias))`` against the norm's affine, then
-    ``linear -> relu -> linear``. A hidden unit whose input lies within
-    rounding of 0 may switch sides of the ReLU between the two, so draws with
-    one closer to 0 than 100x the tolerance of its term magnitude are skipped."""
-    dtype, xhat, gain, bias = case
-    d = xhat.shape[-1]
-    d_ff, d_out = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    weights = [rng.uniform(-2.0, 2.0, shape).astype(dtype)
-               for shape in ((d, d_ff), (d_ff,), (d_ff, d_out), (d_out,))]
-    w1, b1, w2, b2 = (np.abs(a.astype(np.float64)) for a in weights)
-    y, gain_t = affine_magnitudes(xhat, gain, bias)
-    y2 = y.reshape(-1, d)
-    hidden_mag = y2 @ w1 + b1
-    hidden = (norm_affine(xhat, gain, bias).reshape(-1, d) @ weights[0].astype(np.float64)
-              + weights[1])
-    tol = TOLERANCE[dtype]
-    hypothesis.assume(np.all(np.abs(hidden) > 100 * tol * hidden_mag))
-
-    def fused(x, w1, b1, w2, b2, gain, bias):
-        return feed_forward(x, w1, b1, w2, b2, (gain, bias))
-
-    got, got_grads, g = fold_run(fused, xhat, weights, gain, bias, d_out)
-    want, want_grads, _ = fold_run(folded_feed_forward_chain, xhat, weights, gain, bias, d_out)
-
-    h = np.maximum(hidden, 0) > 0
-    hmag = hidden_mag * h
-    g2 = g.reshape(-1, d_out)
-    gh = (g2 @ w2.T) * h                                 # |dL/d(hidden input)|
-    gy = gh @ w1.T                                       # |dL/d(affine output)|
-    x2 = np.abs(xhat.astype(np.float64)).reshape(-1, d)
-    scales = [(gy * gain_t).reshape(xhat.shape),         # xhat
-              y2.T @ gh, gh.sum(axis=0),                 # w1, b1
-              hmag.T @ g2, g2.sum(axis=0),               # w2, b2
-              column_sums(gy * x2), column_sums(gy)]     # gain, bias
-    assert_close(got, want, tol, (hmag @ w2 + b2).reshape(got.shape))
-    for got_grad, want_grad, scale in zip(got_grads, want_grads, scales):
-        assert_close(got_grad, want_grad, tol, scale)
-
-
-@pytest.mark.parametrize("gain, bias", [((2,), (2,)), ((3,), (3,)), ((4,), (2,)),
+@pytest.mark.parametrize("gain, bias", [((1,), (1,)), ((2,), (2,)), ((3,), (3,)), ((4,), (2,)),
                                         ((2, 2), (2, 2))],
-                         ids=["a-tile-of-the-rows", "not-dividing", "unequal", "not-1-d"])
-def test_a_norm_that_does_not_fit_the_weight_is_refused(gain, bias):
-    """A norm folds into a weight with one gain and one bias value per row, no fewer."""
-    x, w = Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3)))
-    with pytest.raises(DimensionError, match=r"a norm folded into 4 weight rows needs a \[4\]"):
-        linear(x, w, None, (Tensor(np.ones(gain)), Tensor(np.ones(bias))))
+                         ids=["broadcast", "a-tile-of-the-features", "not-dividing", "unequal",
+                              "not-1-d"])
+def test_a_gain_or_bias_that_does_not_fit_the_features_is_refused(gain, bias):
+    """A layer norm has one gain and one bias value per feature, no fewer, even
+    where numpy would broadcast them."""
+    with pytest.raises(DimensionError, match=r"a layer norm over 4 features needs a \[4\]"):
+        layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(gain)), Tensor(np.ones(bias)))
 
 
 def test_relu_propagates_nan():
@@ -290,21 +205,21 @@ def test_relu_propagates_nan():
 
 @pytest.mark.parametrize("drawn_affine", [False, True])
 def test_layer_norm_output_does_not_alias_saved_state(drawn_affine):
-    """The output is the xhat its backward saved, read-only, so no reader can
-    corrupt it: neither a plain reader nor a linear layer that folds a drawn
-    gain and bias into its weight."""
+    """Writing into the output leaves the backward unchanged: the output is not
+    the xhat or rstd that the backward saved, whether the gain and bias are a
+    fresh model's 1 and 0 or drawn."""
     rng = np.random.default_rng(0)
     x, g = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-    norm = tuple(Tensor(rng.standard_normal(6)) for _ in range(2))
+    affine = (rng.standard_normal(6), rng.standard_normal(6)) if drawn_affine else (
+        np.ones(6), np.zeros(6))
 
-    def reader(xhat):
-        return linear(xhat, Tensor(np.eye(6)), None, norm) if drawn_affine else xhat
+    def grads(overwrite):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, *affine)]
+        out = layer_norm(*leaves)
+        if overwrite:
+            out.data[...] = 0.0
+        reduce_sum(out * Tensor(g)).backward()
+        return [t.grad for t in leaves]
 
-    _, expected_grad, _ = run(lambda t: reader(layer_norm(t)), x, g)
-
-    xt = Tensor(x, requires_grad=True)
-    out = layer_norm(xt)
-    with pytest.raises(ValueError, match="read-only"):
-        out.data[...] = 0.0
-    reduce_sum(reader(out) * Tensor(g)).backward()
-    np.testing.assert_array_equal(xt.grad, expected_grad)
+    for got, expected in zip(grads(True), grads(False)):
+        np.testing.assert_array_equal(got, expected)

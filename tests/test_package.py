@@ -103,8 +103,8 @@ def test_engine_ops_are_all_reached(monkeypatch):
 # Graph nodes with a backward closure in one f32 train step on criterion 6's
 # model config. The attention kernels take merged heads and the loss is one
 # node, so no layout or loss plumbing is recorded.
-GRAPH_NODES_PER_STEP = {MixerKind.INDEPENDENT: 18, MixerKind.CONCAT: 23, MixerKind.ICM: 21,
-                        MixerKind.ICM_STATIC: 24}
+GRAPH_NODES_PER_STEP = {MixerKind.INDEPENDENT: 16, MixerKind.CONCAT: 21, MixerKind.ICM: 19,
+                        MixerKind.ICM_STATIC: 22}
 
 
 def desk_train_steps(monkeypatch, measure) -> dict:
@@ -158,14 +158,12 @@ def test_backward_closures_capture_no_tensor(monkeypatch):
 # each ``+`` hands one gradient to both operands and ``reshape`` a view of its
 # own, and concat's two 0-d channel-bias weights get numpy scalars, not arrays.
 # Counted from the graph: the embedding's ``+ positions`` (1), the two
-# residual ``+`` (4), the final norm's ``+ bias`` before the head (2) and the
-# head's ``reshape`` (1) make 8. Concat adds its two token ``reshape`` nodes,
-# the ``+`` of its score bias (2) and its two scalars; icm-static adds its
-# channel-embedding ``+`` (2) and ``reshape``. A block's layer-norm gain and
-# bias get fresh products from the linear that folds them in, which are
-# adopted.
-COPIED_FIRST_GRADIENTS = {MixerKind.INDEPENDENT: 8, MixerKind.CONCAT: 14, MixerKind.ICM: 8,
-                          MixerKind.ICM_STATIC: 11}
+# residual ``+`` (4) and the head's ``reshape`` (1) make 6. Concat adds its
+# two token ``reshape`` nodes, the ``+`` of its score bias (2) and its two
+# scalars; icm-static adds its channel-embedding ``+`` (2) and ``reshape``.
+# Each layer norm's gain and bias get fresh column sums, which are adopted.
+COPIED_FIRST_GRADIENTS = {MixerKind.INDEPENDENT: 6, MixerKind.CONCAT: 12, MixerKind.ICM: 6,
+                          MixerKind.ICM_STATIC: 9}
 
 
 def test_fresh_gradients_are_adopted_not_copied(monkeypatch):

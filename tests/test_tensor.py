@@ -130,7 +130,7 @@ class TestElementwise:
         assert err.max() <= 2.0, (x[err.argmax()], err.max())
 
     def test_layer_norm_constant_vector_is_zero(self):
-        out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]))
+        out = layer_norm(Tensor([3.0, 3.0, 3.0, 3.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-12)
 
     def test_sigma_values(self):
@@ -185,11 +185,12 @@ class TestBackward:
     def test_op_grads_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2, 2, (3, 4))
+        gain, bias = rng.uniform(-2, 2, (2, 4))
         cases = [
             softmax,
             sigmoid,
             sigma,
-            layer_norm,
+            lambda t: layer_norm(t, Tensor(gain), Tensor(bias)),
             lambda t: swapaxes(t * t + 2.0 * t, 0, 1),
             lambda t: t.reshape(2, 6),
             lambda t: index(t, np.s_[1:, ::2]),
