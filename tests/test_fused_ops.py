@@ -10,12 +10,15 @@ out-of-place formula.
 
 ``layer_norm`` applies its own gain and bias: it is checked against the
 normalization chain followed by ``* gain + bias``, with the gain and bias
-trained or frozen.
+trained or frozen. The block's norm-then-layer paths, ``linear`` and
+``feed_forward`` reading a norm's output (whose gain and bias the layer's
+weight once absorbed), are checked against the same affine as ``*`` and
+``+`` nodes, then the chains of ``composite_chains.py``.
 
 Tolerances were fixed before any result was seen. Each error is measured
 relative to the largest magnitude of the checked array, taken over the
 terms that form it (see ``assert_close``): float64 1e-12 for values and for
-the gain and bias gradients, 1e-9 for the layer_norm input
+the weight, gain and bias gradients, 1e-9 for the layer_norm input
 gradient, whose terms cancel, and float32 1e-5 for everything. Inputs are
 zero or at least 2**-10 in magnitude, so that no term lands in the
 subnormal range.
@@ -26,8 +29,8 @@ import math
 import numpy as np
 import pytest
 
-from composite_chains import reduce_sum, relu, sigma, softmax
-from icmixer.tensor import DimensionError, Tensor, layer_norm
+from composite_chains import feed_forward_chain, reduce_sum, relu, sigma, softmax
+from icmixer.tensor import DimensionError, Tensor, feed_forward, layer_norm, linear
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -150,6 +153,24 @@ def column_sums(a):
     return a.reshape(-1, a.shape[-1]).sum(axis=0)
 
 
+def norm_magnitudes(x):
+    """(xhat, rstd, xmag) of a layer norm's input, in float64.
+
+    xhat = (x - mean) * rstd is formed from terms up to xmag = (|x| + |mean|)
+    * rstd, and its input gradient is a sum of products of those.
+    """
+    x64 = x.astype(np.float64)
+    mean = x64.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(((x64 - mean) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    return (x64 - mean) * rstd, rstd, (np.abs(x64) + np.abs(mean)) * rstd
+
+
+def norm_input_grad_scale(gx, rstd, xmag):
+    """Term magnitude of a layer norm's input gradient, given |dL/dxhat| ``gx``."""
+    return rstd * (gx + gx.mean(axis=-1, keepdims=True)
+                   + xmag * (gx * xmag).mean(axis=-1, keepdims=True))
+
+
 @hypothesis.settings(max_examples=300)
 @hypothesis.given(case(), st.data())
 def test_layer_norm_matches_node_chain(xg, data):
@@ -164,20 +185,13 @@ def test_layer_norm_matches_node_chain(xg, data):
                                                        for a in (gain, bias)))
     normed, expected_grad = layer_norm_chain(x, g * gain)
 
-    # Term magnitudes: xhat = (x - mean) * rstd is formed from terms up to
-    # (|x| + |mean|) * rstd, and the gradient is a sum of products of those.
-    x64, gain64 = x.astype(np.float64), np.abs(gain.astype(np.float64))
-    g64 = np.abs(g.astype(np.float64))
-    mean = x64.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(((x64 - mean) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-    xmag = (np.abs(x64) + np.abs(mean)) * rstd
+    gain64, g64 = (np.abs(a.astype(np.float64)) for a in (gain, g))
+    _, rstd, xmag = norm_magnitudes(x)
 
     tol = TOLERANCE[dtype]
     assert_close(value, normed * gain + bias, tol, xmag * gain64 + np.abs(bias))
-    gx64 = g64 * gain64  # |dL/dxhat|
-    x_grad_scale = rstd * (gx64 + gx64.mean(axis=-1, keepdims=True)
-                           + xmag * (gx64 * xmag).mean(axis=-1, keepdims=True))
-    assert_close(grad, expected_grad, LN_INPUT_GRAD_TOLERANCE[dtype], x_grad_scale)
+    assert_close(grad, expected_grad, LN_INPUT_GRAD_TOLERANCE[dtype],
+                 norm_input_grad_scale(g64 * gain64, rstd, xmag))
     if frozen:
         assert param_grads == [None, None]
         return
@@ -185,6 +199,120 @@ def test_layer_norm_matches_node_chain(xg, data):
     assert_close(param_grads[0], expected_gain_grad, tol, column_sums(g64 * xmag))
     assert_close(param_grads[1], column_sums(g.astype(np.float64)).astype(dtype), tol,
                  column_sums(g64))
+
+
+@st.composite
+def fold_case(draw):
+    """``(dtype, x, gain, bias)`` of a layer that reads a layer norm's output.
+
+    ``gain`` and ``bias`` are [d], ``x``'s width, and neither 0 nor 1 anywhere.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d = draw(st.integers(1, 18))
+    lead = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    x = draw(hnp.arrays(dtype, (*lead, d), elements=floats(dtype, 4.0)))
+    affine = magnitudes(dtype, 0.125, 4.0).filter(lambda v: v != 1.0)
+    gain, bias = (draw(hnp.arrays(dtype, (d,), elements=affine)) for _ in range(2))
+    return dtype, x, gain, bias
+
+
+def fold_run(fn, x, weights, gain, bias, g_seed):
+    """(value, [dL/dx, dL/dweights..., dL/dgain, dL/dbias]) of L = sum(g * fn(...))."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, *weights, gain, bias)]
+    out = fn(*leaves)
+    g = np.random.default_rng(g_seed).uniform(-10.0, 10.0, out.shape).astype(out.dtype)
+    reduce_sum(out * Tensor(g)).backward()
+    return out.data, [t.grad for t in leaves], np.abs(g.astype(np.float64))
+
+
+def affine_chain(x, gain, bias):
+    """A layer norm as its normalization (a constant gain 1 and bias 0), then ``* gain + bias``."""
+    d, dtype = x.shape[-1], x.data.dtype
+    return layer_norm(x, Tensor(np.ones(d, dtype)), Tensor(np.zeros(d, dtype))) * gain + bias
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(fold_case(), st.data())
+def test_folded_linear_matches_affine_then_linear(case, data):
+    """``linear(layer_norm(x, gain, bias), w, b)`` against the normalization, the
+    affine as ``*`` and ``+`` nodes, then the linear layer. Values and the
+    gradients of x, w, b, gain and bias, relative to the magnitudes of the
+    terms that form them."""
+    dtype, x, gain, bias = case
+    d = x.shape[-1]
+    d_out = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    w = rng.uniform(-2.0, 2.0, (d, d_out)).astype(dtype)
+    b = rng.uniform(-2.0, 2.0, d_out).astype(dtype)
+    got, got_grads, g = fold_run(lambda x, w, b, gain, bias: linear(layer_norm(x, gain, bias), w, b),
+                                 x, (w, b), gain, bias, d_out)
+    want, want_grads, _ = fold_run(lambda x, w, b, gain, bias: linear(affine_chain(x, gain, bias),
+                                                                      w, b),
+                                   x, (w, b), gain, bias, d_out)
+
+    _, rstd, xmag = norm_magnitudes(x)
+    gain_t, bias_t, w64 = (np.abs(a.astype(np.float64)) for a in (gain, bias, w))
+    y = xmag * gain_t + bias_t                           # |norm output| terms
+    y2, g2 = y.reshape(-1, d), g.reshape(-1, d_out)
+    gy = g @ w64.T                                       # |dL/d(norm output)|
+    tol = TOLERANCE[dtype]
+    scales = [norm_input_grad_scale(gy * gain_t, rstd, xmag),  # x
+              y2.T @ g2,                                 # w
+              g2.sum(axis=0),                            # b
+              column_sums(gy * xmag),                    # gain
+              column_sums(gy)]                           # bias
+    tols = [LN_INPUT_GRAD_TOLERANCE[dtype]] + [tol] * 4
+    assert_close(got, want, tol, y @ w64 + np.abs(b.astype(np.float64)))
+    for got_grad, want_grad, scale, grad_tol in zip(got_grads, want_grads, scales, tols):
+        assert_close(got_grad, want_grad, grad_tol, scale)
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(fold_case(), st.data())
+def test_folded_feed_forward_matches_affine_then_chain(case, data):
+    """``feed_forward(layer_norm(x, gain, bias), ...)`` against the normalization,
+    the affine as ``*`` and ``+`` nodes, then ``linear -> relu -> linear``. A
+    hidden unit whose input lies within rounding of 0 may switch sides of the
+    ReLU between the two, so draws with one closer to 0 than 100x the
+    tolerance of its term magnitude are skipped."""
+    dtype, x, gain, bias = case
+    d = x.shape[-1]
+    d_ff, d_out = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    weights = [rng.uniform(-2.0, 2.0, shape).astype(dtype)
+               for shape in ((d, d_ff), (d_ff,), (d_ff, d_out), (d_out,))]
+    w1, b1, w2, b2 = (np.abs(a.astype(np.float64)) for a in weights)
+    xhat, rstd, xmag = norm_magnitudes(x)
+    gain_t, bias_t = (np.abs(a.astype(np.float64)) for a in (gain, bias))
+    y2 = (xmag * gain_t + bias_t).reshape(-1, d)         # |norm output| terms
+    hidden_mag = y2 @ w1 + b1
+    hidden = ((xhat * gain.astype(np.float64) + bias).reshape(-1, d)
+              @ weights[0].astype(np.float64) + weights[1])
+    tol = TOLERANCE[dtype]
+    hypothesis.assume(np.all(np.abs(hidden) > 100 * tol * hidden_mag))
+
+    def fused(x, w1, b1, w2, b2, gain, bias):
+        return feed_forward(layer_norm(x, gain, bias), w1, b1, w2, b2)
+
+    def chain(x, w1, b1, w2, b2, gain, bias):
+        return feed_forward_chain(affine_chain(x, gain, bias), w1, b1, w2, b2)
+
+    got, got_grads, g = fold_run(fused, x, weights, gain, bias, d_out)
+    want, want_grads, _ = fold_run(chain, x, weights, gain, bias, d_out)
+
+    h = np.maximum(hidden, 0) > 0
+    hmag = hidden_mag * h
+    g2 = g.reshape(-1, d_out)
+    gh = (g2 @ w2.T) * h                                 # |dL/d(hidden input)|
+    gy = (gh @ w1.T).reshape(x.shape)                    # |dL/d(norm output)|
+    scales = [norm_input_grad_scale(gy * gain_t, rstd, xmag),  # x
+              y2.T @ gh, gh.sum(axis=0),                 # w1, b1
+              hmag.T @ g2, g2.sum(axis=0),               # w2, b2
+              column_sums(gy * xmag), column_sums(gy)]   # gain, bias
+    tols = [LN_INPUT_GRAD_TOLERANCE[dtype]] + [tol] * 6
+    assert_close(got, want, tol, (hmag @ w2 + b2).reshape(got.shape))
+    for got_grad, want_grad, scale, grad_tol in zip(got_grads, want_grads, scales, tols):
+        assert_close(got_grad, want_grad, grad_tol, scale)
 
 
 @pytest.mark.parametrize("gain, bias", [((1,), (1,)), ((2,), (2,)), ((3,), (3,)), ((4,), (2,)),
