@@ -166,6 +166,23 @@ def retrieve_memory(q: Tensor, mem: Tensor, epsilon: float) -> Tensor:
     return Tensor._make(out_data, (q, mem), bwd)
 
 
+def _subtract_row_dots(g: np.ndarray, p: np.ndarray, scratch: np.ndarray):
+    """``g -= row_sum(g * p)`` in place, with the products written into ``scratch``.
+
+    The rows go a chunk at a time, as many as the contiguous ``scratch``
+    holds, so no array of ``g``'s size is made. ``row_sum`` sums each row
+    alike whatever rows share its call, so the result is bitwise that of
+    one pass.
+    """
+    n = g.shape[-1]
+    g_rows, p_rows, flat = g.reshape(-1, n), p.reshape(-1, n), scratch.reshape(-1)
+    chunk = max(1, flat.size // n)
+    for lo in range(0, len(g_rows), chunk):
+        rows = slice(lo, lo + chunk)
+        product = flat[:g_rows[rows].size].reshape(-1, n)
+        g_rows[rows] -= row_sum(np.multiply(g_rows[rows], p_rows[rows], out=product))
+
+
 def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                   bias: Tensor | None = None) -> Tensor:
     """Bidirectional multi-head scaled dot-product attention, as one node.
@@ -173,19 +190,22 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     Per head, ``softmax(Q K^T / sqrt(d_k) + bias) V`` on [..., n, d_model]
     Q, K and V, with an optional additive ``bias`` [n_q, n_k] that every item
     and head shares; the heads come back merged, [..., n_q, d_model].
-    Besides the inputs, the backward keeps only the probabilities, never the
-    scores.
+    Besides the inputs, the backward keeps two statistics of each score row,
+    its max and its sum of exponentials: no score-sized array outlives the
+    forward.
 
     Forward and backward run in the fewest near-equal tiles of whole items
     along the first axis of the scores that keep a tile's scores within
     ``FORWARD_BLOCK_BYTES // 2`` (``blocks``): a tile's backward holds two
-    more arrays of its scores' size, dL/dp and its product with p, so half
-    the budget keeps a tile's working set near one core's L2 cache. A
-    graph's forward writes each tile's probabilities into the one saved
-    array; without a graph all tiles share one tile-sized buffer. Each
-    element is computed as in one untiled pass, so outputs and the q/k/v
-    gradients do not depend on the tiling; only the bias gradient, summed
-    tile by tile, rounds differently.
+    arrays of its scores' size, its probabilities and dL/dp, so half the
+    budget keeps a tile's working set near one core's L2 cache. The forward
+    runs every tile through one tile-sized buffer. The backward recomputes
+    a tile's probabilities with the forward's GEMM, scale and bias, then
+    subtracts the saved max, exponentiates and divides by the saved sum,
+    which gives the forward's tile bitwise (a saved log-sum-exp would not).
+    Each element is computed as in one untiled pass, so outputs and the
+    q/k/v gradients do not depend on the tiling; only the bias gradient,
+    summed tile by tile, rounds differently.
     """
     if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention needs Q, K and V of equal leading dims and as many "
@@ -197,38 +217,54 @@ def dot_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if bias is not None and bias.shape != shape[-2:]:
         raise DimensionError(f"attention bias must be [n_q, n_k] = {shape[-2:]}, got {bias.shape}")
     tiles = blocks(shape[0], math.prod(shape[1:]) * dtype.itemsize, FORWARD_BLOCK_BYTES // 2)
+    tile_shape = (-(-shape[0] // len(tiles)), *shape[1:])  # of the largest tile's scores
     b_data = None if bias is None else bias.data
+
+    def scores(t, out):
+        """Tile ``t``'s scores ``Q K^T / sqrt(d_k) + bias``, written into ``out``."""
+        np.matmul(q_h[t], k_h[t].swapaxes(-1, -2), out=out)
+        out *= scale
+        if b_data is not None:
+            out += b_data
+        return out
 
     q, k, v, bias = _nodes(q, k, v, bias)
     parents = (q, k, v) if bias is None else (q, k, v, bias)
-    keep = grad_enabled() and any(t.requires_grad for t in parents)
-    p = np.empty(shape if keep else (-(-shape[0] // len(tiles)), *shape[1:]), dtype)
+    p = np.empty(tile_shape, dtype)
     out_data = np.empty((*shape[:-3], *q.shape[-2:]), np.result_type(p, v_h))
     out_h = _heads(n_heads, out_data)[0]
+    stats = []  # per tile, each score row's max and sum of exponentials; only bwd keeps them
     for t in tiles:
-        p_t = p[t] if keep else p[:t.stop - t.start]
-        np.matmul(q_h[t], k_h[t].swapaxes(-1, -2), out=p_t)
-        p_t *= scale
-        if b_data is not None:
-            p_t += b_data
-        p_t -= row_max(p_t)  # softmax over keys, in place
+        p_t = scores(t, p[:t.stop - t.start])
+        p_max = row_max(p_t)
+        p_t -= p_max  # softmax over keys, in place
         np.exp(p_t, out=p_t)
-        p_t /= row_sum(p_t)
+        p_sum = row_sum(p_t)
+        p_t /= p_sum
         np.matmul(p_t, v_h[t], out=out_h[t])
+        stats.append((p_max, p_sum))
 
     def bwd(g):
         g_h = _heads(n_heads, g)[0]
-        g_dtype = np.result_type(p, g_h, v_h)
+        g_dtype = np.result_type(dtype, g_h, v_h)
         g_v, g_q, g_k = (np.empty(t.shape, g_dtype) for t in (v, q, k))
         g_v_h, g_q_h, g_k_h = _heads(n_heads, g_v, g_q, g_k)
         g_b = np.zeros(b_data.shape, g_dtype) if bias is not None and bias.requires_grad else None
-        for t in tiles:
-            p_t, g_t = p[t], g_h[t]
+        g_p = np.empty(tile_shape, np.result_type(g_h, v_h))  # dL/dp of each tile in turn
+        for t, (p_max, p_sum) in zip(tiles, stats):
+            g_t = g_h[t]
+            p_t = scores(t, np.empty((t.stop - t.start, *shape[1:]), dtype))
+            p_t -= p_max
+            np.exp(p_t, out=p_t)
+            p_t /= p_sum
             if v.requires_grad:
                 np.matmul(p_t.swapaxes(-1, -2), g_t, out=g_v_h[t])
-            g_scores = g_t @ v_h[t].swapaxes(-1, -2)  # dL/dp, then in place dL/dscores
-            g_scores -= row_sum(g_scores * p_t)
+            # dL/dp, then in place dL/dscores
+            g_scores = np.matmul(g_t, v_h[t].swapaxes(-1, -2), out=g_p[:t.stop - t.start])
+            # The tile's dL/dk slot is written last, so it holds the products.
+            _subtract_row_dots(g_scores, p_t, g_k[t])
             g_scores *= p_t
+            del p_t  # freed before the bias gradient's partial sums are made
             if g_b is not None:  # summed over the tile's items, then its heads
                 g_b += _unbroadcast(g_scores, g_b.shape)
             g_scores *= scale

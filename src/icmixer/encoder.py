@@ -107,23 +107,21 @@ class EncoderConfig(ConfigFields):
         share, Q, K, V and the attention output. ICM keeps a ninth, the
         difference of the memory and dot paths that the gate's gradient
         reads. A block also keeps one ``d_ff``-wide array (the feed-forward
-        hidden) and the attention probabilities: ``n_heads * (m * n_patches)^2``
-        for concat, which attends over all channel-tokens at once,
-        ``m * n_heads * n_patches^2`` for the others. Residual sums and
-        sublayer outputs are not kept. One more ``d_ff``-wide array (the
-        hidden's gradient) and six residual-sized ones cover the embedding,
-        the head and the gradients alive at the backward's peak; ICM's
-        memory-path gradients add two, and concat, whose peak its
-        probabilities set, takes two fewer. This estimate is 0.97-1.21x the
-        traced f32 graph of every mixer on the desk config and the default
-        backbone, and of concat over 16 channels.
+        hidden) and attention's two statistics of each score row, its max
+        and sum: ``2 * n_heads * m * n_patches`` values for every mixer.
+        Residual sums and sublayer outputs are not kept. One more
+        ``d_ff``-wide array (the hidden's gradient) and six residual-sized
+        ones cover the embedding, the head and the gradients alive at the
+        backward's peak; ICM's memory-path gradients add two. Concat takes
+        none of the six: its backward peaks in its attention, whose two
+        score tiles keep one size however many windows a block holds. This
+        estimate is 0.94-1.14x the traced f32 graph of every mixer on the
+        desk config and the default backbone, and of concat over 16 channels.
         """
-        n, tokens = self.n_patches, m * self.n_patches
+        tokens = m * self.n_patches
         icm = self.mixer in (MixerKind.ICM, MixerKind.ICM_STATIC)
-        probs = self.n_heads * (tokens * tokens if self.mixer is MixerKind.CONCAT
-                                else m * n * n)
-        per_block = tokens * ((9 if icm else 8) * self.d_model + self.d_ff) + probs
-        rest = 8 if icm else 4 if self.mixer is MixerKind.CONCAT else 6
+        per_block = tokens * ((9 if icm else 8) * self.d_model + self.d_ff + 2 * self.n_heads)
+        rest = 8 if icm else 0 if self.mixer is MixerKind.CONCAT else 6
         return np.dtype(dtype).itemsize * (self.n_blocks * per_block
                                            + tokens * (rest * self.d_model + self.d_ff))
 

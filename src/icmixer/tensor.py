@@ -19,6 +19,7 @@ computes and differentiates in float32.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import operator
@@ -50,6 +51,31 @@ TRAIN_BLOCK_BYTES = 32 * 1024 * 1024
 # float64): an Adam update and a fresh init's draws run chunk by chunk, so
 # neither holds a temporary the size of the default backbone's head weight.
 PARAM_CHUNK = 2 ** 15
+
+
+def pin_allocator() -> bool:
+    """Pin glibc malloc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc serves a request above its mmap threshold (128 KiB at start-up)
+    with a fresh mapping and unmaps it on free, so each such array is
+    faulted in page by page again. Its dynamic rule raises the threshold to
+    the size of each mapped chunk freed, up to 32 MiB, and the trim
+    threshold to twice that: how fast a run's arrays come back depended on
+    the largest array an earlier step happened to free. These are the
+    values the rule reaches after a 32 MiB free, held from the first call.
+    ``train_supervised`` and ``evaluate`` call this first; calling it again
+    changes nothing. Returns whether both were set. Off glibc it does
+    nothing and returns False.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the C library this process runs on
+        libc.gnu_get_libc_version  # only glibc has it
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows takes no None
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    return all([mallopt(m_mmap_threshold, 32 << 20), mallopt(m_trim_threshold, 64 << 20)])
 
 
 def blocks(n: int, item_bytes: int, budget: int) -> list:

@@ -18,7 +18,8 @@ from .attention import ConfigError, check_integer, check_positive
 from .data import MultivariateSeries, make_windows
 from .encoder import PRECISIONS, ConfigFields, EncoderConfig, ForecastEncoder, instance_normalize
 from .mixers import MixerKind
-from .tensor import PARAM_CHUNK, TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad
+from .tensor import (PARAM_CHUNK, TRAIN_BLOCK_BYTES, DimensionError, Tensor, blocks, no_grad,
+                     pin_allocator)
 
 
 class TrainingDiverged(RuntimeError):
@@ -177,8 +178,10 @@ def evaluate(model: ForecastEncoder, windows, horizon: int, batch_size: int = 64
     ``windows`` is ``[n, m, lookback + horizon]``. The forecasts run under
     ``no_grad``, so each batch streams through the encoder in blocks of
     windows (``ForecastEncoder.forecast_normalized``) and the activations
-    alive at once do not grow with ``batch_size``.
+    alive at once do not grow with ``batch_size``. It first pins the
+    allocator's thresholds (``pin_allocator``).
     """
+    pin_allocator()
     check_integer("batch_size", batch_size)
     lookback = model.config.lookback
     if np.ndim(windows) != 3 or np.shape(windows)[-1] != lookback + horizon:
@@ -267,8 +270,10 @@ def train_supervised(model: ForecastEncoder, series: MultivariateSeries,
     The returned model holds its parameters only: every parameter's ``grad``
     is dropped once the last step has run, before the best epoch is restored,
     and also when ``TrainingDiverged`` is raised. ``batch_gradients`` is the
-    way to get a batch's gradients.
+    way to get a batch's gradients. It first pins the allocator's
+    thresholds (``pin_allocator``).
     """
+    pin_allocator()
     lookback = model.config.lookback
     train_windows = make_windows(series, lookback, horizon, stride=config.train_stride,
                                  split="train")

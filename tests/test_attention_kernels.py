@@ -17,10 +17,13 @@ another order, and ``feed_forward`` must equal ``linear -> relu -> linear``
 bitwise everywhere, NaN included.
 
 ``dot_attention`` runs in tiles of batch items whose scores fit
-``FORWARD_BLOCK_BYTES // 2``. Over several tiles its output and q/k/v
-gradients must equal one-item calls bitwise, and ``tracemalloc`` pins that
-no score-sized temporary is allocated beside the saved probabilities: a
-backward holds at most two half-budget tiles above its gradients.
+``FORWARD_BLOCK_BYTES // 2``, and its backward recomputes each tile's
+probabilities from two saved row statistics. Over several tiles its output
+and q/k/v gradients must equal one-item calls bitwise, and all of them,
+the bias gradient too, must equal bitwise a transcription that saves the
+probabilities. ``tracemalloc`` pins that no score-sized array is allocated
+or kept: a backward holds at most two half-budget tiles above its
+gradients.
 
 Tolerances were fixed before any result was seen: float64 1e-12 and
 float32 1e-5, relative to the summed magnitudes of the terms that form each
@@ -41,7 +44,7 @@ from composite_chains import (
     reduce_sum,
     retrieve_memory_chain,
 )
-from conftest import traced_peak
+from conftest import traced_peak, traced_retained
 from icmixer import attention
 from icmixer.attention import accumulate_memory, dot_attention, gate_combine, retrieve_memory
 from icmixer.encoder import EncoderConfig, ForecastEncoder
@@ -231,12 +234,12 @@ def items_per_tile(dtype):
     return TILE_BYTES // (H * N * N * np.dtype(dtype).itemsize)
 
 
-def attention_and_grads(q, k, v, g, bias):
+def attention_and_grads(q, k, v, g, bias, h=H):
     """The output of ``dot_attention`` and the gradients of sum(g * output) for each input."""
     tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
     if bias is not None:
         tensors.append(Tensor(bias, requires_grad=True))
-    out = dot_attention(*tensors[:3], H, *tensors[3:])
+    out = dot_attention(*tensors[:3], h, *tensors[3:])
     reduce_sum(out * Tensor(g)).backward()
     return [out.data] + [t.grad for t in tensors]
 
@@ -264,30 +267,113 @@ def test_tiled_dot_attention_equals_item_by_item_bitwise(dtype, with_bias):
         assert_close(whole[4], parts.sum(axis=0), TOLERANCE[dtype], np.abs(parts).sum(axis=0))
 
 
-def test_concat_train_step_peak_falls_with_tiles():
-    """One f32 desk concat step at m = 8, batch 16 holds one score-sized array, not three.
+def saved_probability_attention(q, k, v, g, h, bias):
+    """Output and q, k, v (and bias) gradients of sum(g * output) when the probabilities are saved.
 
-    Untiled, the saved probabilities, dL/dp and their product (16.8 MB each)
-    were alive at once: a traced peak of 58-59 MB. In half-budget tiles the
-    step peaks at 25.5 MB.
+    A numpy transcription of ``dot_attention``: the same tiles and the same
+    operations in the same order, except that the forward writes every
+    tile's probabilities into one saved array, which the backward reads.
     """
+    q_h, k_h, v_h, g_h = (heads(a, h) for a in (q, k, v, g))
+    scale = 1.0 / math.sqrt(q_h.shape[-1])
+    p = np.empty((*q_h.shape[:-1], k_h.shape[-2]), q.dtype)
+    tiles = blocks(len(p), p[0].nbytes, TILE_BYTES)
+    out, g_q, g_k, g_v = (np.empty(a.shape, q.dtype) for a in (q, q, k, v))
+    out_h, g_q_h, g_k_h, g_v_h = (heads(a, h) for a in (out, g_q, g_k, g_v))
+    g_b = [] if bias is None else [np.zeros(bias.shape, q.dtype)]
+    for t in tiles:
+        p_t = p[t]
+        np.matmul(q_h[t], swap(k_h[t]), out=p_t)
+        p_t *= scale
+        if bias is not None:
+            p_t += bias
+        p_t -= row_max(p_t)
+        np.exp(p_t, out=p_t)
+        p_t /= row_sum(p_t)
+        np.matmul(p_t, v_h[t], out=out_h[t])
+    for t in tiles:
+        p_t, g_t = p[t], g_h[t]
+        np.matmul(swap(p_t), g_t, out=g_v_h[t])
+        g_scores = g_t @ swap(v_h[t])
+        g_scores -= row_sum(g_scores * p_t)
+        g_scores *= p_t
+        for total in g_b:
+            part = g_scores
+            while part.ndim > 2:  # over the tile's items, then its heads
+                part = part.sum(axis=0)
+            total += part
+        g_scores *= scale
+        np.matmul(g_scores, k_h[t], out=g_q_h[t])
+        np.matmul(swap(g_scores), q_h[t], out=g_k_h[t])
+    return [out, g_q, g_k, g_v, *g_b]
+
+
+# The score layouts of the model's attention calls: (the dims of one item
+# before its tokens, tokens, d_model, heads, channels behind a concat bias).
+LAYOUTS = {"desk-per-channel": ((4,), 32, 32, 4, None), "desk-concat": ((), 128, 32, 4, 4),
+           "backbone-per-channel": ((7,), 32, 256, 4, None)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_recomputed_probabilities_equal_saved_ones_bitwise(dtype, layout):
+    """Over three tiles the output and every gradient, the bias's too, equal the
+    saving transcription's bitwise: each recomputed tile is the forward's."""
+    lead, n, d, h, channels = LAYOUTS[layout]
+    item_bytes = math.prod(lead) * h * n * n * np.dtype(dtype).itemsize
+    b = 2 * (TILE_BYTES // item_bytes) + 1
+    assert len(blocks(b, item_bytes, TILE_BYTES)) == 3
+    rng = np.random.default_rng(0)
+    q, k, v, g = (rng.standard_normal((b, *lead, n, d)).astype(dtype) for _ in range(4))
+    bias = None
+    if channels:
+        mask = same_channel_mask(channels, n // channels, dtype)
+        bias = 0.7 * mask - 0.3 * (1 - mask)
+    out, g_q, g_k, g_v, *g_b = attention_and_grads(q, k, v, g, bias, h)
+    for got, want in zip([out, g_q, g_k, g_v, *g_b],
+                         saved_probability_attention(q, k, v, g, h, bias)):
+        assert_bitwise(got, want)
+
+
+def desk_concat_step_peak(m, b):
+    """The traced peak of one f32 desk concat train step over ``b`` windows of ``m`` channels."""
     config = EncoderConfig(n_blocks=1, d_model=32, n_heads=4, d_ff=64, patch_len=8,
                            lookback=256, mixer=MixerKind.CONCAT, horizons=(96,))
     model = ForecastEncoder(config, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((16, 8, 256)).astype(np.float32)
-    y = Tensor(rng.standard_normal((16, 8, 96)).astype(np.float32))
+    x = rng.standard_normal((b, m, 256)).astype(np.float32)
+    y = Tensor(rng.standard_normal((b, m, 96)).astype(np.float32))
     peak, _ = traced_peak(lambda: mse(model.forecast_normalized(x, 96)[0], y).backward())
+    return peak
+
+
+def test_concat_train_step_peak_falls_with_tiles():
+    """One f32 desk concat step at m = 8, batch 16 holds no more than two tiles of scores.
+
+    Untiled, the saved probabilities, dL/dp and their product (16.8 MB each)
+    were alive at once: a traced peak of 58-59 MB. In half-budget tiles
+    beside the saved probabilities the step peaked at 25.5 MB.
+    """
+    peak = desk_concat_step_peak(8, 16)
     assert peak <= 0.6 * 58.6e6, peak
+
+
+def test_concat_train_step_keeps_no_probabilities():
+    """The same step peaks at half of the 25.5 MB it took while its graph kept the
+    16.8 MB of probabilities; it takes 10.4 MB, as the graph keeps two row statistics."""
+    peak = desk_concat_step_peak(8, 16)
+    assert peak <= 0.5 * 25.5e6, peak
 
 
 def test_concat_attention_backward_holds_two_half_budget_tiles():
     """One f32 backward at the desk concat shape stays within its gradients and two tiles.
 
     Batch 32 of 4 heads over 4 channels x 32 patches is 8 MiB of scores, 8
-    tiles of 4 items. Above the saved probabilities, the backward holds dq,
-    dk, dv, the bias gradient and per tile dL/dp and its product with p, so
-    it peaks at most two half-budget tiles above its gradients.
+    tiles of 4 items. The backward holds dq, dk, dv, the bias gradient, the
+    tile's recomputed probabilities and one dL/dp buffer that every tile
+    reuses; the products of dL/dp and p go through the tile's dk slot, and
+    the probabilities are freed before the bias gradient's partial sums are
+    made. So it peaks at most two half-budget tiles above its gradients.
     """
     b, n, d = 32, 128, 32
     rng = np.random.default_rng(0)
@@ -318,6 +404,22 @@ def test_default_backbone_forecast_block_attends_in_one_tile(monkeypatch):
     with no_grad():
         model.forecast_normalized(x, 96)
     assert tile_counts == [1] * model.config.n_blocks
+
+
+def test_concat_attention_graph_keeps_two_row_statistics():
+    """With a graph, the forward peaks below one scores array and keeps, beside its
+    output, only each score row's max and sum."""
+    b, n, d = 64, 128, 32
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((b, n, d)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = same_channel_mask(4, n // 4, np.float32)
+    bias = Tensor(0.7 * mask - 0.3 * (1 - mask), requires_grad=True)
+    scores_bytes, rows = b * 4 * n * n * 4, b * 4 * n
+    peak, _ = traced_peak(lambda: dot_attention(q, k, v, 4, bias))
+    retained, out = traced_retained(lambda: dot_attention(q, k, v, 4, bias))
+    assert peak < scores_bytes / 2, (peak, scores_bytes)
+    assert retained <= out.data.nbytes + 2 * rows * 4 + 16 * 1024, retained
 
 
 def test_no_grad_concat_attention_holds_no_score_sized_array():

@@ -1,12 +1,18 @@
+import ctypes
+import os
+import platform
 import re
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from composite_chains import reduce_sum
 from conftest import traced_peak
-from icmixer import training
+from icmixer import tensor, training
 from icmixer.attention import ConfigError
 from icmixer.data import (
     DEFAULT_SPLIT,
@@ -778,3 +784,76 @@ class TestTrainConfig:
     def test_dtype_mapping(self):
         assert TrainConfig(precision="f32").dtype == np.float32
         assert TrainConfig(precision="f64").dtype == np.float64
+
+
+# A fresh interpreter trains a tiny model, then allocates a 16 MiB array and
+# prints glibc's count of mapped bytes (``mallinfo2().hblkhd``) before and after.
+HEAP_OR_MAPPING = """
+import ctypes
+import numpy as np
+from icmixer.data import generate_lagged_copy, standardized
+from icmixer.encoder import EncoderConfig, ForecastEncoder
+from icmixer.training import TrainConfig, train_supervised
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+series = standardized(generate_lagged_copy(m=2, T=400, lag=4, noise_std=0.1, seed=0))
+config = EncoderConfig(n_blocks=1, d_model=8, n_heads=2, d_ff=16, patch_len=8, lookback=32,
+                       horizons=(8,))
+train_supervised(ForecastEncoder(config, seed=0), series,
+                 TrainConfig(epochs=1, batch_size=8, max_train_windows=8), horizon=8)
+before = libc.mallinfo2().hblkhd
+array = np.ones(16 << 20, np.uint8)
+print(before, libc.mallinfo2().hblkhd)
+"""
+
+
+class TestAllocatorPin:
+    """``train_supervised`` and ``evaluate`` pin glibc's mmap and trim thresholds."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                        or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                        reason="mallinfo2 is glibc's, from 2.33 on")
+    def test_training_serves_a_16_mib_array_from_the_heap(self):
+        """After training, a 16 MiB array is not mapped on its own: glibc's default
+        threshold (128 KiB) would map it, and a process that never freed a larger
+        mapped array would keep that threshold."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", HEAP_OR_MAPPING], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        before, after = map(int, proc.stdout.split())
+        assert after == before
+
+    @staticmethod
+    def fake_libc(monkeypatch, glibc: bool, found: bool = True) -> list:
+        """Make ``ctypes.CDLL`` find a C library that records its ``mallopt`` calls, or none."""
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                if not found:
+                    raise OSError("no C library")
+                if glibc:
+                    self.gnu_get_libc_version = lambda: b"2.36"
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        return calls
+
+    def test_the_thresholds_are_32_and_64_mib(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, glibc=True)
+        assert tensor.pin_allocator() and tensor.pin_allocator()
+        assert calls == 2 * [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_ and M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("found", [False, True], ids=["no-libc", "not-glibc"])
+    def test_off_glibc_it_does_nothing(self, found, monkeypatch):
+        calls = self.fake_libc(monkeypatch, glibc=False, found=found)
+        assert tensor.pin_allocator() is False
+        assert calls == []
